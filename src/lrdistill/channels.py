@@ -13,7 +13,7 @@ from .errors import (
     NotTracePreservingError,
     StateFormatError,
 )
-from .kernels import DEFAULT_RANK_TOL, numerical_rank
+from .kernels import DEFAULT_RANK_TOL
 from .states import DensityMatrix, complement, density_matrix_from_dict
 
 #: Max deviation of the Choi input marginal from 1/d_in accepted on load.
@@ -178,7 +178,3 @@ def capacity_bounds_from_distillation(d_in: int, distill_rate: float) -> Capacit
         raise BadParameterError(f"distillation rate must be >= 0, got {distill_rate}")
     d_in = int(d_in)
     return CapacityBounds(d_in, distill_rate, distill_rate, d_in * d_in * distill_rate)
-
-
-def choi_rank(channel: ChoiChannel, rank_tol: float = DEFAULT_RANK_TOL) -> int:
-    return numerical_rank(channel.choi.matrix, rank_tol)

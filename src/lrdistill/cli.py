@@ -15,14 +15,7 @@ from dataclasses import dataclass
 
 from . import __version__
 from .channels import channel_from_dict, flagged_depolarizing_channel, werner_holevo_channel
-from .distill import (
-    DEFAULT_WITNESS_BUDGET,
-    classify,
-    filtered_hashing_rate,
-    local_filter,
-    low_rank_rate_bound,
-    separability_verdict,
-)
+from .distill import DEFAULT_WITNESS_BUDGET, classify, local_filter
 from .errors import (
     BadParameterError,
     InputError,
@@ -39,7 +32,6 @@ from .states import (
     bell_state,
     ghz_state,
     maximally_mixed,
-    partial_trace,
     purify,
     state_from_dict,
 )
@@ -174,8 +166,7 @@ def _cmd_analyze(args, config: RunConfig) -> str:
         witness_budget=config.witness_budget,
         seed=config.seed,
     )
-    rho_ab = partial_trace(psi.density_matrix(), (0, 1))
-    separability = separability_verdict(rho_ab, config.rank_tol, config.ppt_tol)
+    separability = report.separability_ab()
     if config.fmt == "pretty":
         lines = [
             f"input: {kind} dims={list(state.dims)}",
@@ -215,18 +206,15 @@ def _cmd_analyze(args, config: RunConfig) -> str:
 
 def _cmd_filter(args, config: RunConfig) -> str:
     kind, state = _load_state(args.state_file)
-    if isinstance(state, TripartitePureState):
-        rho = partial_trace(state.density_matrix(), (0, 1))
-    else:
-        rho = state
+    rho = state.reduction((0, 1)) if isinstance(state, TripartitePureState) else state
     outcome = local_filter(rho, args.side, config.rank_tol)
     try:
-        bound = low_rank_rate_bound(rho, args.side, config.rank_tol)
+        bound = outcome.rate_bound()
         bound_note = None
     except RankNotLowError as exc:
         bound = None
         bound_note = str(exc)
-    rate = filtered_hashing_rate(rho, args.side, config.rank_tol)
+    rate = outcome.hashing_rate(config.rank_tol)
     if config.fmt == "pretty":
         lines = [
             f"input: {kind} dims={list(rho.dims)}",

@@ -28,13 +28,13 @@ from typing import Literal
 import numpy as np
 
 from .errors import BadParameterError, RankNotLowError
-from .kernels import DEFAULT_RANK_TOL, hermitian_eig, numerical_rank
+from .kernels import DEFAULT_RANK_TOL, HermitianSpectrum, hermitian_eig, numerical_rank
 from .states import (
     DEFAULT_PPT_TOL,
     DensityMatrix,
     PptVerdict,
     TripartitePureState,
-    coherent_information,
+    complex_pairs,
     conditional_marginal,
     is_ppt,
     partial_trace,
@@ -73,6 +73,20 @@ def _require_bipartite(rho: DensityMatrix):
         raise BadParameterError(f"expected a bipartite state, got dims {rho.dims}")
 
 
+def _eigenvalues(rho: DensityMatrix) -> HermitianSpectrum:
+    """The state's spectrum without eigenvectors: enough for ranks, bounds and entropies."""
+    return hermitian_eig(rho.matrix, vectors=False)
+
+
+def _rate_bound(r: int, r_side: int, lam_min: float) -> float | None:
+    """lambda_min * r_side * (log2 r_side - log2 r) if r < r_side, else None."""
+    return lam_min * r_side * (log2(r_side) - log2(r)) if r < r_side else None
+
+
+def _marginal_bound(r: int, marginal: HermitianSpectrum, rank_tol: float) -> float | None:
+    return _rate_bound(r, marginal.retained_count(rank_tol), marginal.min_positive(rank_tol))
+
+
 @dataclass(frozen=True, eq=False)
 class FilterOutcome:
     """Success branch of the local filtering measurement on one side.
@@ -98,14 +112,28 @@ class FilterOutcome:
             "rank": self.rank,
             "rank_side": self.rank_side,
             "lambda_min": self.lambda_min,
-            "filter_operator": _matrix_pairs(self.filter_operator),
-            "support_projector": _matrix_pairs(self.support_projector),
+            "filter_operator": complex_pairs(self.filter_operator),
+            "support_projector": complex_pairs(self.support_projector),
             "filtered_state": self.filtered_state.to_json_dict(),
         }
 
+    def rate_bound(self) -> float:
+        """``low_rank_rate_bound`` on this side, from the ranks and lambda_min found here."""
+        bound = _rate_bound(self.rank, self.rank_side, self.lambda_min)
+        if bound is None:
+            raise RankNotLowError(
+                f"rank(state) = {self.rank} >= {self.rank_side} = rank(marginal {self.side}); "
+                "bound does not apply"
+            )
+        return bound
 
-def _matrix_pairs(m: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    def hashing_rate(self, rank_tol: float = DEFAULT_RANK_TOL) -> float:
+        """``filtered_hashing_rate`` on this side, from the filtered state found here."""
+        marginal = partial_trace(self.filtered_state, (_side_index(self.side),))
+        return self.p_succ * (
+            von_neumann_entropy(marginal, rank_tol)
+            - von_neumann_entropy(self.filtered_state, rank_tol)
+        )
 
 
 def local_filter(
@@ -119,8 +147,7 @@ def local_filter(
     """
     _require_bipartite(rho)
     idx = _side_index(side)
-    marginal = partial_trace(rho, (idx,))
-    spectrum = hermitian_eig(marginal.matrix)
+    spectrum = hermitian_eig(partial_trace(rho, (idx,)).matrix)
     r_side = spectrum.retained_count(rank_tol)
     lam_min = spectrum.min_positive(rank_tol)
     y = np.sqrt(lam_min) * spectrum.pinv_sqrt(rank_tol)
@@ -131,14 +158,14 @@ def local_filter(
         op = np.kron(np.eye(rho.dims[0]), y)
     unnormalized = op @ rho.matrix @ op.conj().T
     p_succ = float(unnormalized.trace().real)
-    filtered = DensityMatrix(rho.dims, unnormalized / p_succ)
+    filtered = DensityMatrix._trusted(rho.dims, unnormalized / p_succ)
     return FilterOutcome(
         side=side,
         filter_operator=y,
         p_succ=p_succ,
         filtered_state=filtered,
         support_projector=projector,
-        rank=numerical_rank(rho.matrix, rank_tol),
+        rank=_eigenvalues(rho).retained_count(rank_tol),
         rank_side=r_side,
         lambda_min=lam_min,
     )
@@ -153,16 +180,7 @@ def low_rank_rate_bound(
     filter-then-hash protocol guarantees at least
     lambda_min * r_side * (log2 r_side - log2 r) ebits per copy.
     """
-    _require_bipartite(rho)
-    idx = _side_index(side)
-    r = numerical_rank(rho.matrix, rank_tol)
-    spectrum = hermitian_eig(partial_trace(rho, (idx,)).matrix)
-    r_side = spectrum.retained_count(rank_tol)
-    if r >= r_side:
-        raise RankNotLowError(
-            f"rank(state) = {r} >= {r_side} = rank(marginal {side}); bound does not apply"
-        )
-    return spectrum.min_positive(rank_tol) * r_side * (log2(r_side) - log2(r))
+    return local_filter(rho, side, rank_tol).rate_bound()
 
 
 def filtered_hashing_rate(
@@ -175,14 +193,7 @@ def filtered_hashing_rate(
     that marginal to log2(r_side) bits of entropy, this rate always dominates
     ``low_rank_rate_bound`` on the same side.
     """
-    outcome = local_filter(rho, side, rank_tol)
-    idx = _side_index(side)
-    marginal_entropy = von_neumann_entropy(
-        partial_trace(outcome.filtered_state, (idx,)), rank_tol
-    )
-    return outcome.p_succ * (
-        marginal_entropy - von_neumann_entropy(outcome.filtered_state, rank_tol)
-    )
+    return local_filter(rho, side, rank_tol).hashing_rate(rank_tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,9 +215,7 @@ class WitnessSearchOutcome:
         return {
             "performed": self.performed,
             "found": self.found,
-            "phi": None
-            if self.phi is None
-            else [[float(z.real), float(z.imag)] for z in self.phi],
+            "phi": None if self.phi is None else complex_pairs(self.phi),
             "trials_used": self.trials_used,
             "note": self.note,
         }
@@ -260,17 +269,22 @@ def find_one_way_witness(
     one-way rate. ``found = False`` is inconclusive by itself.
     """
     _require_bipartite(rho)
-    if budget < 0:
-        raise BadParameterError(f"budget must be >= 0, got {budget}")
     r = numerical_rank(rho.matrix, rank_tol)
     r_b = numerical_rank(partial_trace(rho, (1,)).matrix, rank_tol)
     if r >= r_b:
         raise RankNotLowError(
             f"rank(state) = {r} >= {r_b} = rank(marginal B); witness search does not apply"
         )
-    seedseq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    rng = np.random.default_rng(seedseq)
-    phi, trials = _saturation_search(rho, r, budget, rng, rank_tol)
+    return _witness_search(rho, r, budget, seed, rank_tol)
+
+
+def _witness_search(
+    rho: DensityMatrix, r: int, budget: int, seed: int | np.random.SeedSequence, rank_tol: float
+) -> WitnessSearchOutcome:
+    """``find_one_way_witness`` once its preconditions hold and r = rank(state) is known."""
+    if budget < 0:
+        raise BadParameterError(f"budget must be >= 0, got {budget}")
+    phi, trials = _saturation_search(rho, r, budget, np.random.default_rng(seed), rank_tol)
     if phi is None:
         return WitnessSearchOutcome(
             True, False, None, trials, note="budget exhausted without certificate"
@@ -313,11 +327,7 @@ class ReductionAnalysis:
             "rank": self.rank,
             "rank_first": self.rank_first,
             "rank_second": self.rank_second,
-            "ppt": {
-                "is_ppt": self.ppt.is_ppt,
-                "witness": self.ppt.witness,
-                "marginal": self.ppt.marginal,
-            },
+            "ppt": self.ppt._asdict(),
             "low_rank_bound_first": self.low_rank_bound_first,
             "low_rank_bound_second": self.low_rank_bound_second,
             "hashing_rate": self.hashing_rate,
@@ -361,56 +371,52 @@ class DistillabilityReport:
             "low_rank_bound_A": red_ab.low_rank_bound_first,
             "low_rank_bound_B": red_ab.low_rank_bound_second,
             "hashing_rate": red_ab.hashing_rate,
-            "witness_phi": None
-            if red_ab.witness.phi is None
-            else [[float(z.real), float(z.imag)] for z in red_ab.witness.phi],
-            "reductions": {
-                "AB": red_ab.to_json_dict(),
-                "AE": red_ae.to_json_dict(),
-            },
+            "witness_phi": red_ab.witness.to_json_dict()["phi"],
+            "reductions": {"AB": red_ab.to_json_dict(), "AE": red_ae.to_json_dict()},
         }
 
+    def separability_ab(self) -> "SeparabilityRecord":
+        """``separability_verdict`` of rho_AB, read off this report.
 
-def _optional_bound(rho: DensityMatrix, side: Side, rank_tol: float) -> float | None:
-    try:
-        return low_rank_rate_bound(rho, side, rank_tol)
-    except RankNotLowError:
-        return None
+        |psi> purifies rho_AB, so its AE and E ranks are those of the
+        canonical purification that ``separability_verdict`` builds.
+        """
+        ab, ae = self.reduction_ab, self.reduction_ae
+        return SeparabilityRecord(
+            ab.dims, ab.rank, ab.rank_first, ab.rank_second, ae.rank, ae.rank_second,
+            ab.ppt, ab.low_rank_bound_first, ab.low_rank_bound_second,
+        )
 
 
 def _analyze_reduction(
     label: str,
-    parties: tuple[str, str],
     rho: DensityMatrix,
+    first: HermitianSpectrum,
+    second: HermitianSpectrum,
     rank_tol: float,
     ppt_tol: float,
     witness_budget: int,
     seedseq: np.random.SeedSequence,
 ) -> ReductionAnalysis:
-    r = numerical_rank(rho.matrix, rank_tol)
-    r_first = numerical_rank(partial_trace(rho, (0,)).matrix, rank_tol)
-    r_second = numerical_rank(partial_trace(rho, (1,)).matrix, rank_tol)
+    """Analysis of the reduction ``rho`` of the parties in ``label``, from its marginal spectra."""
+    state = _eigenvalues(rho)
+    r, r_first, r_second = (s.retained_count(rank_tol) for s in (state, first, second))
     if r < r_second:
-        witness = find_one_way_witness(rho, witness_budget, seedseq, rank_tol)
+        witness = _witness_search(rho, r, witness_budget, seedseq, rank_tol)
     else:
-        witness = WitnessSearchOutcome(
-            False,
-            False,
-            None,
-            0,
-            note=f"rank(state) = {r} >= {r_second} = rank(marginal): search does not apply",
-        )
+        note = f"rank(state) = {r} >= {r_second} = rank(marginal): search does not apply"
+        witness = WitnessSearchOutcome(False, False, None, 0, note=note)
     return ReductionAnalysis(
         label=label,
-        parties=parties,
+        parties=tuple(label),
         dims=rho.dims,
         rank=r,
         rank_first=r_first,
         rank_second=r_second,
         ppt=is_ppt(rho, ppt_tol),
-        low_rank_bound_first=_optional_bound(rho, "A", rank_tol),
-        low_rank_bound_second=_optional_bound(rho, "B", rank_tol),
-        hashing_rate=coherent_information(rho, rank_tol),
+        low_rank_bound_first=_marginal_bound(r, first, rank_tol),
+        low_rank_bound_second=_marginal_bound(r, second, rank_tol),
+        hashing_rate=second.entropy(rank_tol) - state.entropy(rank_tol),
         witness=witness,
     )
 
@@ -433,16 +439,13 @@ def classify(
     certificate (witness vector or positive hashing rate) exists, and unknown
     otherwise.
     """
-    full = psi.density_matrix()
-    rho_ab = partial_trace(full, (0, 1))
-    rho_ae = partial_trace(full, (0, 2))
-    red_ab = _analyze_reduction(
-        "AB", ("A", "B"), rho_ab, rank_tol, ppt_tol, witness_budget,
-        np.random.SeedSequence(entropy=seed, spawn_key=(0,)),
-    )
-    red_ae = _analyze_reduction(
-        "AE", ("A", "E"), rho_ae, rank_tol, ppt_tol, witness_budget,
-        np.random.SeedSequence(entropy=seed, spawn_key=(1,)),
+    marginals = [_eigenvalues(psi.reduction((k,))) for k in range(3)]
+    red_ab, red_ae = (
+        _analyze_reduction(
+            label, psi.reduction((0, k)), marginals[0], marginals[k], rank_tol, ppt_tol,
+            witness_budget, np.random.SeedSequence(entropy=seed, spawn_key=(k - 1,)),
+        )
+        for k, label in ((1, "AB"), (2, "AE"))
     )
     both_ppt = red_ab.ppt.is_ppt and red_ae.ppt.is_ppt
     npt = tuple(red.label for red in (red_ab, red_ae) if not red.ppt.is_ppt)
@@ -470,12 +473,8 @@ def classify(
         classification=classification,
         npt_reductions=npt,
         rates=rates,
-        params={
-            "rank_tol": rank_tol,
-            "ppt_tol": ppt_tol,
-            "witness_budget": witness_budget,
-            "seed": seed,
-        },
+        params={"rank_tol": rank_tol, "ppt_tol": ppt_tol,
+                "witness_budget": witness_budget, "seed": seed},
     )
 
 
@@ -495,30 +494,33 @@ class SeparabilityRecord:
     rank_b: int
     rank_ae: int
     rank_e: int
-    rank_pattern_holds: bool
-    regime_applies: bool
     ppt: PptVerdict
-    verdict: str
     low_rank_bound_a: float | None
     low_rank_bound_b: float | None
+
+    @property
+    def rank_pattern_holds(self) -> bool:
+        """rank(AB) = rank(E) <= rank(AE) = rank(B)."""
+        return self.rank == self.rank_e <= self.rank_ae == self.rank_b
+
+    @property
+    def regime_applies(self) -> bool:
+        return self.rank <= max(self.rank_a, self.rank_b)
+
+    @property
+    def verdict(self) -> str:
+        if self.regime_applies:
+            return VERDICT_SEPARABLE if self.ppt.is_ppt else VERDICT_DISTILLABLE
+        return VERDICT_PPT_UNDECIDED if self.ppt.is_ppt else VERDICT_NPT_UNDECIDED
 
     def to_json_dict(self) -> dict:
         return {
             "dims": list(self.dims),
-            "ranks": {
-                "AB": self.rank,
-                "A": self.rank_a,
-                "B": self.rank_b,
-                "AE": self.rank_ae,
-                "E": self.rank_e,
-            },
+            "ranks": {"AB": self.rank, "A": self.rank_a, "B": self.rank_b,
+                      "AE": self.rank_ae, "E": self.rank_e},
             "rank_pattern_holds": self.rank_pattern_holds,
             "regime_applies": self.regime_applies,
-            "ppt": {
-                "is_ppt": self.ppt.is_ppt,
-                "witness": self.ppt.witness,
-                "marginal": self.ppt.marginal,
-            },
+            "ppt": self.ppt._asdict(),
             "verdict": self.verdict,
             "low_rank_bound_A": self.low_rank_bound_a,
             "low_rank_bound_B": self.low_rank_bound_b,
@@ -537,30 +539,13 @@ def separability_verdict(
     purification.
     """
     _require_bipartite(rho)
-    r = numerical_rank(rho.matrix, rank_tol)
-    r_a = numerical_rank(partial_trace(rho, (0,)).matrix, rank_tol)
-    r_b = numerical_rank(partial_trace(rho, (1,)).matrix, rank_tol)
-    full = purify(rho, rank_tol).density_matrix()
-    r_ae = numerical_rank(partial_trace(full, (0, 2)).matrix, rank_tol)
-    r_e = numerical_rank(partial_trace(full, (2,)).matrix, rank_tol)
-    pattern = (r == r_e) and (r <= r_ae) and (r_ae == r_b)
-    regime = r <= max(r_a, r_b)
-    verdict_ppt = is_ppt(rho, ppt_tol)
-    if regime:
-        verdict = VERDICT_SEPARABLE if verdict_ppt.is_ppt else VERDICT_DISTILLABLE
-    else:
-        verdict = VERDICT_PPT_UNDECIDED if verdict_ppt.is_ppt else VERDICT_NPT_UNDECIDED
+    psi = purify(rho, rank_tol)
+    r = psi.dims[2]  # the purifying register has dimension rank(rho)
+    spec_a, spec_b = (_eigenvalues(partial_trace(rho, (k,))) for k in (0, 1))
+    r_ae, r_e = (_eigenvalues(psi.reduction(keep)).retained_count(rank_tol)
+                 for keep in ((0, 2), (2,)))
     return SeparabilityRecord(
-        dims=rho.dims,
-        rank=r,
-        rank_a=r_a,
-        rank_b=r_b,
-        rank_ae=r_ae,
-        rank_e=r_e,
-        rank_pattern_holds=pattern,
-        regime_applies=regime,
-        ppt=verdict_ppt,
-        verdict=verdict,
-        low_rank_bound_a=_optional_bound(rho, "A", rank_tol),
-        low_rank_bound_b=_optional_bound(rho, "B", rank_tol),
+        rho.dims, r, spec_a.retained_count(rank_tol), spec_b.retained_count(rank_tol),
+        r_ae, r_e, is_ppt(rho, ppt_tol),
+        _marginal_bound(r, spec_a, rank_tol), _marginal_bound(r, spec_b, rank_tol),
     )

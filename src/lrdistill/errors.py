@@ -49,5 +49,9 @@ class NonConvergenceError(NumericsError):
     """The eigensolver failed to converge."""
 
 
+class NoPositiveEigenvalueError(NumericsError, ValueError):
+    """A spectrum has no eigenvalue above the rank cutoff (the zero matrix)."""
+
+
 class RankNotLowError(LrdistillError):
     """The low-rank precondition rank(state) < rank(marginal) does not hold."""

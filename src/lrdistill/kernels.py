@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConvergenceError, NotHermitianError
+from .errors import NonConvergenceError, NoPositiveEigenvalueError, NotHermitianError
 
 #: Relative eigenvalue cutoff below which spectra are treated as zero.
 DEFAULT_RANK_TOL = 1e-10
@@ -38,12 +38,13 @@ class HermitianSpectrum:
     """Eigendecomposition with eigenvalues sorted in descending order.
 
     ``eigenvectors[:, k]`` is the unit eigenvector paired with
-    ``eigenvalues[k]``. Ties keep the (reversed) eigensolver order, which is
+    ``eigenvalues[k]``, or ``eigenvectors`` is None when only eigenvalues
+    were computed. Ties keep the (reversed) eigensolver order, which is
     deterministic for identical input.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    eigenvectors: np.ndarray | None
 
     def retained_count(self, rank_tol: float = DEFAULT_RANK_TOL) -> int:
         """Number of eigenvalues strictly above ``rank_tol * max(eigenvalues)``."""
@@ -56,8 +57,14 @@ class HermitianSpectrum:
         """Smallest eigenvalue above the rank cutoff."""
         k = self.retained_count(rank_tol)
         if k == 0:
-            raise ValueError("spectrum has no eigenvalue above the rank cutoff")
+            raise NoPositiveEigenvalueError("spectrum has no eigenvalue above the rank cutoff")
         return float(self.eigenvalues[k - 1])
+
+    def entropy(self, rank_tol: float = DEFAULT_RANK_TOL) -> float:
+        """-sum lam log2 lam in bits over the eigenvalues above the rank cutoff."""
+        k = self.retained_count(rank_tol)
+        lams = self.eigenvalues[:k]
+        return float(-np.sum(lams * np.log2(lams))) if k else 0.0
 
     def support_projector(self, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
         k = self.retained_count(rank_tol)
@@ -75,8 +82,14 @@ class HermitianSpectrum:
         return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
 
 
-def hermitian_eig(m, symm_tol: float = DEFAULT_SYMM_TOL) -> HermitianSpectrum:
+def hermitian_eig(
+    m, symm_tol: float = DEFAULT_SYMM_TOL, *, vectors: bool = True
+) -> HermitianSpectrum:
     """Eigendecompose a Hermitian matrix, eigenvalues descending.
+
+    With ``vectors=False`` only the eigenvalues are computed (one cheaper
+    ``eigvalsh`` solve); that serves every rank, entropy, bound and PPT
+    witness, which never read the eigenvectors.
 
     Raises NotHermitianError when ``max|m - m^dagger|`` exceeds ``symm_tol``
     and NonConvergenceError when the underlying solver fails. The matrix is
@@ -88,8 +101,11 @@ def hermitian_eig(m, symm_tol: float = DEFAULT_SYMM_TOL) -> HermitianSpectrum:
         raise NotHermitianError(
             f"matrix deviates from Hermitian symmetry by more than {symm_tol:g}"
         )
+    sym = (arr + arr.conj().T) / 2.0
     try:
-        evals, evecs = np.linalg.eigh((arr + arr.conj().T) / 2.0)
+        if not vectors:
+            return HermitianSpectrum(np.linalg.eigvalsh(sym)[::-1].copy(), None)
+        evals, evecs = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
         raise NonConvergenceError(f"eigensolver did not converge: {exc}") from exc
     return HermitianSpectrum(evals[::-1].copy(), evecs[:, ::-1].copy())

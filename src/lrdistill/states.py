@@ -10,18 +10,13 @@ Conventions (these matter for partial trace/transpose):
 
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass
 from math import prod, sqrt
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (
-    NotNormalizedError,
-    StateFormatError,
-    SubsystemError,
-)
+from .errors import NotNormalizedError, StateFormatError, SubsystemError
 from .kernels import DEFAULT_RANK_TOL, hermitian_eig
 
 #: Validation tolerances for density-matrix invariants.
@@ -48,7 +43,9 @@ class DensityMatrix:
     """Positive unit-trace Hermitian matrix over a list of subsystems.
 
     Construction validates the state invariants: Hermiticity within 1e-10,
-    unit trace within 1e-10, and eigenvalues >= -1e-10.
+    unit trace within 1e-10, and eigenvalues >= -1e-10. States derived inside
+    the package from valid ones (reductions, the filtered state, complements)
+    are built with ``_trusted`` and not validated again.
     """
 
     dims: tuple[int, ...]
@@ -78,6 +75,19 @@ class DensityMatrix:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "matrix", arr)
 
+    @classmethod
+    def _trusted(cls, dims: Sequence[int], matrix) -> "DensityMatrix":
+        """A state that is valid by construction; skips the ``__post_init__`` checks.
+
+        The matrix is copied, so the stored read-only array has no writable alias.
+        """
+        arr = np.array(matrix, dtype=np.complex128)
+        arr.setflags(write=False)
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "dims", tuple(dims))
+        object.__setattr__(rho, "matrix", arr)
+        return rho
+
     @property
     def dim(self) -> int:
         return prod(self.dims)
@@ -92,10 +102,7 @@ class DensityMatrix:
         return DensityMatrix(tuple(dims), np.outer(v, v.conj()))
 
     def to_json_dict(self) -> dict:
-        return {
-            "dims": list(self.dims),
-            "matrix": [[[float(z.real), float(z.imag)] for z in row] for row in self.matrix],
-        }
+        return {"dims": list(self.dims), "matrix": complex_pairs(self.matrix)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,11 +133,21 @@ class TripartitePureState:
     def density_matrix(self) -> DensityMatrix:
         return DensityMatrix(self.dims, np.outer(self.amplitudes, self.amplitudes.conj()))
 
+    def reduction(self, keep: Iterable[int]) -> DensityMatrix:
+        """Reduced state on ``keep`` (ascending order), straight from the amplitudes.
+
+        It is the Gram matrix M M^dagger of the amplitude tensor M with the
+        kept factors as rows and the traced-out factors as columns, e.g.
+        rho_AB with M of shape (d_A d_B) x d_E; |psi><psi| is never formed.
+        """
+        keep = sorted(_check_subsystems(self.dims, keep))
+        kept_dims = tuple(self.dims[i] for i in keep)
+        m = np.moveaxis(self.amplitudes.reshape(self.dims), keep, range(len(keep)))
+        m = m.reshape(prod(kept_dims), -1)
+        return DensityMatrix._trusted(kept_dims, m @ m.conj().T)
+
     def to_json_dict(self) -> dict:
-        return {
-            "dims": list(self.dims),
-            "vector": [[float(z.real), float(z.imag)] for z in self.amplitudes],
-        }
+        return {"dims": list(self.dims), "vector": complex_pairs(self.amplitudes)}
 
 
 class PptVerdict(NamedTuple):
@@ -163,17 +180,11 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     keep_set = sorted(_check_subsystems(rho.dims, keep))
     n = len(rho.dims)
     tensor = rho.matrix.reshape(*rho.dims, *rho.dims)
-    row = list(string.ascii_lowercase[:n])
-    col = list(string.ascii_lowercase[n : 2 * n])
-    for i in range(n):
-        if i not in keep_set:
-            col[i] = row[i]
-    out = "".join(row[i] for i in keep_set) + "".join(col[i] for i in keep_set)
-    reduced = np.einsum("".join(row + col) + "->" + out, tensor)
-    d_keep = prod(rho.dims[i] for i in keep_set)
-    return DensityMatrix(
-        tuple(rho.dims[i] for i in keep_set), reduced.reshape(d_keep, d_keep)
-    )
+    # Axis i is row index i and axis n + i its column index; traced axes share one label.
+    cols = [n + i if i in keep_set else i for i in range(n)]
+    reduced = np.einsum(tensor, [*range(n), *cols], [*keep_set, *(n + i for i in keep_set)])
+    kept_dims = tuple(rho.dims[i] for i in keep_set)
+    return DensityMatrix._trusted(kept_dims, reduced.reshape(prod(kept_dims), -1))
 
 
 def partial_transpose(rho: DensityMatrix, subsystem: int) -> np.ndarray:
@@ -189,16 +200,13 @@ def is_ppt(rho: DensityMatrix, tol: float = DEFAULT_PPT_TOL) -> PptVerdict:
     """PPT test for a bipartite state: min partial-transpose eigenvalue >= -tol."""
     if len(rho.dims) != 2:
         raise SubsystemError(f"PPT test needs a bipartite state, got dims {rho.dims}")
-    witness = float(hermitian_eig(partial_transpose(rho, 1)).eigenvalues[-1])
+    witness = float(hermitian_eig(partial_transpose(rho, 1), vectors=False).eigenvalues[-1])
     return PptVerdict(witness >= -tol, witness, abs(witness) < 10.0 * tol)
 
 
 def von_neumann_entropy(rho: DensityMatrix, rank_tol: float = DEFAULT_RANK_TOL) -> float:
     """Entropy -Tr(rho log2 rho) in bits; eigenvalues below the cutoff contribute 0."""
-    spectrum = hermitian_eig(rho.matrix)
-    k = spectrum.retained_count(rank_tol)
-    lams = spectrum.eigenvalues[:k]
-    return float(-np.sum(lams * np.log2(lams))) if k else 0.0
+    return hermitian_eig(rho.matrix, vectors=False).entropy(rank_tol)
 
 
 def coherent_information(rho: DensityMatrix, rank_tol: float = DEFAULT_RANK_TOL) -> float:
@@ -232,8 +240,7 @@ def purify(rho: DensityMatrix, rank_tol: float = DEFAULT_RANK_TOL) -> Tripartite
 
 def complement(rho: DensityMatrix, rank_tol: float = DEFAULT_RANK_TOL) -> DensityMatrix:
     """AE reduction of the canonical purification of a bipartite state."""
-    psi = purify(rho, rank_tol)
-    return partial_trace(psi.density_matrix(), (0, 2))
+    return purify(rho, rank_tol).reduction((0, 2))
 
 
 def conditional_marginal(rho: DensityMatrix, phi) -> np.ndarray:
@@ -299,6 +306,12 @@ def maximally_mixed(dims: Sequence[int]) -> DensityMatrix:
 
 
 # --- JSON document handling -------------------------------------------------
+
+
+def complex_pairs(a) -> list:
+    """A complex array of any shape as nested lists with ``[re, im]`` leaves."""
+    a = np.asarray(a)
+    return np.stack((a.real, a.imag), axis=-1).tolist()
 
 
 def _pairs_to_complex(entries, what: str) -> np.ndarray:

@@ -1,0 +1,122 @@
+"""Build the golden CLI corpus: fixed-seed input documents and the outputs the
+CLI produced for them.
+
+    PYTHONPATH=src python tests/golden/build_corpus.py
+
+Input documents are built here with plain numpy, never through ``lrdistill``,
+so they do not move when the library changes. ``cases.json`` lists the CLI
+call made for each expected output ``<case>.out``; ``tests/test_golden.py``
+replays them. Regenerate the outputs only for an intended, explained change
+of the reports.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+
+import numpy as np
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+SEED = 20221
+
+
+def _pairs(values) -> list:
+    return [[float(z.real), float(z.imag)] for z in values]
+
+
+def _matrix_doc(matrix: np.ndarray, dims) -> dict:
+    matrix = (matrix + matrix.conj().T) / 2.0
+    return {"dims": list(dims), "matrix": [_pairs(row) for row in matrix]}
+
+
+def _haar_vector(rng: np.random.Generator, n: int) -> np.ndarray:
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return v / np.linalg.norm(v)
+
+
+def _werner_holevo_choi() -> np.ndarray:
+    """(1 - SWAP) / 6 on two qutrits."""
+    swap = np.zeros((9, 9))
+    for i in range(3):
+        for j in range(3):
+            swap[i * 3 + j, j * 3 + i] = 1.0
+    return (np.eye(9) - swap) / 6.0
+
+
+def _flagged_depolarizing_choi(d: int, q: float) -> np.ndarray:
+    """(|W><W| (+) [(1-q)|W><W| + q 1/d^2]) / 2 in two orthogonal output blocks."""
+    omega = np.zeros(d * d)
+    omega[:: d + 1] = 1.0 / np.sqrt(d)
+    proj = np.outer(omega, omega).reshape(d, d, d, d)
+    j4 = np.zeros((d, 2 * d, d, 2 * d))
+    j4[:, :d, :, :d] = 0.5 * proj
+    j4[:, d:, :, d:] = 0.5 * ((1.0 - q) * proj + q * np.eye(d * d).reshape(d, d, d, d) / d**2)
+    return j4.reshape(2 * d * d, 2 * d * d)
+
+
+def documents() -> dict:
+    """File name -> input document."""
+    rng = np.random.default_rng(SEED)
+    haar_243 = _haar_vector(rng, 2 * 4 * 3)
+    haar_333 = _haar_vector(rng, 27)
+    ghz = np.zeros(8)
+    ghz[0] = ghz[7] = 1.0 / np.sqrt(2.0)
+    m = _haar_vector(rng, 2 * 4 * 3).reshape(8, 3)
+    return {
+        "haar_2_4_3.json": {"dims": [2, 4, 3], "vector": _pairs(haar_243)},
+        "haar_3_3_3.json": {"dims": [3, 3, 3], "vector": _pairs(haar_333)},
+        "ghz.json": {"dims": [2, 2, 2], "vector": _pairs(ghz)},
+        "wh_choi.json": _matrix_doc(_werner_holevo_choi(), (3, 3)),
+        "flagged_depolarizing_2.json": {
+            "d_in": 2, "d_out": 4,
+            "choi": _matrix_doc(_flagged_depolarizing_choi(2, 0.5), (2, 4)),
+        },
+        "ab_of_haar_2_4_3.json": _matrix_doc(m @ m.conj().T, (2, 4)),
+    }
+
+
+#: Case name -> CLI arguments; the first file argument names an input document.
+CASES = {
+    "analyze_haar_2_4_3": ["analyze", "haar_2_4_3.json"],
+    "analyze_haar_3_3_3": ["analyze", "haar_3_3_3.json", "--seed", "7"],
+    "analyze_ghz": ["analyze", "ghz.json"],
+    "analyze_ghz_pretty": ["analyze", "ghz.json", "--format", "pretty"],
+    "analyze_wh_choi": ["analyze", "wh_choi.json"],
+    "analyze_flagged_depolarizing_2": [
+        "analyze", "flagged_depolarizing_2.json", "--budget", "200"],
+    "filter_A": ["filter", "ab_of_haar_2_4_3.json", "--side", "A"],
+    "filter_B": ["filter", "ab_of_haar_2_4_3.json", "--side", "B"],
+}
+
+
+def run_case(argv: list[str]) -> tuple[int, str]:
+    """Exit code and stdout of the CLI on ``argv``, input names resolved here."""
+    from lrdistill.cli import main
+
+    args = [os.path.join(HERE, a) if a.endswith(".json") else a for a in argv]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(args)
+    return code, out.getvalue()
+
+
+def main() -> None:
+    for name, doc in documents().items():
+        with open(os.path.join(HERE, name), "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+    for name, argv in CASES.items():
+        code, text = run_case(argv)
+        if code != 0:
+            raise SystemExit(f"{name}: lrdistill {' '.join(argv)} exited {code}")
+        with open(os.path.join(HERE, name + ".out"), "w", encoding="utf-8") as fh:
+            fh.write(text)
+    with open(os.path.join(HERE, "cases.json"), "w", encoding="utf-8") as fh:
+        json.dump(CASES, fh, indent=2)
+        fh.write("\n")
+
+
+if __name__ == "__main__":
+    main()

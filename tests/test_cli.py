@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lrdistill.cli import main
-from lrdistill.states import bell_state, ghz_state
+from lrdistill.states import DensityMatrix, TripartitePureState, bell_state, ghz_state
 
 ALL_EXAMPLES = ["bell", "ghz", "maximally-mixed", "werner-holevo", "wh-choi", "flagged-depolarizing"]
 
@@ -199,3 +199,27 @@ def test_subprocess_entry_point(tmp_path):
     assert a.returncode == 0
     assert a.stdout == b.stdout
     assert json.loads(a.stdout)["frequencies"]["witness_found"] == 1.0
+
+
+def test_states_are_validated_only_at_the_input_boundary(tmp_path, capsys, monkeypatch):
+    validations = []
+    original = DensityMatrix.__post_init__
+    monkeypatch.setattr(
+        DensityMatrix, "__post_init__", lambda self: validations.append(1) or original(self)
+    )
+    monkeypatch.setattr(TripartitePureState, "density_matrix", None)  # |psi><psi| is never built
+    rng = np.random.default_rng(4)
+    v = rng.standard_normal(24) + 1j * rng.standard_normal(24)
+    psi = write_state(tmp_path, "psi.json", {
+        "dims": [2, 4, 3], "vector": [[z.real, z.imag] for z in v / np.linalg.norm(v)]})
+    rho = write_state(tmp_path, "bell.json", bell_state().to_json_dict())
+    for args, expected in (
+        (("analyze", psi), 0),
+        (("filter", psi, "--side", "B"), 0),
+        (("filter", rho, "--side", "A"), 1),
+        (("analyze", rho), 1),
+    ):
+        validations.clear()
+        code, _, err = run_cli(capsys, *args)
+        assert code == 0, err
+        assert len(validations) == expected, args

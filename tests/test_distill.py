@@ -272,3 +272,40 @@ def test_verdict_maximally_mixed_out_of_regime():
     assert not record.regime_applies
     assert record.verdict == VERDICT_PPT_UNDECIDED
     assert record.low_rank_bound_a is None and record.low_rank_bound_b is None
+
+
+# --- one spectrum per operator ------------------------------------------------------
+
+
+def haar_state(dims, seed):
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(int(np.prod(dims))) + 1j * rng.standard_normal(int(np.prod(dims)))
+    return TripartitePureState(dims, v / np.linalg.norm(v))
+
+
+def test_classify_eigensolver_count(monkeypatch):
+    calls = []
+
+    def counted(real):
+        def wrapper(*args, **kwargs):
+            calls.append(real.__name__)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
+    classify(haar_state((2, 4, 3), 0))
+    # rho_AB, rho_AE, rho_A, rho_B, rho_E, two partial transposes, witness trials
+    assert 0 < len(calls) <= 10
+
+
+def test_report_separability_matches_separability_verdict():
+    for seed, dims in enumerate([(2, 4, 3), (3, 3, 3), (2, 2, 5), (3, 4, 2)]):
+        psi = haar_state(dims, seed)
+        from_report = classify(psi).separability_ab().to_json_dict()
+        direct = separability_verdict(psi.reduction((0, 1))).to_json_dict()
+        assert from_report.pop("ppt")["is_ppt"] == direct.pop("ppt")["is_ppt"]
+        for key in ("low_rank_bound_A", "low_rank_bound_B"):
+            got, want = from_report.pop(key), direct.pop(key)
+            assert (got is None and want is None) or got == pytest.approx(want, abs=1e-12)
+        assert from_report == direct

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lrdistill import hermitian_eig, min_positive_eigenvalue, numerical_rank, pinv_sqrt, support_projector
-from lrdistill.errors import NotHermitianError
+from lrdistill.errors import NoPositiveEigenvalueError, NotHermitianError, NumericsError
 
 from conftest import gaussian_unit_vector, loop_partial_trace
 
@@ -124,3 +124,20 @@ def test_min_positive_eigenvalue():
     assert min_positive_eigenvalue(np.diag([0.7, 0.3, 0.0])) == pytest.approx(0.3)
     with pytest.raises(ValueError):
         min_positive_eigenvalue(np.zeros((2, 2)))
+
+
+def test_min_positive_error_is_a_numerics_error():
+    with pytest.raises(NoPositiveEigenvalueError) as info:
+        hermitian_eig(np.zeros((3, 3))).min_positive()
+    assert isinstance(info.value, NumericsError)
+
+
+def test_eigenvalues_only_spectrum_matches_full_decomposition(rng):
+    for _ in range(20):
+        d = int(rng.integers(1, 9))
+        m = random_psd(rng, d, int(rng.integers(1, d + 1)))
+        full, values = hermitian_eig(m), hermitian_eig(m, vectors=False)
+        assert values.eigenvectors is None
+        assert np.max(np.abs(full.eigenvalues - values.eigenvalues)) <= 1e-12
+        assert values.retained_count() == full.retained_count()
+        assert values.entropy() == pytest.approx(full.entropy(), abs=1e-12)

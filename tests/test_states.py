@@ -1,5 +1,10 @@
+import json
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrdistill import (
     DensityMatrix,
@@ -19,6 +24,7 @@ from lrdistill import (
 from lrdistill.errors import NotNormalizedError, StateFormatError, SubsystemError
 from lrdistill.states import (
     bell_state,
+    complex_pairs,
     density_matrix_from_dict,
     ghz_state,
     maximally_mixed,
@@ -340,3 +346,58 @@ def test_state_from_dict_discrimination():
         state_from_dict({"dims": [2, 2], "matrix": [[1.0, 0.0], [0.0, 1.0]]})  # not pairs
     with pytest.raises(StateFormatError):
         state_from_dict([1, 2, 3])
+
+
+# --- pure-state reductions and trusted construction ---------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(dims=st.tuples(*[st.integers(1, 4)] * 3), seed=st.integers(0, 2**32 - 1))
+def test_amplitude_reductions_match_loop_oracle(dims, seed):
+    v = np.array([1.0, 1j]) @ np.random.default_rng(seed).standard_normal((2, np.prod(dims)))
+    psi = TripartitePureState(dims, v / np.linalg.norm(v))
+    full = np.outer(psi.amplitudes, psi.amplitudes.conj())
+    for size in (1, 2, 3):
+        for keep in combinations(range(3), size):
+            got = psi.reduction(keep)
+            assert got.dims == tuple(dims[i] for i in keep)
+            want = loop_partial_trace(full, dims, keep)
+            assert np.max(np.abs(got.matrix - want)) <= 1e-12
+
+
+def test_reduction_rejects_bad_subsystems():
+    with pytest.raises(SubsystemError):
+        ghz_state().reduction((0, 3))
+    with pytest.raises(SubsystemError):
+        ghz_state().reduction(())
+
+
+def test_derived_states_are_read_only_and_unaliased(monkeypatch):
+    validations = []
+    original = DensityMatrix.__post_init__
+    monkeypatch.setattr(
+        DensityMatrix, "__post_init__", lambda self: validations.append(1) or original(self)
+    )
+    source = np.eye(2, dtype=np.complex128) / 2
+    derived = [
+        ghz_state().reduction((0, 1)),
+        partial_trace(bell_state(), (0,)),
+        complement(bell_state()),
+        DensityMatrix._trusted((2,), source),
+    ]
+    assert len(validations) == 2  # the two explicit bell_state() constructions only
+    for rho in derived:
+        assert rho.matrix.dtype == np.complex128
+        assert not rho.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            rho.matrix[0, 0] = 1.0
+    source[0, 0] = 1.0
+    assert derived[-1].matrix[0, 0] == 0.5
+
+
+def test_complex_pairs_matches_the_loop_serializer(rng):
+    m = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+    m[0, 0], m[1, 2], m[3, 4] = complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)
+    loop = [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    assert json.dumps(complex_pairs(m), indent=2) == json.dumps(loop, indent=2)
+    assert complex_pairs(m[0]) == loop[0]
