@@ -28,14 +28,13 @@ from typing import Literal
 import numpy as np
 
 from .errors import BadParameterError, RankNotLowError
-from .kernels import DEFAULT_RANK_TOL, HermitianSpectrum, hermitian_eig, numerical_rank
+from .kernels import DEFAULT_RANK_TOL, HermitianSpectrum, gram_ranks, hermitian_eig
 from .states import (
     DEFAULT_PPT_TOL,
     DensityMatrix,
     PptVerdict,
     TripartitePureState,
     complex_pairs,
-    conditional_marginal,
     is_ppt,
     partial_trace,
     purify,
@@ -45,6 +44,9 @@ from .states import (
 Side = Literal["A", "B"]
 
 DEFAULT_WITNESS_BUDGET = 50
+
+#: Haar trials of the witness search ranked together in one batched eigensolve.
+_BATCH = 64
 
 #: A rate above this threshold counts as numerically positive evidence.
 POSITIVE_RATE_TOL = 1e-9
@@ -221,38 +223,42 @@ class WitnessSearchOutcome:
         }
 
 
-def _haar_vector(rng: np.random.Generator, d: int) -> np.ndarray:
-    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return v / np.linalg.norm(v)
-
-
 def _saturation_search(
-    rho: DensityMatrix,
+    factor: np.ndarray,
     target_rank: int,
     budget: int,
     rng: np.random.Generator,
     rank_tol: float,
 ) -> tuple[np.ndarray | None, int]:
-    """First |phi> on A with rank(conditioned B-marginal) == target_rank.
+    """First |phi> on A with rank(conditioned B-marginal) == target_rank, and the trials used.
+
+    ``factor`` is an amplitude tensor F of shape (d_A, d_B, r) with
+    rho = F F^dagger, F read as a (d_A d_B) x r matrix. The marginal
+    conditioned on |phi> is K K^dagger with K = sum_a conj(phi_a) F[a].
 
     Tries the d_A computational basis vectors first (they catch structured
-    states cheaply), then ``budget`` Haar-random vectors. Returns the first
-    success, so the outcome is deterministic given (state, budget, seed).
+    states cheaply), then ``budget`` Haar-random vectors, ``_BATCH`` of them
+    per rank solve. Trial order, random draws and the returned vector are
+    those of trying one vector at a time, so the outcome is deterministic
+    given (state, budget, seed).
     """
-    d_a = rho.dims[0]
-    trials = 0
-    for k in range(d_a):
-        phi = np.zeros(d_a, dtype=np.complex128)
-        phi[k] = 1.0
-        trials += 1
-        if numerical_rank(conditional_marginal(rho, phi), rank_tol) == target_rank:
-            return phi, trials
-    for _ in range(budget):
-        phi = _haar_vector(rng, d_a)
-        trials += 1
-        if numerical_rank(conditional_marginal(rho, phi), rank_tol) == target_rank:
-            return phi, trials
-    return None, trials
+    d_a = factor.shape[0]
+    hits = np.flatnonzero(gram_ranks(factor, rank_tol) == target_rank)
+    if hits.size:
+        return np.eye(d_a, dtype=np.complex128)[hits[0]], int(hits[0]) + 1
+    flat = factor.reshape(d_a, -1)
+    for done in range(0, budget, _BATCH):
+        n = min(_BATCH, budget - done)
+        # Per trial d_A real parts, then d_A imaginary parts: the same stream
+        # as drawing each trial's two parts on its own.
+        g = rng.standard_normal((n, 2, d_a))
+        v = g[:, 0] + 1j * g[:, 1]
+        k = (v.conj() @ flat).reshape(n, *factor.shape[1:])
+        hits = np.flatnonzero(gram_ranks(k, rank_tol) == target_rank)
+        if hits.size:
+            phi = v[hits[0]]
+            return phi / np.linalg.norm(phi), d_a + done + int(hits[0]) + 1
+    return None, d_a + budget
 
 
 def find_one_way_witness(
@@ -269,22 +275,30 @@ def find_one_way_witness(
     one-way rate. ``found = False`` is inconclusive by itself.
     """
     _require_bipartite(rho)
-    r = numerical_rank(rho.matrix, rank_tol)
-    r_b = numerical_rank(partial_trace(rho, (1,)).matrix, rank_tol)
+    psi = purify(rho, rank_tol)
+    r = psi.dims[2]  # the purifying register has dimension rank(rho)
+    r_b = _eigenvalues(partial_trace(rho, (1,))).retained_count(rank_tol)
     if r >= r_b:
         raise RankNotLowError(
             f"rank(state) = {r} >= {r_b} = rank(marginal B); witness search does not apply"
         )
-    return _witness_search(rho, r, budget, seed, rank_tol)
+    return _witness_search(psi.amplitudes.reshape(psi.dims), r, budget, seed, rank_tol)
 
 
 def _witness_search(
-    rho: DensityMatrix, r: int, budget: int, seed: int | np.random.SeedSequence, rank_tol: float
+    factor: np.ndarray,
+    r: int,
+    budget: int,
+    seed: int | np.random.SeedSequence,
+    rank_tol: float,
 ) -> WitnessSearchOutcome:
-    """``find_one_way_witness`` once its preconditions hold and r = rank(state) is known."""
+    """``find_one_way_witness`` once its preconditions hold and r = rank(state) is known.
+
+    ``factor`` is the state's amplitude factor, as ``_saturation_search`` takes it.
+    """
     if budget < 0:
         raise BadParameterError(f"budget must be >= 0, got {budget}")
-    phi, trials = _saturation_search(rho, r, budget, np.random.default_rng(seed), rank_tol)
+    phi, trials = _saturation_search(factor, r, budget, np.random.default_rng(seed), rank_tol)
     if phi is None:
         return WitnessSearchOutcome(
             True, False, None, trials, note="budget exhausted without certificate"
@@ -391,6 +405,7 @@ class DistillabilityReport:
 def _analyze_reduction(
     label: str,
     rho: DensityMatrix,
+    factor: np.ndarray,
     first: HermitianSpectrum,
     second: HermitianSpectrum,
     rank_tol: float,
@@ -398,11 +413,14 @@ def _analyze_reduction(
     witness_budget: int,
     seedseq: np.random.SeedSequence,
 ) -> ReductionAnalysis:
-    """Analysis of the reduction ``rho`` of the parties in ``label``, from its marginal spectra."""
+    """Analysis of the reduction ``rho`` of the parties in ``label``, from its marginal spectra.
+
+    ``factor`` is the amplitude tensor with rho = F F^dagger that the witness search ranks.
+    """
     state = _eigenvalues(rho)
     r, r_first, r_second = (s.retained_count(rank_tol) for s in (state, first, second))
     if r < r_second:
-        witness = _witness_search(rho, r, witness_budget, seedseq, rank_tol)
+        witness = _witness_search(factor, r, witness_budget, seedseq, rank_tol)
     else:
         note = f"rank(state) = {r} >= {r_second} = rank(marginal): search does not apply"
         witness = WitnessSearchOutcome(False, False, None, 0, note=note)
@@ -440,12 +458,13 @@ def classify(
     otherwise.
     """
     marginals = [_eigenvalues(psi.reduction((k,))) for k in range(3)]
+    amps = psi.amplitudes.reshape(psi.dims)
     red_ab, red_ae = (
         _analyze_reduction(
-            label, psi.reduction((0, k)), marginals[0], marginals[k], rank_tol, ppt_tol,
-            witness_budget, np.random.SeedSequence(entropy=seed, spawn_key=(k - 1,)),
+            label, psi.reduction((0, k)), factor, marginals[0], marginals[k], rank_tol,
+            ppt_tol, witness_budget, np.random.SeedSequence(entropy=seed, spawn_key=(k - 1,)),
         )
-        for k, label in ((1, "AB"), (2, "AE"))
+        for k, label, factor in ((1, "AB", amps), (2, "AE", amps.swapaxes(1, 2)))
     )
     both_ppt = red_ab.ppt.is_ppt and red_ae.ppt.is_ppt
     npt = tuple(red.label for red in (red_ab, red_ae) if not red.ppt.is_ppt)

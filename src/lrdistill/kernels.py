@@ -113,7 +113,26 @@ def hermitian_eig(
 
 def numerical_rank(m, rank_tol: float = DEFAULT_RANK_TOL) -> int:
     """Count of eigenvalues strictly above ``rank_tol * lambda_max``; 0 for the zero matrix."""
-    return hermitian_eig(m).retained_count(rank_tol)
+    return hermitian_eig(m, vectors=False).retained_count(rank_tol)
+
+
+def gram_ranks(k: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+    """Numerical ranks of K K^dagger for each matrix K of a stack of shape (n, p, q).
+
+    Each rank is read off the smaller Gram matrix, K K^dagger (p x p) or
+    K^dagger K (q x q), which share their nonzero eigenvalues; the whole
+    stack is one ``eigvalsh`` solve. The cutoff is ``retained_count``'s:
+    eigenvalues strictly above ``rank_tol * lambda_max``, and rank 0 when
+    lambda_max <= 0.
+    """
+    kh = np.conj(np.swapaxes(k, 1, 2))
+    gram = k @ kh if k.shape[1] <= k.shape[2] else kh @ k
+    try:
+        lams = np.linalg.eigvalsh(gram)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergenceError(f"eigensolver did not converge: {exc}") from exc
+    lam_max = lams[:, -1:]
+    return np.where(lam_max[:, 0] > 0.0, np.sum(lams > rank_tol * lam_max, axis=1), 0)
 
 
 def support_projector(m, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:

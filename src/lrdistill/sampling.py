@@ -234,7 +234,8 @@ def run_experiment(spec: EnsembleSpec, witness_budget: int = 50) -> EnsembleRepo
             np.random.SeedSequence(entropy=spec.seed, spawn_key=(k, 1))
         )
         phi, trials = _saturation_search(
-            rho, min(rank_state, rank_marginal), witness_budget, rng, spec.rank_tol
+            psi.amplitudes.reshape(psi.dims), min(rank_state, rank_marginal), witness_budget,
+            rng, spec.rank_tol,
         )
         records.append(
             SampleRecord(

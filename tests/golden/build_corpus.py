@@ -57,6 +57,31 @@ def _flagged_depolarizing_choi(d: int, q: float) -> np.ndarray:
     return j4.reshape(2 * d * d, 2 * d * d)
 
 
+def _complement_choi(choi: np.ndarray, d_in: int, d_out: int) -> tuple[np.ndarray, int]:
+    """Choi state of the complementary channel and its output dimension.
+
+    Purify the Choi state with one ``eigh`` and keep the input and purifying
+    registers.
+    """
+    evals, evecs = np.linalg.eigh(choi)
+    keep = evals > 1e-10 * evals[-1]
+    amp = (evecs[:, keep] * np.sqrt(evals[keep])).reshape(d_in, d_out, -1)
+    k = amp.shape[2]
+    return np.einsum("abe,cbf->aecf", amp, amp.conj()).reshape(d_in * k, d_in * k), k
+
+
+def _block_slices_vector(rng: np.random.Generator) -> np.ndarray:
+    """A (3, 6, 4) vector whose slice for A's basis vector a lives on B levels 2a, 2a+1.
+
+    Each slice has rank 2, so no basis vector of A conditions B to rank 4 =
+    rank(rho_AB); a generic vector stacks the three slices and does.
+    """
+    amp = np.zeros((3, 6, 4), dtype=np.complex128)
+    for a in range(3):
+        amp[a, 2 * a : 2 * a + 2] = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+    return amp.ravel() / np.linalg.norm(amp)
+
+
 def documents() -> dict:
     """File name -> input document."""
     rng = np.random.default_rng(SEED)
@@ -65,6 +90,8 @@ def documents() -> dict:
     ghz = np.zeros(8)
     ghz[0] = ghz[7] = 1.0 / np.sqrt(2.0)
     m = _haar_vector(rng, 2 * 4 * 3).reshape(8, 3)
+    blocks = _block_slices_vector(rng)
+    complement_3, k = _complement_choi(_flagged_depolarizing_choi(3, 0.5), 3, 6)
     return {
         "haar_2_4_3.json": {"dims": [2, 4, 3], "vector": _pairs(haar_243)},
         "haar_3_3_3.json": {"dims": [3, 3, 3], "vector": _pairs(haar_333)},
@@ -75,6 +102,10 @@ def documents() -> dict:
             "choi": _matrix_doc(_flagged_depolarizing_choi(2, 0.5), (2, 4)),
         },
         "ab_of_haar_2_4_3.json": _matrix_doc(m @ m.conj().T, (2, 4)),
+        "blocks_3_6_4.json": {"dims": [3, 6, 4], "vector": _pairs(blocks)},
+        "flagged_complement_3.json": {
+            "d_in": 3, "d_out": k, "choi": _matrix_doc(complement_3, (3, k)),
+        },
     }
 
 
@@ -87,6 +118,9 @@ CASES = {
     "analyze_wh_choi": ["analyze", "wh_choi.json"],
     "analyze_flagged_depolarizing_2": [
         "analyze", "flagged_depolarizing_2.json", "--budget", "200"],
+    "analyze_blocks_3_6_4": ["analyze", "blocks_3_6_4.json"],
+    "analyze_flagged_complement_3": [
+        "analyze", "flagged_complement_3.json", "--budget", "130"],
     "filter_A": ["filter", "ab_of_haar_2_4_3.json", "--side", "A"],
     "filter_B": ["filter", "ab_of_haar_2_4_3.json", "--side", "B"],
 }

@@ -223,3 +223,21 @@ def test_states_are_validated_only_at_the_input_boundary(tmp_path, capsys, monke
         code, _, err = run_cli(capsys, *args)
         assert code == 0, err
         assert len(validations) == expected, args
+
+
+def test_witness_solver_failure_exits_3(tmp_path, capsys, monkeypatch):
+    real = np.linalg.eigvalsh
+
+    def failing(a, *args, **kwargs):
+        if np.ndim(a) == 3:  # only the witness search's batched rank solve
+            raise np.linalg.LinAlgError("forced")
+        return real(a, *args, **kwargs)
+
+    v = np.zeros(8)
+    v[0] = v[6] = 1 / np.sqrt(2)  # Bell on AB, |0> on E: the AB witness search runs
+    doc = {"dims": [2, 2, 2], "vector": [[x, 0.0] for x in v]}
+    path = write_state(tmp_path, "bellenv.json", doc)
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    code, out, err = run_cli(capsys, "analyze", path)
+    assert code == 3 and out == ""
+    assert "did not converge" in err

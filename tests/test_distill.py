@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrdistill import (
     DensityMatrix,
     TripartitePureState,
     classify,
     complement_channel,
+    conditional_marginal,
     filtered_hashing_rate,
     find_one_way_witness,
     flagged_depolarizing_channel,
@@ -28,9 +31,10 @@ from lrdistill.distill import (
     VERDICT_DISTILLABLE,
     VERDICT_PPT_UNDECIDED,
     VERDICT_SEPARABLE,
-    conditional_marginal,
 )
-from lrdistill.errors import BadParameterError, RankNotLowError
+from lrdistill import distill
+from lrdistill.errors import BadParameterError, NonConvergenceError, RankNotLowError
+from lrdistill.kernels import DEFAULT_RANK_TOL
 from lrdistill.states import bell_state, ghz_state, maximally_mixed
 
 
@@ -182,6 +186,190 @@ def test_witness_deterministic():
     assert np.array_equal(a.phi, b.phi)
 
 
+# --- witness search against a one-trial-at-a-time loop oracle ----------------------
+
+
+def loop_conditioned_rank(matrix, dims, phi, rank_tol=DEFAULT_RANK_TOL):
+    """rank Tr_A[(|phi><phi| (x) 1) rho], the marginal summed entry by entry."""
+    d_a, d_b = dims
+    t = np.asarray(matrix).reshape(d_a, d_b, d_a, d_b)
+    marginal = np.zeros((d_b, d_b), dtype=complex)
+    for b in range(d_b):
+        for d in range(d_b):
+            for a in range(d_a):
+                for c in range(d_a):
+                    marginal[b, d] += np.conj(phi[a]) * t[a, b, c, d] * phi[c]
+    lams = np.linalg.eigvalsh(marginal)
+    return 0 if lams[-1] <= 0 else int(np.sum(lams > rank_tol * lams[-1]))
+
+
+def loop_haar_draws(rng, d, n):
+    """The first n Haar trials, each drawn as d real parts then d imaginary parts."""
+    draws = []
+    for _ in range(n):
+        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        draws.append(v / np.linalg.norm(v))
+    return draws
+
+
+def loop_saturation_search(matrix, dims, target, budget, rng):
+    """Basis vectors of A, then ``budget`` Haar trials, ranked one at a time."""
+    d_a = dims[0]
+    for k in range(d_a):
+        phi = np.zeros(d_a, dtype=complex)
+        phi[k] = 1.0
+        if loop_conditioned_rank(matrix, dims, phi) == target:
+            return phi, k + 1
+    for t, phi in enumerate(loop_haar_draws(rng, d_a, budget)):
+        if loop_conditioned_rank(matrix, dims, phi) == target:
+            return phi, d_a + t + 1
+    return None, d_a + budget
+
+
+def structured_factor(d_a, d_b, r, shape, seed):
+    """Amplitude factor F of shape (d_A, d_B, r).
+
+    ``haar``: generic. ``rank_one_slices``: F[a] = x_a y_a^T, so basis vectors
+    of A condition B to rank <= 1 and generic vectors to min(d_A, d_B, r).
+    ``shared_column``: F[a] = x y_a^T, so every vector conditions B to rank
+    <= 1 while rank(rho) = min(d_A, r).
+    """
+    rng = np.random.default_rng(seed)
+
+    def gauss(*size):
+        return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+    if shape == "haar":
+        f = gauss(d_a, d_b, r)
+    elif shape == "rank_one_slices":
+        f = np.einsum("ab,ae->abe", gauss(d_a, d_b), gauss(d_a, r))
+    else:
+        f = np.einsum("b,ae->abe", gauss(d_b), gauss(d_a, r))
+    return f / np.linalg.norm(f)
+
+
+def assert_search_matches_loop_oracle(factor, budget, seed):
+    d_a, d_b, r = factor.shape
+    m = factor.reshape(d_a * d_b, r)
+    rho = m @ m.conj().T
+    lams = np.linalg.eigvalsh(rho)
+    target = int(np.sum(lams > DEFAULT_RANK_TOL * lams[-1]))
+    want_phi, want_trials = loop_saturation_search(
+        rho, (d_a, d_b), target, budget, np.random.default_rng(seed))
+    phi, trials = distill._saturation_search(
+        factor, target, budget, np.random.default_rng(seed), DEFAULT_RANK_TOL)
+    assert trials == want_trials
+    assert (phi is None) == (want_phi is None)
+    if phi is not None:
+        assert np.array_equal(phi, want_phi)  # bit-identical
+    return trials
+
+
+SHAPES = ("haar", "rank_one_slices", "shared_column")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dims=st.tuples(*[st.integers(1, 4)] * 3),
+    shape=st.sampled_from(SHAPES),
+    state_seed=st.integers(0, 2**32 - 1),
+    seed=st.integers(0, 2**32 - 1),
+    budget=st.integers(0, 150),
+)
+def test_batched_search_matches_loop_oracle(dims, shape, state_seed, seed, budget):
+    assert_search_matches_loop_oracle(structured_factor(*dims, shape, state_seed), budget, seed)
+
+
+@pytest.mark.parametrize("budget", [0, 1, 63, 64, 65, 130])
+def test_exhausted_search_matches_loop_oracle(budget):
+    factor = structured_factor(4, 3, 4, "shared_column", budget)
+    assert assert_search_matches_loop_oracle(factor, budget, seed=budget) == 4 + budget
+
+
+def test_witness_on_a_haar_trial_matches_loop_oracle():
+    # every basis vector of A fails, so the witness is the first Haar trial that saturates
+    for seed in range(5):
+        factor = structured_factor(3, 4, 3, "rank_one_slices", seed)
+        assert assert_search_matches_loop_oracle(factor, 70, seed) > 3
+
+
+def test_find_one_way_witness_matches_loop_oracle():
+    cases = [
+        (complement_channel(flagged_depolarizing_channel(2, 0.5)).choi, 130, 4),
+        (sample_state(2, 4, 3, seed=5), 50, 1),
+        (tilted_state(), 10, 0),
+    ]
+    for rho, budget, seed in cases:
+        target = numerical_rank(rho.matrix)
+        want_phi, want_trials = loop_saturation_search(
+            rho.matrix, rho.dims, target, budget, np.random.default_rng(seed))
+        out = find_one_way_witness(rho, budget=budget, seed=seed)
+        assert out.trials_used == want_trials
+        assert out.found == (want_phi is not None)
+        if out.found:
+            assert np.array_equal(out.phi, want_phi)
+
+
+@pytest.mark.parametrize("haar_trial", [distill._BATCH, distill._BATCH + 1])
+def test_hit_at_a_batch_boundary(monkeypatch, haar_trial):
+    # the rank function reports saturation only at Haar trial ``haar_trial``:
+    # the last trial of the first batch, then the first trial of the second
+    d_a, target, seed = 3, 2, 8
+    factor = structured_factor(d_a, 4, 2, "shared_column", seed)
+    batch_sizes = []
+
+    def fake_ranks(k, rank_tol):
+        first = sum(batch_sizes) + 1
+        batch_sizes.append(len(k))
+        trial = np.arange(first, first + len(k))
+        return np.where(trial == d_a + haar_trial, target, 0)
+
+    monkeypatch.setattr(distill, "gram_ranks", fake_ranks)
+    phi, trials = distill._saturation_search(
+        factor, target, 200, np.random.default_rng(seed), DEFAULT_RANK_TOL)
+    assert trials == d_a + haar_trial
+    want = loop_haar_draws(np.random.default_rng(seed), d_a, haar_trial)[-1]
+    assert np.array_equal(phi, want)
+    assert batch_sizes == [d_a] + [distill._BATCH] * (1 if haar_trial == distill._BATCH else 2)
+
+
+def count_eigensolves(monkeypatch):
+    calls = []
+
+    def counted(real):
+        def wrapper(*args, **kwargs):
+            calls.append(real.__name__)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
+    return calls
+
+
+def test_exhausted_search_eigensolver_count(monkeypatch):
+    j_ae = complement_channel(flagged_depolarizing_channel(3, 0.5)).choi
+    calls = count_eigensolves(monkeypatch)
+    out = find_one_way_witness(j_ae, budget=2000, seed=0)
+    assert not out.found and out.trials_used == 2003
+    # purification, the B marginal, the basis batch and 32 Haar batches (one
+    # solve per trial before batching: 2005)
+    assert len(calls) <= 40
+
+
+def test_search_solver_failure_is_non_convergence(monkeypatch):
+    real = np.linalg.eigvalsh
+
+    def failing(a, *args, **kwargs):
+        if np.ndim(a) == 3:
+            raise np.linalg.LinAlgError("forced")
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    with pytest.raises(NonConvergenceError):
+        find_one_way_witness(tilted_state(), budget=5)
+
+
 # --- classifier ------------------------------------------------------------------
 
 
@@ -284,16 +472,7 @@ def haar_state(dims, seed):
 
 
 def test_classify_eigensolver_count(monkeypatch):
-    calls = []
-
-    def counted(real):
-        def wrapper(*args, **kwargs):
-            calls.append(real.__name__)
-            return real(*args, **kwargs)
-        return wrapper
-
-    for name in ("eigh", "eigvalsh"):
-        monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
+    calls = count_eigensolves(monkeypatch)
     classify(haar_state((2, 4, 3), 0))
     # rho_AB, rho_AE, rho_A, rho_B, rho_E, two partial transposes, witness trials
     assert 0 < len(calls) <= 10

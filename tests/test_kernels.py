@@ -3,6 +3,7 @@ import pytest
 
 from lrdistill import hermitian_eig, min_positive_eigenvalue, numerical_rank, pinv_sqrt, support_projector
 from lrdistill.errors import NoPositiveEigenvalueError, NotHermitianError, NumericsError
+from lrdistill.kernels import gram_ranks
 
 from conftest import gaussian_unit_vector, loop_partial_trace
 
@@ -70,6 +71,20 @@ def test_rank_zero_matrix():
 def test_rank_bell_projector():
     v = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
     assert numerical_rank(np.outer(v, v)) == 1
+
+
+@pytest.mark.parametrize("shape", [(3, 5), (5, 3), (4, 4)])
+def test_gram_ranks_match_rank_of_each_marginal(rng, shape):
+    # both Gram orientations, a zero matrix and rank-deficient products
+    p, q = shape
+    stack = [np.zeros(shape, dtype=complex)]
+    for r in range(1, min(p, q) + 1):
+        a = rng.standard_normal((p, r)) + 1j * rng.standard_normal((p, r))
+        b = rng.standard_normal((r, q)) + 1j * rng.standard_normal((r, q))
+        stack.append(a @ b)
+    got = gram_ranks(np.array(stack))
+    assert list(got) == [numerical_rank(k @ k.conj().T) for k in stack]
+    assert list(got) == list(range(min(p, q) + 1))
 
 
 def test_rank_induced_measure_marginal():
