@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import __version__
 from .channels import channel_from_dict, flagged_depolarizing_channel, werner_holevo_channel
@@ -73,16 +73,25 @@ class RunConfig:
         }
 
 
-def _common_flags(sub: argparse.ArgumentParser):
-    sub.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL,
-                     help="relative eigenvalue cutoff for ranks (default 1e-10)")
-    sub.add_argument("--ppt-tol", type=float, default=DEFAULT_PPT_TOL,
-                     help="partial-transpose witness threshold (default 1e-9)")
-    sub.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
-    sub.add_argument("--budget", type=int, default=DEFAULT_WITNESS_BUDGET,
-                     help="random trials for the witness search (default 50)")
-    sub.add_argument("--format", dest="fmt", choices=("json", "csv", "pretty"),
-                     default="json", help="output format (default json)")
+#: RunConfig field -> (flag, add_argument keywords); each command takes the ones it reads.
+_FLAGS = {
+    "rank_tol": ("--rank-tol", dict(type=float, default=DEFAULT_RANK_TOL,
+                                    help="relative eigenvalue cutoff for ranks (default 1e-10)")),
+    "ppt_tol": ("--ppt-tol", dict(type=float, default=DEFAULT_PPT_TOL,
+                                  help="partial-transpose witness threshold (default 1e-9)")),
+    "seed": ("--seed", dict(type=int, default=0, help="PRNG seed (default 0)")),
+    "witness_budget": ("--budget", dict(type=int, default=DEFAULT_WITNESS_BUDGET,
+                                        help="random trials for the witness search (default 50)")),
+}
+
+
+def _add_flags(sub: argparse.ArgumentParser, *names: str, formats: tuple[str, ...] = ()):
+    for name in names:
+        flag, kwargs = _FLAGS[name]
+        sub.add_argument(flag, dest=name, **kwargs)
+    if formats:
+        sub.add_argument("--format", dest="fmt", choices=formats, default="json",
+                         help="output format (default json)")
     sub.add_argument("--output", default=None, help="write output to file instead of stdout")
 
 
@@ -97,19 +106,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("analyze", help="classify a state file (full undistillability report)")
     p.add_argument("state_file", help="JSON state or channel document")
-    _common_flags(p)
+    _add_flags(p, "rank_tol", "ppt_tol", "seed", "witness_budget", formats=("json", "pretty"))
 
     p = subs.add_parser("filter", help="apply the marginal-flattening local filter")
     p.add_argument("state_file", help="JSON state or channel document")
     p.add_argument("--side", choices=("A", "B"), required=True, help="filtering side")
-    _common_flags(p)
+    _add_flags(p, "rank_tol", formats=("json", "pretty"))
 
     p = subs.add_parser("sample", help="run the random low-rank state experiment")
     p.add_argument("d_a", type=int, help="dimension of A")
     p.add_argument("d_b", type=int, help="dimension of B")
     p.add_argument("d_e", type=int, help="dimension of E (must be < d_B)")
     p.add_argument("n", type=int, help="number of samples")
-    _common_flags(p)
+    _add_flags(p, "rank_tol", "seed", "witness_budget", formats=("json", "csv", "pretty"))
 
     p = subs.add_parser("example", help="emit a named example state or channel")
     p.add_argument("name", choices=EXAMPLE_NAMES)
@@ -117,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="input dimension for flagged-depolarizing (default 2)")
     p.add_argument("--q", type=float, default=0.5,
                    help="depolarizing strength for flagged-depolarizing (default 0.5)")
-    _common_flags(p)
+    _add_flags(p)
     return parser
 
 
@@ -191,8 +200,6 @@ def _cmd_analyze(args, config: RunConfig) -> str:
             )
         lines.append(f"separability(AB): {separability.verdict}")
         return "\n".join(lines) + "\n"
-    if config.fmt == "csv":
-        raise BadParameterError("csv output is only available for the sample command")
     return _dump_json(
         {
             "schema": "analyze-report/1",
@@ -226,8 +233,6 @@ def _cmd_filter(args, config: RunConfig) -> str:
             f"filtered_hashing_rate: {rate!r}",
         ]
         return "\n".join(lines) + "\n"
-    if config.fmt == "csv":
-        raise BadParameterError("csv output is only available for the sample command")
     return _dump_json(
         {
             "schema": "filter-report/1",
@@ -294,15 +299,14 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # usage errors (2), --help and --version (0)
+        return exc.code
+    try:
+        # Settings a command does not take keep their defaults in the report.
         config = RunConfig(
-            rank_tol=args.rank_tol,
-            ppt_tol=args.ppt_tol,
-            seed=args.seed,
-            witness_budget=args.budget,
-            fmt=args.fmt,
-            output=args.output,
+            **{f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
         )
         text = _COMMANDS[args.command](args, config)
     except InputError as exc:

@@ -82,24 +82,22 @@ class HermitianSpectrum:
         return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
 
 
-def hermitian_eig(
-    m, symm_tol: float = DEFAULT_SYMM_TOL, *, vectors: bool = True
-) -> HermitianSpectrum:
+def hermitian_eig(m, *, vectors: bool = True) -> HermitianSpectrum:
     """Eigendecompose a Hermitian matrix, eigenvalues descending.
 
     With ``vectors=False`` only the eigenvalues are computed (one cheaper
     ``eigvalsh`` solve); that serves every rank, entropy, bound and PPT
     witness, which never read the eigenvectors.
 
-    Raises NotHermitianError when ``max|m - m^dagger|`` exceeds ``symm_tol``
-    and NonConvergenceError when the underlying solver fails. The matrix is
-    symmetrized before the solve so that sub-tolerance asymmetry cannot leak
-    into the output.
+    Raises NotHermitianError when ``max|m - m^dagger|`` exceeds
+    ``DEFAULT_SYMM_TOL`` and NonConvergenceError when the underlying solver
+    fails. The matrix is symmetrized before the solve so that sub-tolerance
+    asymmetry cannot leak into the output.
     """
     arr = as_complex_matrix(m)
-    if arr.size and np.max(np.abs(arr - arr.conj().T)) > symm_tol:
+    if arr.size and np.max(np.abs(arr - arr.conj().T)) > DEFAULT_SYMM_TOL:
         raise NotHermitianError(
-            f"matrix deviates from Hermitian symmetry by more than {symm_tol:g}"
+            f"matrix deviates from Hermitian symmetry by more than {DEFAULT_SYMM_TOL:g}"
         )
     sym = (arr + arr.conj().T) / 2.0
     try:

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
 from .distill import _saturation_search
 from .errors import EnsembleSpecError
-from .kernels import DEFAULT_RANK_TOL, hermitian_eig
-from .states import DensityMatrix, TripartitePureState, partial_trace, schmidt_rank
+from .kernels import DEFAULT_RANK_TOL, gram_ranks, hermitian_eig
+from .states import DensityMatrix, TripartitePureState, partial_trace
 
 
 def _rng_from_seed(seed: int | np.random.SeedSequence) -> np.random.Generator:
@@ -51,8 +51,7 @@ def sample_state(
 ) -> DensityMatrix:
     """AB reduction of a Haar-random pure state: the induced measure with
     environment dimension d_E."""
-    psi = sample_pure(d_a, d_b, d_e, seed)
-    return partial_trace(psi.density_matrix(), (0, 1))
+    return sample_pure(d_a, d_b, d_e, seed).reduction((0, 1))
 
 
 @dataclass(frozen=True)
@@ -107,40 +106,7 @@ class SampleRecord:
     largest_discarded: float | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "rank_state": self.rank_state,
-            "expected_rank_state": self.expected_rank_state,
-            "rank_state_ok": self.rank_state_ok,
-            "rank_marginal": self.rank_marginal,
-            "expected_rank_marginal": self.expected_rank_marginal,
-            "rank_marginal_ok": self.rank_marginal_ok,
-            "schmidt_ranks": list(self.schmidt_ranks),
-            "schmidt_ok": self.schmidt_ok,
-            "low_rank": self.low_rank,
-            "witness_found": self.witness_found,
-            "witness_trials": self.witness_trials,
-            "smallest_retained": self.smallest_retained,
-            "largest_discarded": self.largest_discarded,
-        }
-
-
-_CSV_COLUMNS = [
-    "index",
-    "rank_state",
-    "expected_rank_state",
-    "rank_state_ok",
-    "rank_marginal",
-    "expected_rank_marginal",
-    "rank_marginal_ok",
-    "schmidt_ranks",
-    "schmidt_ok",
-    "low_rank",
-    "witness_found",
-    "witness_trials",
-    "smallest_retained",
-    "largest_discarded",
-]
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -162,28 +128,15 @@ class EnsembleReport:
         }
 
     def to_csv(self) -> str:
+        """One row per sample in ``SampleRecord`` field order, Schmidt ranks
+        joined by ``;``, None as an empty cell and floats as their ``repr``."""
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(_CSV_COLUMNS)
-        for s in self.samples:
-            writer.writerow(
-                [
-                    s.index,
-                    s.rank_state,
-                    s.expected_rank_state,
-                    s.rank_state_ok,
-                    s.rank_marginal,
-                    s.expected_rank_marginal,
-                    s.rank_marginal_ok,
-                    ";".join(str(k) for k in s.schmidt_ranks),
-                    s.schmidt_ok,
-                    s.low_rank,
-                    s.witness_found,
-                    s.witness_trials,
-                    repr(s.smallest_retained),
-                    "" if s.largest_discarded is None else repr(s.largest_discarded),
-                ]
-            )
+        writer.writerow(f.name for f in fields(SampleRecord))
+        writer.writerows(
+            [";".join(map(str, v)) if isinstance(v, tuple) else v for v in astuple(s)]
+            for s in self.samples
+        )
         return buf.getvalue()
 
 
@@ -193,8 +146,9 @@ def run_experiment(spec: EnsembleSpec, witness_budget: int = 50) -> EnsembleRepo
     Per sample: (i) rank of the state equals min(d_E, d_A*d_B); (ii) rank of
     the B marginal equals min(d_B, d_A*d_E); (iii) every column of the
     amplitude matrix (the BE vector conditioned on a basis vector of A) has
-    full Schmidt rank min(d_B, d_E); (iv) the one-way witness search finds a
-    saturating vector. All four hold with probability one for continuous
+    full Schmidt rank min(d_B, d_E), the rank of its reduced state on B at
+    the common cutoff; (iv) the one-way witness search finds a saturating
+    vector. All four hold with probability one for continuous
     sampling, so the reported frequencies are expected to be exactly 1.0; a
     lower value points at a tolerance problem, not at statistics.
 
@@ -213,29 +167,22 @@ def run_experiment(spec: EnsembleSpec, witness_budget: int = 50) -> EnsembleRepo
             spec.d_a, spec.d_b, spec.d_e,
             np.random.SeedSequence(entropy=spec.seed, spawn_key=(k,)),
         )
+        amps = psi.amplitudes.reshape(psi.dims)
         rho = partial_trace(psi.density_matrix(), (0, 1))
-        spectrum = hermitian_eig(rho.matrix)
+        spectrum = hermitian_eig(rho.matrix, vectors=False)
         rank_state = spectrum.retained_count(spec.rank_tol)
-        smallest_retained = float(spectrum.eigenvalues[rank_state - 1])
-        largest_discarded = (
-            float(spectrum.eigenvalues[rank_state])
-            if rank_state < spectrum.eigenvalues.size
-            else None
-        )
+        lams = spectrum.eigenvalues
+        smallest_retained = float(lams[rank_state - 1])
+        largest_discarded = float(lams[rank_state]) if rank_state < lams.size else None
         rank_marginal = hermitian_eig(
-            partial_trace(rho, (1,)).matrix
+            partial_trace(rho, (1,)).matrix, vectors=False
         ).retained_count(spec.rank_tol)
-        columns = psi.amplitudes.reshape(spec.d_a, spec.d_b * spec.d_e)
-        schmidt_ranks = tuple(
-            schmidt_rank(col / np.linalg.norm(col), (spec.d_b, spec.d_e), spec.rank_tol)
-            for col in columns
-        )
+        schmidt_ranks = tuple(int(r) for r in gram_ranks(amps, spec.rank_tol))
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=spec.seed, spawn_key=(k, 1))
         )
         phi, trials = _saturation_search(
-            psi.amplitudes.reshape(psi.dims), min(rank_state, rank_marginal), witness_budget,
-            rng, spec.rank_tol,
+            amps, min(rank_state, rank_marginal), witness_budget, rng, spec.rank_tol
         )
         records.append(
             SampleRecord(

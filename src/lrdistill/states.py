@@ -17,7 +17,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import NotNormalizedError, StateFormatError, SubsystemError
-from .kernels import DEFAULT_RANK_TOL, hermitian_eig
+from .kernels import DEFAULT_RANK_TOL, gram_ranks, hermitian_eig
 
 #: Validation tolerances for density-matrix invariants.
 HERMITICITY_TOL = 1e-10
@@ -267,8 +267,10 @@ def conditional_marginal(rho: DensityMatrix, phi) -> np.ndarray:
 def schmidt_rank(vector, dims: Sequence[int], rank_tol: float = DEFAULT_RANK_TOL) -> int:
     """Numerical Schmidt rank of a bipartite unit vector.
 
-    The vector is reshaped to a ``dims[0] x dims[1]`` coefficient matrix and
-    the singular values above ``rank_tol * s_max`` are counted.
+    The vector is reshaped to a ``dims[0] x dims[1]`` coefficient matrix C;
+    the rank is that of the reduced state C C^dagger at the common cutoff
+    (eigenvalues above ``rank_tol * lambda_max``), i.e. singular values of C
+    above ``sqrt(rank_tol) * s_max``.
     """
     d1, d2 = (int(d) for d in dims)
     v = np.asarray(vector, dtype=np.complex128).reshape(-1)
@@ -277,10 +279,7 @@ def schmidt_rank(vector, dims: Sequence[int], rank_tol: float = DEFAULT_RANK_TOL
     nrm = float(np.linalg.norm(v))
     if abs(nrm - 1.0) > 1e-9:
         raise NotNormalizedError(f"vector norm {nrm:.12g} is not 1")
-    s = np.linalg.svd(v.reshape(d1, d2), compute_uv=False)
-    if s.size == 0 or s[0] <= 0.0:
-        return 0
-    return int(np.sum(s > rank_tol * s[0]))
+    return int(gram_ranks(v.reshape(1, d1, d2), rank_tol)[0])
 
 
 # --- named small states used across tests and the CLI ---------------------

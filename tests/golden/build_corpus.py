@@ -123,6 +123,8 @@ CASES = {
         "analyze", "flagged_complement_3.json", "--budget", "130"],
     "filter_A": ["filter", "ab_of_haar_2_4_3.json", "--side", "A"],
     "filter_B": ["filter", "ab_of_haar_2_4_3.json", "--side", "B"],
+    "sample_4_8_6_20": ["sample", "4", "8", "6", "20", "--seed", "11"],
+    "sample_2_4_3_30_csv": ["sample", "2", "4", "3", "30", "--seed", "5", "--format", "csv"],
 }
 
 

@@ -159,6 +159,35 @@ def test_output_flag(tmp_path, capsys):
     assert json.loads(target.read_text())["dims"] == [2, 2]
 
 
+def test_commands_take_only_the_flags_they_read(tmp_path, capsys):
+    path = write_state(tmp_path, "bell.json", bell_state().to_json_dict())
+    for args in (
+        ("filter", path, "--side", "A", "--seed", "1"),
+        ("filter", path, "--side", "A", "--budget", "3"),
+        ("sample", "2", "3", "2", "3", "--ppt-tol", "1e-9"),
+        ("example", "bell", "--budget", "3"),
+        ("example", "bell", "--format", "json"),
+    ):
+        code, out, err = run_cli(capsys, *args)
+        assert code == 2, args
+        assert out == "" and "unrecognized arguments" in err
+
+
+def test_omitted_flags_keep_their_defaults_in_the_config(tmp_path, capsys):
+    path = write_state(tmp_path, "bell.json", bell_state().to_json_dict())
+    code, out, _ = run_cli(capsys, "filter", path, "--side", "A", "--rank-tol", "1e-8")
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert config["rank_tol"] == 1e-8
+    assert (config["ppt_tol"], config["seed"], config["witness_budget"]) == (1e-9, 0, 50)
+
+
+def test_help_and_version_return_zero(capsys):
+    assert main(["--version"]) == 0
+    assert main(["sample", "--help"]) == 0
+    assert main([]) == 2
+
+
 def test_bad_tolerance_flag(tmp_path, capsys):
     path = write_state(tmp_path, "bell.json", bell_state().to_json_dict())
     code, _, err = run_cli(capsys, "analyze", path, "--rank-tol", "-1")

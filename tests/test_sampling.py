@@ -1,3 +1,8 @@
+import csv
+import io
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -133,3 +138,43 @@ def test_experiment_csv_layout():
     assert len(lines) == 5
     assert lines[0].startswith("index,rank_state,")
     assert lines[1].split(",")[0] == "0"
+
+
+def test_experiment_solver_calls(monkeypatch):
+    calls = Counter()
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("eigh", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    report = run_experiment(EnsembleSpec(d_a=4, d_b=8, d_e=6, n_samples=10, seed=0))
+    assert all(freq == 1.0 for freq in report.frequencies.values())
+    # per sample: the validation of |psi><psi|, the spectra of rho_AB and
+    # rho_B, the Schmidt-rank batch and the witness search's basis batch
+    assert calls["eigh"] == 0 and calls["svd"] == 0
+    assert calls["eigvalsh"] <= 5 * 10
+
+
+def test_experiment_csv_columns_are_the_json_fields():
+    report = run_experiment(EnsembleSpec(d_a=2, d_b=4, d_e=3, n_samples=3, seed=2))
+    samples = (replace(report.samples[0], largest_discarded=None), *report.samples[1:])
+    report = replace(report, samples=samples)
+    header, *rows = csv.reader(io.StringIO(report.to_csv()))
+    assert len(rows) == 3
+    for record, row in zip(report.samples, rows):
+        doc = record.to_json_dict()
+        assert header == list(doc)
+        for key, cell in zip(header, row):
+            value = doc[key]
+            if key == "schmidt_ranks":
+                assert cell == ";".join(str(k) for k in value)
+            elif value is None:
+                assert cell == ""
+            elif isinstance(value, float):
+                assert float(cell) == value  # repr round-trips exactly
+            else:
+                assert cell == str(value)

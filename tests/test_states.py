@@ -32,7 +32,12 @@ from lrdistill.states import (
     state_from_dict,
 )
 
-from conftest import loop_partial_trace, loop_partial_transpose, random_density
+from conftest import (
+    gaussian_unit_vector,
+    loop_partial_trace,
+    loop_partial_transpose,
+    random_density,
+)
 
 
 def random_dm(rng, d):
@@ -312,6 +317,22 @@ def test_schmidt_rank_gaussian_full():
     evals = np.linalg.eigvalsh(m @ m.conj().T)
     assert int(np.sum(evals > 1e-10 * evals.max())) == 3
     assert schmidt_rank(v, (4, 3)) == 3
+
+
+def test_schmidt_rank_is_the_rank_of_either_reduced_state():
+    # the common cutoff applies to the reduced state's eigenvalues: Schmidt
+    # coefficients 1 and 1e-7 give eigenvalues 1 and 1e-14, below 1e-10
+    tilted = np.array([1.0, 0.0, 0.0, 1e-7])
+    rng = np.random.default_rng(17)
+    cases = [(tilted / np.linalg.norm(tilted), (2, 2))] + [
+        (gaussian_unit_vector(rng, d1 * d2), (d1, d2))
+        for d1, d2 in ((2, 3), (4, 3), (3, 3), (1, 4), (5, 2))
+    ]
+    for v, dims in cases:
+        full = np.outer(v, v.conj())
+        for keep in ((0,), (1,)):
+            assert schmidt_rank(v, dims) == numerical_rank(loop_partial_trace(full, dims, keep))
+    assert schmidt_rank(cases[0][0], (2, 2)) == 1
 
 
 def test_schmidt_rank_requires_normalization():
