@@ -8,10 +8,7 @@ sampling harness.
 """
 
 from .channels import (
-    CapacityBounds,
     ChoiChannel,
-    capacity_bounds_from_distillation,
-    channel_from_choi,
     complement_channel,
     flagged_depolarizing_channel,
     maximally_entangled,
@@ -29,15 +26,7 @@ from .distill import (
     low_rank_rate_bound,
     separability_verdict,
 )
-from .kernels import (
-    DEFAULT_RANK_TOL,
-    HermitianSpectrum,
-    hermitian_eig,
-    min_positive_eigenvalue,
-    numerical_rank,
-    pinv_sqrt,
-    support_projector,
-)
+from .kernels import DEFAULT_RANK_TOL, HermitianSpectrum, hermitian_eig
 from .sampling import EnsembleReport, EnsembleSpec, run_experiment, sample_pure, sample_state
 from .states import (
     DEFAULT_PPT_TOL,
@@ -58,7 +47,6 @@ from .states import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CapacityBounds",
     "ChoiChannel",
     "DEFAULT_PPT_TOL",
     "DEFAULT_RANK_TOL",
@@ -72,8 +60,6 @@ __all__ = [
     "SeparabilityRecord",
     "TripartitePureState",
     "WitnessSearchOutcome",
-    "capacity_bounds_from_distillation",
-    "channel_from_choi",
     "classify",
     "coherent_information",
     "complement",
@@ -87,18 +73,14 @@ __all__ = [
     "local_filter",
     "low_rank_rate_bound",
     "maximally_entangled",
-    "min_positive_eigenvalue",
-    "numerical_rank",
     "partial_trace",
     "partial_transpose",
-    "pinv_sqrt",
     "purify",
     "run_experiment",
     "sample_pure",
     "sample_state",
     "schmidt_rank",
     "separability_verdict",
-    "support_projector",
     "von_neumann_entropy",
     "werner_holevo_channel",
 ]

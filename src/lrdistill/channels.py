@@ -14,7 +14,7 @@ from .errors import (
     StateFormatError,
 )
 from .kernels import DEFAULT_RANK_TOL
-from .states import DensityMatrix, complement, density_matrix_from_dict
+from .states import DensityMatrix, complement, density_matrix_from_dict, validated_dimension
 
 #: Max deviation of the Choi input marginal from 1/d_in accepted on load.
 TRACE_PRESERVATION_TOL = 1e-6
@@ -76,20 +76,13 @@ def _input_marginal(choi: DensityMatrix) -> np.ndarray:
     )
 
 
-def channel_from_choi(choi: DensityMatrix, d_in: int, d_out: int) -> ChoiChannel:
-    """Wrap a density matrix as a channel, enforcing the Choi invariants."""
-    if choi.dims != (d_in, d_out):
-        raise DimensionMismatchError(
-            f"state dims {choi.dims} do not match declared ({d_in}, {d_out})"
-        )
-    return ChoiChannel(d_in, d_out, choi)
-
-
 def channel_from_dict(doc: dict) -> ChoiChannel:
     if not isinstance(doc, dict) or not {"d_in", "d_out", "choi"} <= set(doc):
         raise StateFormatError('channel document needs "d_in", "d_out" and "choi" keys')
-    return channel_from_choi(
-        density_matrix_from_dict(doc["choi"]), int(doc["d_in"]), int(doc["d_out"])
+    return ChoiChannel(
+        validated_dimension(doc["d_in"], "d_in"),
+        validated_dimension(doc["d_out"], "d_out"),
+        density_matrix_from_dict(doc["choi"]),
     )
 
 
@@ -152,29 +145,3 @@ def flagged_depolarizing_channel(d: int, q: float = 0.5) -> ChoiChannel:
     j4[:, :d, :, :d] = 0.5 * j_identity.reshape(d, d, d, d)
     j4[:, d:, :, d:] = 0.5 * j_depol.reshape(d, d, d, d)
     return ChoiChannel(d, 2 * d, DensityMatrix((d, 2 * d), j))
-
-
-@dataclass(frozen=True)
-class CapacityBounds:
-    """Two-way quantum-capacity bounds implied by a distillation rate.
-
-    ``q_lower`` is always valid: distilled ebits feed teleportation, so any
-    achievable distillation rate for the Choi state lower-bounds the
-    capacity. ``q_upper`` comes from implementing the channel through the
-    Choi state with success probability 1/d_in^2, which gives
-    capacity <= d_in^2 * (distillable entanglement); it is a true upper bound
-    only when ``distill_rate`` is the exact distillable entanglement rather
-    than a lower bound on it.
-    """
-
-    d_in: int
-    distill_rate: float
-    q_lower: float
-    q_upper: float
-
-
-def capacity_bounds_from_distillation(d_in: int, distill_rate: float) -> CapacityBounds:
-    if distill_rate < 0:
-        raise BadParameterError(f"distillation rate must be >= 0, got {distill_rate}")
-    d_in = int(d_in)
-    return CapacityBounds(d_in, distill_rate, distill_rate, d_in * d_in * distill_rate)

@@ -36,14 +36,15 @@ from .states import (
     state_from_dict,
 )
 
-EXAMPLE_NAMES = (
-    "bell",
-    "ghz",
-    "maximally-mixed",
-    "werner-holevo",
-    "wh-choi",
-    "flagged-depolarizing",
-)
+#: ``example`` name -> the object whose JSON document it emits, in ``--help`` order.
+_EXAMPLES = {
+    "bell": lambda args: bell_state(),
+    "ghz": lambda args: ghz_state(),
+    "maximally-mixed": lambda args: maximally_mixed((2, 2)),
+    "werner-holevo": lambda args: werner_holevo_channel(),
+    "wh-choi": lambda args: werner_holevo_channel().choi,
+    "flagged-depolarizing": lambda args: flagged_depolarizing_channel(args.d, args.q),
+}
 
 
 @dataclass(frozen=True)
@@ -121,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(p, "rank_tol", "seed", "witness_budget", formats=("json", "csv", "pretty"))
 
     p = subs.add_parser("example", help="emit a named example state or channel")
-    p.add_argument("name", choices=EXAMPLE_NAMES)
+    p.add_argument("name", choices=_EXAMPLES)
     p.add_argument("--d", type=int, default=2,
                    help="input dimension for flagged-depolarizing (default 2)")
     p.add_argument("--q", type=float, default=0.5,
@@ -272,22 +273,7 @@ def _cmd_sample(args, config: RunConfig) -> str:
 
 
 def _cmd_example(args, config: RunConfig) -> str:
-    name = args.name
-    if name == "bell":
-        doc = bell_state().to_json_dict()
-    elif name == "ghz":
-        doc = ghz_state().to_json_dict()
-    elif name == "maximally-mixed":
-        doc = maximally_mixed((2, 2)).to_json_dict()
-    elif name == "werner-holevo":
-        doc = werner_holevo_channel().to_json_dict()
-    elif name == "wh-choi":
-        doc = werner_holevo_channel().choi.to_json_dict()
-    elif name == "flagged-depolarizing":
-        doc = flagged_depolarizing_channel(args.d, args.q).to_json_dict()
-    else:  # unreachable: argparse restricts choices
-        raise BadParameterError(f"unknown example {name!r}")
-    return _dump_json(doc)
+    return _dump_json(_EXAMPLES[args.name](args).to_json_dict())
 
 
 _COMMANDS = {

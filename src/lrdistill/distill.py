@@ -34,6 +34,7 @@ from .states import (
     DensityMatrix,
     PptVerdict,
     TripartitePureState,
+    _require_bipartite,
     complex_pairs,
     is_ppt,
     partial_trace,
@@ -68,11 +69,6 @@ def _side_index(side: Side) -> int:
     if side not in ("A", "B"):
         raise BadParameterError(f"side must be 'A' or 'B', got {side!r}")
     return 0 if side == "A" else 1
-
-
-def _require_bipartite(rho: DensityMatrix):
-    if len(rho.dims) != 2:
-        raise BadParameterError(f"expected a bipartite state, got dims {rho.dims}")
 
 
 def _eigenvalues(rho: DensityMatrix) -> HermitianSpectrum:
@@ -147,7 +143,7 @@ def local_filter(
     construction and equals 1 exactly when the chosen marginal is already
     maximally mixed on its support.
     """
-    _require_bipartite(rho)
+    _require_bipartite(rho, "local filter")
     idx = _side_index(side)
     spectrum = hermitian_eig(partial_trace(rho, (idx,)).matrix)
     r_side = spectrum.retained_count(rank_tol)
@@ -225,6 +221,7 @@ class WitnessSearchOutcome:
 
 def _saturation_search(
     factor: np.ndarray,
+    basis_ranks: np.ndarray,
     target_rank: int,
     budget: int,
     rng: np.random.Generator,
@@ -238,12 +235,14 @@ def _saturation_search(
 
     Tries the d_A computational basis vectors first (they catch structured
     states cheaply), then ``budget`` Haar-random vectors, ``_BATCH`` of them
-    per rank solve. Trial order, random draws and the returned vector are
-    those of trying one vector at a time, so the outcome is deterministic
-    given (state, budget, seed).
+    per rank solve. ``basis_ranks`` is ``gram_ranks(factor, rank_tol)``, the
+    basis vectors' ranks, which callers that also report them compute once.
+    Trial order, random draws and the returned vector are those of trying
+    one vector at a time, so the outcome is deterministic given
+    (state, budget, seed).
     """
     d_a = factor.shape[0]
-    hits = np.flatnonzero(gram_ranks(factor, rank_tol) == target_rank)
+    hits = np.flatnonzero(basis_ranks == target_rank)
     if hits.size:
         return np.eye(d_a, dtype=np.complex128)[hits[0]], int(hits[0]) + 1
     flat = factor.reshape(d_a, -1)
@@ -274,7 +273,7 @@ def find_one_way_witness(
     rank(conditioned marginal) = rank(state), which certifies a positive
     one-way rate. ``found = False`` is inconclusive by itself.
     """
-    _require_bipartite(rho)
+    _require_bipartite(rho, "one-way witness search")
     psi = purify(rho, rank_tol)
     r = psi.dims[2]  # the purifying register has dimension rank(rho)
     r_b = _eigenvalues(partial_trace(rho, (1,))).retained_count(rank_tol)
@@ -298,7 +297,9 @@ def _witness_search(
     """
     if budget < 0:
         raise BadParameterError(f"budget must be >= 0, got {budget}")
-    phi, trials = _saturation_search(factor, r, budget, np.random.default_rng(seed), rank_tol)
+    phi, trials = _saturation_search(
+        factor, gram_ranks(factor, rank_tol), r, budget, np.random.default_rng(seed), rank_tol
+    )
     if phi is None:
         return WitnessSearchOutcome(
             True, False, None, trials, note="budget exhausted without certificate"
@@ -557,7 +558,7 @@ def separability_verdict(
     rank(AB) = rank(E) <= rank(AE) = rank(B) holds for the canonical
     purification.
     """
-    _require_bipartite(rho)
+    _require_bipartite(rho, "separability verdict")
     psi = purify(rho, rank_tol)
     r = psi.dims[2]  # the purifying register has dimension rank(rho)
     spec_a, spec_b = (_eigenvalues(partial_trace(rho, (k,))) for k in (0, 1))

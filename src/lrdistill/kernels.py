@@ -78,9 +78,6 @@ class HermitianSpectrum:
         inv_sqrt = 1.0 / np.sqrt(self.eigenvalues[:k])
         return (v * inv_sqrt) @ v.conj().T
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
-
 
 def hermitian_eig(m, *, vectors: bool = True) -> HermitianSpectrum:
     """Eigendecompose a Hermitian matrix, eigenvalues descending.
@@ -109,11 +106,6 @@ def hermitian_eig(m, *, vectors: bool = True) -> HermitianSpectrum:
     return HermitianSpectrum(evals[::-1].copy(), evecs[:, ::-1].copy())
 
 
-def numerical_rank(m, rank_tol: float = DEFAULT_RANK_TOL) -> int:
-    """Count of eigenvalues strictly above ``rank_tol * lambda_max``; 0 for the zero matrix."""
-    return hermitian_eig(m, vectors=False).retained_count(rank_tol)
-
-
 def gram_ranks(k: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Numerical ranks of K K^dagger for each matrix K of a stack of shape (n, p, q).
 
@@ -131,18 +123,3 @@ def gram_ranks(k: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
         raise NonConvergenceError(f"eigensolver did not converge: {exc}") from exc
     lam_max = lams[:, -1:]
     return np.where(lam_max[:, 0] > 0.0, np.sum(lams > rank_tol * lam_max, axis=1), 0)
-
-
-def support_projector(m, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Orthogonal projector onto the span of eigenvectors above the rank cutoff."""
-    return hermitian_eig(m).support_projector(rank_tol)
-
-
-def pinv_sqrt(m, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Pseudo-inverse square root: R with R m R = support_projector(m)."""
-    return hermitian_eig(m).pinv_sqrt(rank_tol)
-
-
-def min_positive_eigenvalue(m, rank_tol: float = DEFAULT_RANK_TOL) -> float:
-    """Smallest eigenvalue of a PSD matrix above the rank cutoff."""
-    return hermitian_eig(m).min_positive(rank_tol)

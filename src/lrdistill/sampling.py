@@ -22,12 +22,6 @@ from .kernels import DEFAULT_RANK_TOL, gram_ranks, hermitian_eig
 from .states import DensityMatrix, TripartitePureState, partial_trace
 
 
-def _rng_from_seed(seed: int | np.random.SeedSequence) -> np.random.Generator:
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.default_rng(seed)
-    return np.random.default_rng(np.random.SeedSequence(int(seed)))
-
-
 def sample_pure(
     d_a: int, d_b: int, d_e: int, seed: int | np.random.SeedSequence = 0
 ) -> TripartitePureState:
@@ -40,7 +34,7 @@ def sample_pure(
     dims = (int(d_a), int(d_b), int(d_e))
     if any(d < 1 for d in dims):
         raise EnsembleSpecError(f"dimensions must all be >= 1, got {dims}")
-    rng = _rng_from_seed(seed)
+    rng = np.random.default_rng(seed)
     n = dims[0] * dims[1] * dims[2]
     amp = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return TripartitePureState(dims, amp / np.linalg.norm(amp))
@@ -177,12 +171,13 @@ def run_experiment(spec: EnsembleSpec, witness_budget: int = 50) -> EnsembleRepo
         rank_marginal = hermitian_eig(
             partial_trace(rho, (1,)).matrix, vectors=False
         ).retained_count(spec.rank_tol)
-        schmidt_ranks = tuple(int(r) for r in gram_ranks(amps, spec.rank_tol))
+        basis_ranks = gram_ranks(amps, spec.rank_tol)
+        schmidt_ranks = tuple(int(r) for r in basis_ranks)
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=spec.seed, spawn_key=(k, 1))
         )
         phi, trials = _saturation_search(
-            amps, min(rank_state, rank_marginal), witness_budget, rng, spec.rank_tol
+            amps, basis_ranks, min(rank_state, rank_marginal), witness_budget, rng, spec.rank_tol
         )
         records.append(
             SampleRecord(

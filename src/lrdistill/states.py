@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod, sqrt
+from numbers import Real
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -31,11 +32,19 @@ NORM_TOL = 1e-12
 DEFAULT_PPT_TOL = 1e-9
 
 
+def validated_dimension(value, field: str) -> int:
+    """``value`` as a dimension: a number with an integral value >= 1, not a bool."""
+    number = isinstance(value, Real) and not isinstance(value, bool)
+    if not (number and float(value).is_integer() and value >= 1):
+        raise StateFormatError(f"{field} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 def _validated_dims(dims: Sequence[int]) -> tuple[int, ...]:
-    out = tuple(int(d) for d in dims)
-    if not out or any(d < 1 for d in out):
-        raise StateFormatError(f"subsystem dimensions must all be >= 1, got {out}")
-    return out
+    entries = tuple(dims) if isinstance(dims, Iterable) else ()
+    if not entries:
+        raise StateFormatError(f"dims must be a nonempty list of integers, got {dims!r}")
+    return tuple(validated_dimension(d, "dims entry") for d in entries)
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,6 +181,11 @@ def _check_subsystems(dims: tuple[int, ...], subsystems: Iterable[int]) -> tuple
     return subs
 
 
+def _require_bipartite(rho: DensityMatrix, what: str):
+    if len(rho.dims) != 2:
+        raise SubsystemError(f"{what} needs a bipartite state, got dims {rho.dims}")
+
+
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     """Trace out every subsystem not in ``keep``.
 
@@ -198,8 +212,7 @@ def partial_transpose(rho: DensityMatrix, subsystem: int) -> np.ndarray:
 
 def is_ppt(rho: DensityMatrix, tol: float = DEFAULT_PPT_TOL) -> PptVerdict:
     """PPT test for a bipartite state: min partial-transpose eigenvalue >= -tol."""
-    if len(rho.dims) != 2:
-        raise SubsystemError(f"PPT test needs a bipartite state, got dims {rho.dims}")
+    _require_bipartite(rho, "PPT test")
     witness = float(hermitian_eig(partial_transpose(rho, 1), vectors=False).eigenvalues[-1])
     return PptVerdict(witness >= -tol, witness, abs(witness) < 10.0 * tol)
 
@@ -211,8 +224,7 @@ def von_neumann_entropy(rho: DensityMatrix, rank_tol: float = DEFAULT_RANK_TOL) 
 
 def coherent_information(rho: DensityMatrix, rank_tol: float = DEFAULT_RANK_TOL) -> float:
     """S(second marginal) - S(state) in bits; the hashing rate toward the second party."""
-    if len(rho.dims) != 2:
-        raise SubsystemError(f"coherent information needs a bipartite state, got dims {rho.dims}")
+    _require_bipartite(rho, "coherent information")
     return von_neumann_entropy(partial_trace(rho, (1,)), rank_tol) - von_neumann_entropy(
         rho, rank_tol
     )
@@ -226,8 +238,7 @@ def purify(rho: DensityMatrix, rank_tol: float = DEFAULT_RANK_TOL) -> Tripartite
     isometric freedom and makes the output reproducible. Degenerate
     eigenvalues keep the eigensolver's order.
     """
-    if len(rho.dims) != 2:
-        raise SubsystemError(f"purification needs a bipartite state, got dims {rho.dims}")
+    _require_bipartite(rho, "purification")
     spectrum = hermitian_eig(rho.matrix)
     k = spectrum.retained_count(rank_tol)
     lams = spectrum.eigenvalues[:k]
@@ -250,8 +261,7 @@ def conditional_marginal(rho: DensityMatrix, phi) -> np.ndarray:
     <phi|rho_A|phi> <= 1. Left unnormalized on purpose: its rank is the
     quantity of interest and the trace can be arbitrarily small.
     """
-    if len(rho.dims) != 2:
-        raise SubsystemError(f"conditioned marginal needs a bipartite state, got dims {rho.dims}")
+    _require_bipartite(rho, "conditioned marginal")
     v = np.asarray(phi, dtype=np.complex128).reshape(-1)
     if v.size != rho.dims[0]:
         raise SubsystemError(
@@ -326,12 +336,12 @@ def _pairs_to_complex(entries, what: str) -> np.ndarray:
 
 
 def density_matrix_from_dict(doc: dict) -> DensityMatrix:
-    if "dims" not in doc or "matrix" not in doc:
+    if not isinstance(doc, dict) or not {"dims", "matrix"} <= set(doc):
         raise StateFormatError('density-matrix document needs "dims" and "matrix" keys')
     matrix = _pairs_to_complex(doc["matrix"], "matrix")
     if matrix.ndim != 2:
         raise StateFormatError("matrix must be a list of rows of [re, im] pairs")
-    return DensityMatrix(tuple(doc["dims"]), matrix)
+    return DensityMatrix(doc["dims"], matrix)
 
 
 def pure_state_from_dict(doc: dict) -> TripartitePureState:
@@ -340,9 +350,10 @@ def pure_state_from_dict(doc: dict) -> TripartitePureState:
     vector = _pairs_to_complex(doc["vector"], "vector")
     if vector.ndim != 1:
         raise StateFormatError("vector must be a flat list of [re, im] pairs")
-    if len(doc["dims"]) != 3:
+    dims = _validated_dims(doc["dims"])
+    if len(dims) != 3:
         raise StateFormatError('pure-state ("vector") documents must declare three dims')
-    return TripartitePureState(tuple(doc["dims"]), vector)
+    return TripartitePureState(dims, vector)
 
 
 def state_from_dict(doc) -> DensityMatrix | TripartitePureState:

@@ -47,6 +47,17 @@ def loop_partial_transpose(mat, dims, subsystem):
     return out
 
 
+def numerical_rank(m, rank_tol=1e-10):
+    """Count of eigenvalues of the Hermitian part above rank_tol * lambda_max.
+
+    0 when lambda_max <= 0: the library's documented rank cutoff, in plain numpy.
+    """
+    m = np.asarray(m, dtype=complex)
+    lams = np.linalg.eigvalsh((m + m.conj().T) / 2)
+    lam_max = lams[-1] if lams.size else 0.0
+    return int(np.sum(lams > rank_tol * lam_max)) if lam_max > 0 else 0
+
+
 def gaussian_unit_vector(rng, n):
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return v / np.linalg.norm(v)

@@ -23,7 +23,6 @@ from lrdistill import (
     is_ppt,
     local_filter,
     low_rank_rate_bound,
-    numerical_rank,
     partial_trace,
     purify,
     sample_state,
@@ -31,6 +30,8 @@ from lrdistill import (
 )
 from lrdistill.cli import main
 from lrdistill.states import bell_state, ghz_state
+
+from conftest import numerical_rank
 
 
 def _done(number, description, t0, limit):

@@ -4,14 +4,11 @@ import pytest
 from lrdistill import (
     ChoiChannel,
     DensityMatrix,
-    capacity_bounds_from_distillation,
-    channel_from_choi,
     complement_channel,
     flagged_depolarizing_channel,
     hermitian_eig,
     is_ppt,
     maximally_entangled,
-    numerical_rank,
     partial_trace,
     von_neumann_entropy,
     werner_holevo_channel,
@@ -24,7 +21,7 @@ from lrdistill.errors import (
     StateFormatError,
 )
 
-from conftest import random_choi
+from conftest import numerical_rank, random_choi
 
 
 def antisymmetric_choi():
@@ -119,7 +116,7 @@ def test_werner_holevo_self_complementary_invariants():
 
 def test_double_complement_spectrum():
     for seed, (d_in, d_out, d_env) in enumerate([(2, 2, 2), (2, 3, 2), (3, 2, 3)]):
-        ch = channel_from_choi(random_choi(d_in, d_out, d_env, seed), d_in, d_out)
+        ch = ChoiChannel(d_in, d_out, random_choi(d_in, d_out, d_env, seed))
         cc = complement_channel(complement_channel(ch))
         spec = hermitian_eig(ch.choi.matrix).eigenvalues
         spec_cc = hermitian_eig(cc.choi.matrix).eigenvalues
@@ -130,7 +127,7 @@ def test_double_complement_spectrum():
 
 def test_complement_entropy_duality():
     for seed in range(4):
-        ch = channel_from_choi(random_choi(2, 3, 2, seed + 10), 2, 3)
+        ch = ChoiChannel(2, 3, random_choi(2, 3, 2, seed + 10))
         comp = complement_channel(ch)
         s_comp = von_neumann_entropy(comp.choi)
         s_out = von_neumann_entropy(partial_trace(ch.choi, (1,)))
@@ -143,7 +140,7 @@ def test_choi_marginal_invariant():
         werner_holevo_channel(),
         flagged_depolarizing_channel(2, 0.5),
         flagged_depolarizing_channel(3, 0.25),
-        channel_from_choi(random_choi(3, 2, 2, 42), 3, 2),
+        ChoiChannel(3, 2, random_choi(3, 2, 2, 42)),
     ]
     for ch in channels:
         marginal = partial_trace(ch.choi, (0,)).matrix
@@ -177,26 +174,19 @@ def test_flagged_depolarizing_parameter_checks():
         flagged_depolarizing_channel(1, 0.5)
 
 
-def test_channel_from_choi_rejects_wrong_marginal():
+def test_choi_channel_rejects_wrong_marginal_or_dims():
     rho = DensityMatrix.from_pure([1.0, 0.0, 0.0, 0.0], (2, 2))
     with pytest.raises(NotTracePreservingError):
-        channel_from_choi(rho, 2, 2)
+        ChoiChannel(2, 2, rho)
+    with pytest.raises(DimensionMismatchError):
+        ChoiChannel(2, 3, werner_holevo_channel().choi)
 
 
-def test_channel_from_choi_identity():
+def test_choi_channel_identity():
     omega = maximally_entangled(2)
-    ch = channel_from_choi(DensityMatrix.from_pure(omega, (2, 2)), 2, 2)
+    ch = ChoiChannel(2, 2, DensityMatrix.from_pure(omega, (2, 2)))
     x = np.array([[0.6, 0.2j], [-0.2j, 0.4]])
     assert np.allclose(ch.apply(x), x, atol=1e-12)
-
-
-def test_capacity_bounds():
-    b = capacity_bounds_from_distillation(2, 1.0)
-    assert (b.q_lower, b.q_upper) == (1.0, 4.0)
-    b0 = capacity_bounds_from_distillation(3, 0.0)
-    assert (b0.q_lower, b0.q_upper) == (0.0, 0.0)
-    with pytest.raises(BadParameterError):
-        capacity_bounds_from_distillation(2, -0.1)
 
 
 def test_capacity_bound_from_flagged_complement():
@@ -207,7 +197,6 @@ def test_capacity_bound_from_flagged_complement():
     comp = complement_channel(flagged_depolarizing_channel(2, 0.5))
     rate = low_rank_rate_bound(comp.choi, "B")
     assert rate > 0
-    assert capacity_bounds_from_distillation(comp.d_in, rate).q_lower == rate
 
 
 def test_channel_json_roundtrip():

@@ -84,6 +84,39 @@ def test_analyze_invalid_state(tmp_path, capsys):
     assert "trace" in err
 
 
+BELL_DOC = bell_state().to_json_dict()
+
+#: Documents whose dimension fields are malformed, with the field the diagnostic names.
+MALFORMED_DIMS = {
+    "matrix-dims-string": ("dims", {**BELL_DOC, "dims": "ab"}),
+    "matrix-dims-nested": ("dims", {**BELL_DOC, "dims": [[2], [2]]}),
+    "matrix-dims-null": ("dims", {**BELL_DOC, "dims": None}),
+    "matrix-dims-fraction": ("dims", {**BELL_DOC, "dims": [2.5, 2]}),
+    "vector-dims-bools": ("dims", {"dims": [True, True, True], "vector": [[1.0, 0.0]]}),
+    "vector-dims-null": ("dims", {**ghz_state().to_json_dict(), "dims": None}),
+    "channel-d_in-string": ("d_in", {"d_in": "x", "d_out": 2, "choi": BELL_DOC}),
+    "channel-d_out-list": ("d_out", {"d_in": 2, "d_out": [2], "choi": BELL_DOC}),
+}
+
+
+@pytest.mark.parametrize("command", [("analyze",), ("filter", "--side", "A")])
+@pytest.mark.parametrize("case", sorted(MALFORMED_DIMS))
+def test_malformed_dimensions_exit_2(tmp_path, capsys, case, command):
+    field, doc = MALFORMED_DIMS[case]
+    path = write_state(tmp_path, "doc.json", doc)
+    code, out, err = run_cli(capsys, command[0], path, *command[1:])
+    assert code == 2, err
+    assert out == ""
+    assert err.startswith(f"error: {field}")
+
+
+def test_integral_float_dimensions_are_accepted(tmp_path, capsys):
+    path = write_state(tmp_path, "bell.json", {**BELL_DOC, "dims": [2.0, 2]})
+    code, out, err = run_cli(capsys, "analyze", path)
+    assert code == 0, err
+    assert json.loads(out)["input"]["dims"] == [2, 2]
+
+
 def test_analyze_missing_file(capsys):
     code, _, err = run_cli(capsys, "analyze", "/nonexistent/state.json")
     assert code == 2

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,15 +9,16 @@ from lrdistill import (
     DensityMatrix,
     TripartitePureState,
     classify,
+    coherent_information,
     complement_channel,
     conditional_marginal,
     filtered_hashing_rate,
     find_one_way_witness,
     flagged_depolarizing_channel,
     hermitian_eig,
+    is_ppt,
     local_filter,
     low_rank_rate_bound,
-    numerical_rank,
     partial_trace,
     purify,
     sample_state,
@@ -33,9 +36,16 @@ from lrdistill.distill import (
     VERDICT_SEPARABLE,
 )
 from lrdistill import distill
-from lrdistill.errors import BadParameterError, NonConvergenceError, RankNotLowError
+from lrdistill.errors import (
+    BadParameterError,
+    NonConvergenceError,
+    RankNotLowError,
+    SubsystemError,
+)
 from lrdistill.kernels import DEFAULT_RANK_TOL
 from lrdistill.states import bell_state, ghz_state, maximally_mixed
+
+from conftest import numerical_rank
 
 
 def tilted_state():
@@ -96,6 +106,20 @@ def test_filter_preserves_rank():
         rho = sample_state(2, 3, 2, seed=seed)
         out = local_filter(rho, "B")
         assert numerical_rank(out.filtered_state.matrix) == out.rank
+
+
+@pytest.mark.parametrize("entry", [
+    is_ppt,
+    coherent_information,
+    purify,
+    partial(conditional_marginal, phi=[1.0, 0.0]),
+    partial(local_filter, side="B"),
+    find_one_way_witness,
+    separability_verdict,
+], ids=lambda entry: getattr(entry, "func", entry).__name__)
+def test_bipartite_only_entry_points_reject_tripartite_states(entry):
+    with pytest.raises(SubsystemError, match="needs a bipartite state"):
+        entry(maximally_mixed((2, 2, 2)))
 
 
 def test_filter_side_validation():
@@ -257,7 +281,8 @@ def assert_search_matches_loop_oracle(factor, budget, seed):
     want_phi, want_trials = loop_saturation_search(
         rho, (d_a, d_b), target, budget, np.random.default_rng(seed))
     phi, trials = distill._saturation_search(
-        factor, target, budget, np.random.default_rng(seed), DEFAULT_RANK_TOL)
+        factor, distill.gram_ranks(factor, DEFAULT_RANK_TOL), target, budget,
+        np.random.default_rng(seed), DEFAULT_RANK_TOL)
     assert trials == want_trials
     assert (phi is None) == (want_phi is None)
     if phi is not None:
@@ -326,7 +351,8 @@ def test_hit_at_a_batch_boundary(monkeypatch, haar_trial):
 
     monkeypatch.setattr(distill, "gram_ranks", fake_ranks)
     phi, trials = distill._saturation_search(
-        factor, target, 200, np.random.default_rng(seed), DEFAULT_RANK_TOL)
+        factor, distill.gram_ranks(factor, DEFAULT_RANK_TOL), target, 200,
+        np.random.default_rng(seed), DEFAULT_RANK_TOL)
     assert trials == d_a + haar_trial
     want = loop_haar_draws(np.random.default_rng(seed), d_a, haar_trial)[-1]
     assert np.array_equal(phi, want)

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from lrdistill import hermitian_eig, min_positive_eigenvalue, numerical_rank, pinv_sqrt, support_projector
+from lrdistill import hermitian_eig
 from lrdistill.errors import NoPositiveEigenvalueError, NotHermitianError, NumericsError
 from lrdistill.kernels import gram_ranks
 
-from conftest import gaussian_unit_vector, loop_partial_trace
+from conftest import gaussian_unit_vector, loop_partial_trace, numerical_rank
 
 
 def antisymmetric_choi():
@@ -16,6 +16,14 @@ def antisymmetric_choi():
         for j in range(d):
             swap[i * d + j, j * d + i] = 1.0
     return (np.eye(9) - swap) / 6.0
+
+
+def reconstruct(spec):
+    return (spec.eigenvectors * spec.eigenvalues) @ spec.eigenvectors.conj().T
+
+
+def rank(m):
+    return hermitian_eig(m, vectors=False).retained_count()
 
 
 def random_psd(rng, d, r):
@@ -32,7 +40,7 @@ def test_eig_identity():
 def test_eig_diagonal_descending():
     spec = hermitian_eig(np.diag([0.1, 0.9]))
     assert np.allclose(spec.eigenvalues, [0.9, 0.1])
-    assert np.allclose(spec.reconstruct(), np.diag([0.1, 0.9]))
+    assert np.allclose(reconstruct(spec), np.diag([0.1, 0.9]))
 
 
 def test_eig_antisymmetric_projector():
@@ -44,7 +52,7 @@ def test_eig_orthonormal_eigenvectors(rng):
     m = random_psd(rng, 6, 6)
     spec = hermitian_eig(m)
     assert np.allclose(spec.eigenvectors.conj().T @ spec.eigenvectors, np.eye(6), atol=1e-12)
-    assert np.allclose(spec.reconstruct(), m, atol=1e-12)
+    assert np.allclose(reconstruct(spec), m, atol=1e-12)
 
 
 def test_eig_rejects_nonhermitian():
@@ -65,12 +73,12 @@ def test_eig_deterministic(rng):
 
 
 def test_rank_zero_matrix():
-    assert numerical_rank(np.zeros((2, 2))) == 0
+    assert rank(np.zeros((2, 2))) == 0
 
 
 def test_rank_bell_projector():
     v = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
-    assert numerical_rank(np.outer(v, v)) == 1
+    assert rank(np.outer(v, v)) == 1
 
 
 @pytest.mark.parametrize("shape", [(3, 5), (5, 3), (4, 4)])
@@ -92,22 +100,23 @@ def test_rank_induced_measure_marginal():
     rng = np.random.default_rng(11)
     v = gaussian_unit_vector(rng, 24)
     rho = loop_partial_trace(np.outer(v, v.conj()), (2, 4, 3), (0, 1))
-    assert numerical_rank(rho) == 3
+    assert rank(rho) == 3
     # cross-check against a plain eigenvalue count
     evals = np.linalg.eigvalsh(rho)
     assert int(np.sum(evals > 1e-10 * evals.max())) == 3
 
 
 def test_support_projector_examples():
-    assert np.allclose(support_projector(np.eye(4)), np.eye(4))
-    assert np.allclose(support_projector(np.diag([0.5, 0.5, 0.0])), np.diag([1.0, 1.0, 0.0]))
+    assert np.allclose(hermitian_eig(np.eye(4)).support_projector(), np.eye(4))
+    got = hermitian_eig(np.diag([0.5, 0.5, 0.0])).support_projector()
+    assert np.allclose(got, np.diag([1.0, 1.0, 0.0]))
 
 
 def test_pinv_sqrt_examples():
-    assert np.allclose(pinv_sqrt(np.eye(3)), np.eye(3))
-    assert np.allclose(pinv_sqrt(np.diag([4.0, 0.0])), np.diag([0.5, 0.0]))
+    assert np.allclose(hermitian_eig(np.eye(3)).pinv_sqrt(), np.eye(3))
+    assert np.allclose(hermitian_eig(np.diag([4.0, 0.0])).pinv_sqrt(), np.diag([0.5, 0.0]))
     expected = np.diag([0.9 ** -0.5, 0.1 ** -0.5])
-    assert np.allclose(pinv_sqrt(np.diag([0.9, 0.1])), expected, atol=1e-12)
+    assert np.allclose(hermitian_eig(np.diag([0.9, 0.1])).pinv_sqrt(), expected, atol=1e-12)
 
 
 def test_pinv_sqrt_inverts_on_support(rng):
@@ -115,8 +124,9 @@ def test_pinv_sqrt_inverts_on_support(rng):
         d = int(rng.integers(2, 7))
         r = int(rng.integers(1, d + 1))
         m = random_psd(rng, d, r)
-        root = pinv_sqrt(m)
-        assert np.max(np.abs(root @ m @ root - support_projector(m))) <= 1e-9
+        spec = hermitian_eig(m)
+        root = spec.pinv_sqrt()
+        assert np.max(np.abs(root @ m @ root - spec.support_projector())) <= 1e-9
 
 
 def test_rank_of_support_projector(rng):
@@ -124,7 +134,8 @@ def test_rank_of_support_projector(rng):
         d = int(rng.integers(2, 7))
         r = int(rng.integers(1, d + 1))
         m = random_psd(rng, d, r)
-        assert numerical_rank(support_projector(m)) == numerical_rank(m) == r
+        projector = hermitian_eig(m).support_projector()
+        assert numerical_rank(projector) == numerical_rank(m) == r
 
 
 def test_eigenvalue_sum_is_trace(rng):
@@ -136,9 +147,9 @@ def test_eigenvalue_sum_is_trace(rng):
 
 
 def test_min_positive_eigenvalue():
-    assert min_positive_eigenvalue(np.diag([0.7, 0.3, 0.0])) == pytest.approx(0.3)
+    assert hermitian_eig(np.diag([0.7, 0.3, 0.0])).min_positive() == pytest.approx(0.3)
     with pytest.raises(ValueError):
-        min_positive_eigenvalue(np.zeros((2, 2)))
+        hermitian_eig(np.zeros((2, 2))).min_positive()
 
 
 def test_min_positive_error_is_a_numerics_error():

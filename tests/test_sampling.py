@@ -8,7 +8,6 @@ import pytest
 
 from lrdistill import (
     EnsembleSpec,
-    numerical_rank,
     partial_trace,
     run_experiment,
     sample_pure,
@@ -16,7 +15,7 @@ from lrdistill import (
 )
 from lrdistill.errors import EnsembleSpecError
 
-from conftest import loop_partial_trace
+from conftest import loop_partial_trace, numerical_rank
 
 
 def test_sample_pure_trivial_dims():
@@ -154,9 +153,10 @@ def test_experiment_solver_calls(monkeypatch):
     report = run_experiment(EnsembleSpec(d_a=4, d_b=8, d_e=6, n_samples=10, seed=0))
     assert all(freq == 1.0 for freq in report.frequencies.values())
     # per sample: the validation of |psi><psi|, the spectra of rho_AB and
-    # rho_B, the Schmidt-rank batch and the witness search's basis batch
+    # rho_B, and the Schmidt-rank batch, which is also the witness search's
+    # basis batch
     assert calls["eigh"] == 0 and calls["svd"] == 0
-    assert calls["eigvalsh"] <= 5 * 10
+    assert calls["eigvalsh"] <= 4 * 10
 
 
 def test_experiment_csv_columns_are_the_json_fields():

@@ -13,7 +13,6 @@ from lrdistill import (
     complement,
     conditional_marginal,
     is_ppt,
-    numerical_rank,
     partial_trace,
     partial_transpose,
     purify,
@@ -36,6 +35,7 @@ from conftest import (
     gaussian_unit_vector,
     loop_partial_trace,
     loop_partial_transpose,
+    numerical_rank,
     random_density,
 )
 
