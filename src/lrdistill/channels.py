@@ -22,9 +22,7 @@ TRACE_PRESERVATION_TOL = 1e-6
 
 def maximally_entangled(d: int) -> np.ndarray:
     """Unit vector (1/sqrt(d)) sum_i |ii> on C^d (x) C^d."""
-    d = int(d)
-    if d < 1:
-        raise BadParameterError(f"dimension must be >= 1, got {d}")
+    d = validated_dimension(d, "dimension", BadParameterError)
     v = np.zeros(d * d, dtype=np.complex128)
     v[:: d + 1] = 1.0 / np.sqrt(d)
     return v
@@ -131,7 +129,7 @@ def flagged_depolarizing_channel(d: int, q: float = 0.5) -> ChoiChannel:
     environment can be simulated from the output), so the complement has
     zero one-way quantum capacity.
     """
-    d = int(d)
+    d = validated_dimension(d, "input dimension", BadParameterError)
     if d < 2:
         raise BadParameterError(f"input dimension must be >= 2, got {d}")
     if not 0.0 < q < 1.0:

@@ -23,7 +23,7 @@ from .errors import (
     RankNotLowError,
     StateFormatError,
 )
-from .kernels import DEFAULT_RANK_TOL
+from .kernels import DEFAULT_RANK_TOL, validated_tolerance
 from .sampling import EnsembleSpec, run_experiment
 from .states import (
     DEFAULT_PPT_TOL,
@@ -57,8 +57,8 @@ class RunConfig:
     output: str | None = None
 
     def __post_init__(self):
-        if self.rank_tol <= 0 or self.ppt_tol <= 0:
-            raise BadParameterError("tolerances must be > 0")
+        validated_tolerance(self.rank_tol, "rank_tol", BadParameterError)
+        validated_tolerance(self.ppt_tol, "ppt_tol", BadParameterError)
         if self.witness_budget < 0:
             raise BadParameterError("witness budget must be >= 0")
         if self.seed < 0:
@@ -150,13 +150,7 @@ def _load_state(path: str) -> tuple[str, DensityMatrix | TripartitePureState]:
     if "choi" in doc:
         return "channel", channel_from_dict(doc).choi
     state = state_from_dict(doc)
-    kind = "tripartite" if isinstance(state, TripartitePureState) else "bipartite"
-    if kind == "bipartite" and len(state.dims) != 2:
-        raise StateFormatError(
-            f"density-matrix inputs must be bipartite, got dims {state.dims}; "
-            "multipartite inputs are only accepted as tripartite pure vectors"
-        )
-    return kind, state
+    return ("tripartite" if isinstance(state, TripartitePureState) else "bipartite"), state
 
 
 def _dump_json(payload: dict) -> str:

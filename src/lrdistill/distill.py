@@ -241,6 +241,8 @@ def _saturation_search(
     one vector at a time, so the outcome is deterministic given
     (state, budget, seed).
     """
+    if budget < 0:
+        raise BadParameterError(f"budget must be >= 0, got {budget}")
     d_a = factor.shape[0]
     hits = np.flatnonzero(basis_ranks == target_rank)
     if hits.size:
@@ -295,8 +297,6 @@ def _witness_search(
 
     ``factor`` is the state's amplitude factor, as ``_saturation_search`` takes it.
     """
-    if budget < 0:
-        raise BadParameterError(f"budget must be >= 0, got {budget}")
     phi, trials = _saturation_search(
         factor, gram_ranks(factor, rank_tol), r, budget, np.random.default_rng(seed), rank_tol
     )

@@ -11,16 +11,17 @@ small (<= ~64), so everything is dense.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
-from .errors import NonConvergenceError, NoPositiveEigenvalueError, NotHermitianError
+from .errors import InputError, NonConvergenceError, NoPositiveEigenvalueError, NotHermitianError
 
 #: Relative eigenvalue cutoff below which spectra are treated as zero.
 DEFAULT_RANK_TOL = 1e-10
 
-#: Max-norm tolerance for ``m == m.conj().T`` checks.
-DEFAULT_SYMM_TOL = 1e-10
+#: Max-norm tolerance for ``m == m.conj().T`` checks, in states and eigensolves alike.
+HERMITICITY_TOL = 1e-10
 
 
 def as_complex_matrix(m) -> np.ndarray:
@@ -31,6 +32,19 @@ def as_complex_matrix(m) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise NotHermitianError("matrix contains non-finite entries")
     return arr
+
+
+def validated_tolerance(value, field: str, error: type[InputError]) -> float:
+    """``value`` as a tolerance: a real number strictly inside (0, 1), not a bool."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not 0.0 < value < 1.0:
+        raise error(f"{field} must lie in (0, 1), got {value!r}")
+    return value
+
+
+def _retained(lams: np.ndarray, rank_tol: float) -> np.ndarray:
+    """Eigenvalues above ``rank_tol * lambda_max``, counted per last axis; 0 if lambda_max <= 0."""
+    lam_max = np.max(lams, axis=-1, keepdims=True, initial=0.0)
+    return np.sum(lams > rank_tol * lam_max, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -48,10 +62,7 @@ class HermitianSpectrum:
 
     def retained_count(self, rank_tol: float = DEFAULT_RANK_TOL) -> int:
         """Number of eigenvalues strictly above ``rank_tol * max(eigenvalues)``."""
-        lam_max = float(self.eigenvalues[0]) if self.eigenvalues.size else 0.0
-        if lam_max <= 0.0:
-            return 0
-        return int(np.sum(self.eigenvalues > rank_tol * lam_max))
+        return int(_retained(self.eigenvalues, rank_tol))
 
     def min_positive(self, rank_tol: float = DEFAULT_RANK_TOL) -> float:
         """Smallest eigenvalue above the rank cutoff."""
@@ -87,14 +98,14 @@ def hermitian_eig(m, *, vectors: bool = True) -> HermitianSpectrum:
     witness, which never read the eigenvectors.
 
     Raises NotHermitianError when ``max|m - m^dagger|`` exceeds
-    ``DEFAULT_SYMM_TOL`` and NonConvergenceError when the underlying solver
+    ``HERMITICITY_TOL`` and NonConvergenceError when the underlying solver
     fails. The matrix is symmetrized before the solve so that sub-tolerance
     asymmetry cannot leak into the output.
     """
     arr = as_complex_matrix(m)
-    if arr.size and np.max(np.abs(arr - arr.conj().T)) > DEFAULT_SYMM_TOL:
+    if arr.size and np.max(np.abs(arr - arr.conj().T)) > HERMITICITY_TOL:
         raise NotHermitianError(
-            f"matrix deviates from Hermitian symmetry by more than {DEFAULT_SYMM_TOL:g}"
+            f"matrix deviates from Hermitian symmetry by more than {HERMITICITY_TOL:g}"
         )
     sym = (arr + arr.conj().T) / 2.0
     try:
@@ -121,5 +132,4 @@ def gram_ranks(k: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
         lams = np.linalg.eigvalsh(gram)
     except np.linalg.LinAlgError as exc:
         raise NonConvergenceError(f"eigensolver did not converge: {exc}") from exc
-    lam_max = lams[:, -1:]
-    return np.where(lam_max[:, 0] > 0.0, np.sum(lams > rank_tol * lam_max, axis=1), 0)
+    return _retained(lams, rank_tol)

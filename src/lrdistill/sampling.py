@@ -18,8 +18,8 @@ import numpy as np
 
 from .distill import _saturation_search
 from .errors import EnsembleSpecError
-from .kernels import DEFAULT_RANK_TOL, gram_ranks, hermitian_eig
-from .states import DensityMatrix, TripartitePureState, partial_trace
+from .kernels import DEFAULT_RANK_TOL, gram_ranks, hermitian_eig, validated_tolerance
+from .states import DensityMatrix, TripartitePureState, partial_trace, validated_dimension
 
 
 def sample_pure(
@@ -31,9 +31,7 @@ def sample_pure(
     exactly the Haar distribution on the unit sphere. Bit-identical output
     for identical seed within one package version.
     """
-    dims = (int(d_a), int(d_b), int(d_e))
-    if any(d < 1 for d in dims):
-        raise EnsembleSpecError(f"dimensions must all be >= 1, got {dims}")
+    dims = tuple(validated_dimension(d, "dimension", EnsembleSpecError) for d in (d_a, d_b, d_e))
     rng = np.random.default_rng(seed)
     n = dims[0] * dims[1] * dims[2]
     amp = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -60,14 +58,10 @@ class EnsembleSpec:
     rank_tol: float = DEFAULT_RANK_TOL
 
     def __post_init__(self):
-        if min(self.d_a, self.d_b, self.d_e) < 1:
-            raise EnsembleSpecError(
-                f"dimensions must all be >= 1, got ({self.d_a}, {self.d_b}, {self.d_e})"
-            )
-        if self.n_samples < 1:
-            raise EnsembleSpecError(f"n_samples must be >= 1, got {self.n_samples}")
-        if self.rank_tol <= 0:
-            raise EnsembleSpecError(f"rank_tol must be > 0, got {self.rank_tol}")
+        for name in ("d_a", "d_b", "d_e", "n_samples"):
+            value = validated_dimension(getattr(self, name), name, EnsembleSpecError)
+            object.__setattr__(self, name, value)
+        validated_tolerance(self.rank_tol, "rank_tol", EnsembleSpecError)
 
     def to_json_dict(self) -> dict:
         return {

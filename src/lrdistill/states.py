@@ -12,16 +12,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod, sqrt
-from numbers import Real
+from numbers import Integral, Real
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import NotNormalizedError, StateFormatError, SubsystemError
-from .kernels import DEFAULT_RANK_TOL, gram_ranks, hermitian_eig
+from .errors import InputError, NotNormalizedError, StateFormatError, SubsystemError
+from .kernels import DEFAULT_RANK_TOL, HERMITICITY_TOL, gram_ranks, hermitian_eig
 
-#: Validation tolerances for density-matrix invariants.
-HERMITICITY_TOL = 1e-10
+#: Validation tolerances for density-matrix invariants (Hermiticity: ``HERMITICITY_TOL``).
 TRACE_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-10
 
@@ -32,12 +31,23 @@ NORM_TOL = 1e-12
 DEFAULT_PPT_TOL = 1e-9
 
 
-def validated_dimension(value, field: str) -> int:
+def validated_dimension(value, field: str, error: type[InputError] = StateFormatError) -> int:
     """``value`` as a dimension: a number with an integral value >= 1, not a bool."""
-    number = isinstance(value, Real) and not isinstance(value, bool)
-    if not (number and float(value).is_integer() and value >= 1):
-        raise StateFormatError(f"{field} must be an integer >= 1, got {value!r}")
+    integral = isinstance(value, Integral) or (
+        isinstance(value, Real) and float(value).is_integer()
+    )
+    if isinstance(value, bool) or not integral or value < 1:
+        raise error(f"{field} must be an integer >= 1, got {value!r}")
     return int(value)
+
+
+def _unit_vector(vector, what: str, tol: float = 1e-9) -> np.ndarray:
+    """``vector`` as a flat complex array; NotNormalizedError unless its norm is 1 +- ``tol``."""
+    v = np.asarray(vector, dtype=np.complex128).reshape(-1)
+    nrm = float(np.linalg.norm(v))
+    if not abs(nrm - 1.0) <= tol:
+        raise NotNormalizedError(f"{what} norm {nrm:.15g} is not 1 within {tol:g}")
+    return v
 
 
 def _validated_dims(dims: Sequence[int]) -> tuple[int, ...]:
@@ -101,15 +111,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return prod(self.dims)
 
-    @staticmethod
-    def from_pure(vector, dims: Sequence[int]) -> "DensityMatrix":
-        """Rank-one state |v><v| from a unit amplitude vector."""
-        v = np.asarray(vector, dtype=np.complex128).reshape(-1)
-        nrm = np.linalg.norm(v)
-        if abs(nrm - 1.0) > 1e-9:
-            raise NotNormalizedError(f"vector norm {nrm:.12g} is not 1")
-        return DensityMatrix(tuple(dims), np.outer(v, v.conj()))
-
     def to_json_dict(self) -> dict:
         return {"dims": list(self.dims), "matrix": complex_pairs(self.matrix)}
 
@@ -132,9 +133,7 @@ class TripartitePureState:
             )
         if not np.all(np.isfinite(amp)):
             raise StateFormatError("amplitude vector contains non-finite entries")
-        nrm = float(np.linalg.norm(amp))
-        if abs(nrm - 1.0) > NORM_TOL:
-            raise NotNormalizedError(f"state norm {nrm:.15g} is not 1 within {NORM_TOL:g}")
+        _unit_vector(amp, "state", NORM_TOL)
         amp.setflags(write=False)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amplitudes", amp)
@@ -262,14 +261,11 @@ def conditional_marginal(rho: DensityMatrix, phi) -> np.ndarray:
     quantity of interest and the trace can be arbitrarily small.
     """
     _require_bipartite(rho, "conditioned marginal")
-    v = np.asarray(phi, dtype=np.complex128).reshape(-1)
+    v = _unit_vector(phi, "conditioning vector")
     if v.size != rho.dims[0]:
         raise SubsystemError(
             f"conditioning vector has length {v.size}, expected d_A = {rho.dims[0]}"
         )
-    nrm = float(np.linalg.norm(v))
-    if abs(nrm - 1.0) > 1e-9:
-        raise NotNormalizedError(f"conditioning vector norm {nrm:.12g} is not 1")
     tensor = rho.matrix.reshape(*rho.dims, *rho.dims)
     return np.einsum("a,abcd,c->bd", v.conj(), tensor, v)
 
@@ -282,13 +278,10 @@ def schmidt_rank(vector, dims: Sequence[int], rank_tol: float = DEFAULT_RANK_TOL
     (eigenvalues above ``rank_tol * lambda_max``), i.e. singular values of C
     above ``sqrt(rank_tol) * s_max``.
     """
-    d1, d2 = (int(d) for d in dims)
-    v = np.asarray(vector, dtype=np.complex128).reshape(-1)
+    d1, d2 = _validated_dims(dims)
+    v = _unit_vector(vector, "vector")
     if v.size != d1 * d2:
         raise SubsystemError(f"vector of length {v.size} does not match bipartition {d1}x{d2}")
-    nrm = float(np.linalg.norm(v))
-    if abs(nrm - 1.0) > 1e-9:
-        raise NotNormalizedError(f"vector norm {nrm:.12g} is not 1")
     return int(gram_ranks(v.reshape(1, d1, d2), rank_tol)[0])
 
 
@@ -299,7 +292,7 @@ def bell_state() -> DensityMatrix:
     """(|00> + |11>)/sqrt(2) as a two-qubit density matrix."""
     v = np.zeros(4, dtype=np.complex128)
     v[0] = v[3] = 1.0 / sqrt(2.0)
-    return DensityMatrix.from_pure(v, (2, 2))
+    return DensityMatrix((2, 2), np.outer(v, v.conj()))
 
 
 def ghz_state() -> TripartitePureState:
@@ -310,8 +303,8 @@ def ghz_state() -> TripartitePureState:
 
 
 def maximally_mixed(dims: Sequence[int]) -> DensityMatrix:
-    d = prod(int(x) for x in dims)
-    return DensityMatrix(tuple(dims), np.eye(d, dtype=np.complex128) / d)
+    dims = _validated_dims(dims)
+    return DensityMatrix(dims, np.eye(prod(dims), dtype=np.complex128) / prod(dims))
 
 
 # --- JSON document handling -------------------------------------------------
@@ -350,10 +343,7 @@ def pure_state_from_dict(doc: dict) -> TripartitePureState:
     vector = _pairs_to_complex(doc["vector"], "vector")
     if vector.ndim != 1:
         raise StateFormatError("vector must be a flat list of [re, im] pairs")
-    dims = _validated_dims(doc["dims"])
-    if len(dims) != 3:
-        raise StateFormatError('pure-state ("vector") documents must declare three dims')
-    return TripartitePureState(dims, vector)
+    return TripartitePureState(doc["dims"], vector)
 
 
 def state_from_dict(doc) -> DensityMatrix | TripartitePureState:

@@ -172,10 +172,14 @@ def test_flagged_depolarizing_parameter_checks():
             flagged_depolarizing_channel(2, q)
     with pytest.raises(BadParameterError):
         flagged_depolarizing_channel(1, 0.5)
+    with pytest.raises(BadParameterError):
+        flagged_depolarizing_channel(2.9)
+    with pytest.raises(BadParameterError):
+        maximally_entangled(2.7)
 
 
 def test_choi_channel_rejects_wrong_marginal_or_dims():
-    rho = DensityMatrix.from_pure([1.0, 0.0, 0.0, 0.0], (2, 2))
+    rho = DensityMatrix((2, 2), np.diag([1.0, 0.0, 0.0, 0.0]))
     with pytest.raises(NotTracePreservingError):
         ChoiChannel(2, 2, rho)
     with pytest.raises(DimensionMismatchError):
@@ -184,7 +188,7 @@ def test_choi_channel_rejects_wrong_marginal_or_dims():
 
 def test_choi_channel_identity():
     omega = maximally_entangled(2)
-    ch = ChoiChannel(2, 2, DensityMatrix.from_pure(omega, (2, 2)))
+    ch = ChoiChannel(2, 2, DensityMatrix((2, 2), np.outer(omega, omega.conj())))
     x = np.array([[0.6, 0.2j], [-0.2j, 0.4]])
     assert np.allclose(ch.apply(x), x, atol=1e-12)
 

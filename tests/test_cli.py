@@ -110,6 +110,52 @@ def test_malformed_dimensions_exit_2(tmp_path, capsys, case, command):
     assert err.startswith(f"error: {field}")
 
 
+GHZ_DOC = ghz_state().to_json_dict()
+ROWS = BELL_DOC["matrix"]
+
+#: Malformed documents beyond the dimension fields above.
+MALFORMED_DOCS = {
+    "matrix-string": {**BELL_DOC, "matrix": "[[1, 0]]"},
+    "matrix-ragged": {**BELL_DOC, "matrix": [ROWS[0], ROWS[1][:2], ROWS[2], ROWS[3]]},
+    "matrix-3d": {**BELL_DOC, "matrix": [ROWS, ROWS]},
+    "matrix-empty": {**BELL_DOC, "matrix": []},
+    "matrix-three-dims": {**BELL_DOC, "dims": [2, 2, 1]},
+    "dims-huge-int": {**BELL_DOC, "dims": [10**400, 1]},
+    "vector-dict": {**GHZ_DOC, "vector": {"0": [1.0, 0.0]}},
+    "vector-string": {**GHZ_DOC, "vector": "1, 0"},
+    "vector-short": {**GHZ_DOC, "vector": GHZ_DOC["vector"][:-1]},
+    "vector-empty": {**GHZ_DOC, "vector": []},
+    "choi-list": {"d_in": 2, "d_out": 2, "choi": ROWS},
+}
+
+#: Tolerance flags outside (0, 1) on a well-formed document ("DOC" is its path).
+BAD_TOLERANCE_ARGS = {
+    **{f"analyze-rank-tol-{v}": ("analyze", "DOC", "--rank-tol", v)
+       for v in ("nan", "inf", "1", "0")},
+    **{f"analyze-ppt-tol-{v}": ("analyze", "DOC", "--ppt-tol", v) for v in ("nan", "inf")},
+    "filter-rank-tol-nan": ("filter", "DOC", "--side", "A", "--rank-tol", "nan"),
+    **{f"sample-rank-tol-{v}": ("sample", "2", "4", "3", "2", "--rank-tol", v)
+       for v in ("nan", "2")},
+}
+
+#: case -> (document, argv): every one must exit 2 with nothing on stdout.
+FUZZ_CASES = {
+    **{f"{name}-{argv[0]}": (doc, argv) for name, doc in MALFORMED_DOCS.items()
+       for argv in (("analyze", "DOC"), ("filter", "DOC", "--side", "A"))},
+    **{name: (GHZ_DOC, argv) for name, argv in BAD_TOLERANCE_ARGS.items()},
+}
+
+
+@pytest.mark.parametrize("case", sorted(FUZZ_CASES))
+def test_malformed_input_exits_2(tmp_path, capsys, case):
+    doc, argv = FUZZ_CASES[case]
+    path = write_state(tmp_path, "doc.json", doc)
+    code, out, err = run_cli(capsys, *(path if arg == "DOC" else arg for arg in argv))
+    assert code == 2, err
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_integral_float_dimensions_are_accepted(tmp_path, capsys):
     path = write_state(tmp_path, "bell.json", {**BELL_DOC, "dims": [2.0, 2]})
     code, out, err = run_cli(capsys, "analyze", path)

@@ -53,7 +53,7 @@ def tilted_state():
     v = np.zeros(4, dtype=complex)
     v[0] = np.sqrt(0.9)
     v[3] = np.sqrt(0.1)
-    return DensityMatrix.from_pure(v, (2, 2))
+    return DensityMatrix((2, 2), np.outer(v, v.conj()))
 
 
 def bell_with_trivial_env():

@@ -26,6 +26,10 @@ def _expected(name: str) -> str:
         return fh.read()
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
 def assert_json_close(got, want, path="$"):
     if isinstance(want, float):
         assert isinstance(got, float), f"{path}: got {got!r}, expected a float"
@@ -60,7 +64,7 @@ def test_cli_output_matches_golden(name):
     if "--format" in CASES[name]:
         assert_text_close(text, want)
     else:
-        assert_json_close(json.loads(text), json.loads(want))
+        assert_json_close(json.loads(text, parse_constant=_reject_constant), json.loads(want))
 
 
 def test_comparison_catches_a_changed_field():

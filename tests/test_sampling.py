@@ -13,7 +13,7 @@ from lrdistill import (
     sample_pure,
     sample_state,
 )
-from lrdistill.errors import EnsembleSpecError
+from lrdistill.errors import BadParameterError, EnsembleSpecError
 
 from conftest import loop_partial_trace, numerical_rank
 
@@ -82,11 +82,23 @@ def test_ensemble_spec_validation():
         EnsembleSpec(d_a=2, d_b=2, d_e=1, n_samples=0)
     with pytest.raises(EnsembleSpecError):
         EnsembleSpec(d_a=2, d_b=2, d_e=1, n_samples=5, rank_tol=0.0)
+    valid = dict(d_a=2, d_b=2, d_e=1, n_samples=5)
+    for bad in (dict(d_a=2.5), dict(d_a=True), dict(n_samples=2.5),
+                dict(rank_tol=float("nan")), dict(rank_tol=float("inf")), dict(rank_tol=1.0)):
+        with pytest.raises(EnsembleSpecError):
+            EnsembleSpec(**{**valid, **bad})
+    with pytest.raises(EnsembleSpecError):
+        sample_pure(True, 2.9, 2)
 
 
 def test_experiment_requires_small_environment():
     with pytest.raises(EnsembleSpecError):
         run_experiment(EnsembleSpec(d_a=2, d_b=4, d_e=4, n_samples=10))
+
+
+def test_experiment_rejects_negative_budget():
+    with pytest.raises(BadParameterError):
+        run_experiment(EnsembleSpec(d_a=2, d_b=4, d_e=3, n_samples=2), witness_budget=-1)
 
 
 def test_experiment_generic_low_rank():

@@ -171,7 +171,7 @@ def test_is_ppt_product_states_and_max_entangled(rng):
         assert is_ppt(rho).is_ppt
         v = np.zeros(d * d, dtype=complex)
         v[:: d + 1] = 1 / np.sqrt(d)
-        assert not is_ppt(DensityMatrix.from_pure(v, (d, d))).is_ppt
+        assert not is_ppt(DensityMatrix((d, d), np.outer(v, v.conj()))).is_ppt
 
 
 # --- entropies ---------------------------------------------------------------
@@ -338,6 +338,10 @@ def test_schmidt_rank_is_the_rank_of_either_reduced_state():
 def test_schmidt_rank_requires_normalization():
     with pytest.raises(NotNormalizedError):
         schmidt_rank(np.ones(4), (2, 2))
+    with pytest.raises(NotNormalizedError):
+        schmidt_rank([np.nan, 0.0, 0.0, 0.0], (2, 2))
+    with pytest.raises(StateFormatError):
+        schmidt_rank(np.eye(6)[0], (2.9, 2.1))
 
 
 # --- JSON round trips -----------------------------------------------------------
