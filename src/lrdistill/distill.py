@@ -39,7 +39,6 @@ from .states import (
     is_ppt,
     partial_trace,
     purify,
-    von_neumann_entropy,
 )
 
 Side = Literal["A", "B"]
@@ -71,18 +70,13 @@ def _side_index(side: Side) -> int:
     return 0 if side == "A" else 1
 
 
-def _eigenvalues(rho: DensityMatrix) -> HermitianSpectrum:
-    """The state's spectrum without eigenvectors: enough for ranks, bounds and entropies."""
-    return hermitian_eig(rho.matrix, vectors=False)
-
-
 def _rate_bound(r: int, r_side: int, lam_min: float) -> float | None:
     """lambda_min * r_side * (log2 r_side - log2 r) if r < r_side, else None."""
     return lam_min * r_side * (log2(r_side) - log2(r)) if r < r_side else None
 
 
-def _marginal_bound(r: int, marginal: HermitianSpectrum, rank_tol: float) -> float | None:
-    return _rate_bound(r, marginal.retained_count(rank_tol), marginal.min_positive(rank_tol))
+def _marginal_bound(r: int, marginal: HermitianSpectrum) -> float | None:
+    return _rate_bound(r, marginal.rank, marginal.min_positive())
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,7 +85,8 @@ class FilterOutcome:
 
     ``filter_operator`` acts on the filtering subsystem only. ``p_succ``
     equals lambda_min * r_side up to rounding, and the filtered marginal on
-    the filtering side is ``support_projector / r_side``.
+    the filtering side is ``support_projector / r_side``. ``hashing_rate`` is
+    ``filtered_hashing_rate`` on this side.
     """
 
     side: Side
@@ -102,6 +97,7 @@ class FilterOutcome:
     rank: int
     rank_side: int
     lambda_min: float
+    hashing_rate: float
 
     def to_json_dict(self) -> dict:
         return {
@@ -125,14 +121,6 @@ class FilterOutcome:
             )
         return bound
 
-    def hashing_rate(self, rank_tol: float = DEFAULT_RANK_TOL) -> float:
-        """``filtered_hashing_rate`` on this side, from the filtered state found here."""
-        marginal = partial_trace(self.filtered_state, (_side_index(self.side),))
-        return self.p_succ * (
-            von_neumann_entropy(marginal, rank_tol)
-            - von_neumann_entropy(self.filtered_state, rank_tol)
-        )
-
 
 def local_filter(
     rho: DensityMatrix, side: Side, rank_tol: float = DEFAULT_RANK_TOL
@@ -145,11 +133,9 @@ def local_filter(
     """
     _require_bipartite(rho, "local filter")
     idx = _side_index(side)
-    spectrum = hermitian_eig(partial_trace(rho, (idx,)).matrix)
-    r_side = spectrum.retained_count(rank_tol)
-    lam_min = spectrum.min_positive(rank_tol)
-    y = np.sqrt(lam_min) * spectrum.pinv_sqrt(rank_tol)
-    projector = spectrum.support_projector(rank_tol)
+    spectrum = hermitian_eig(partial_trace(rho, (idx,)).matrix, rank_tol)
+    lam_min = spectrum.min_positive()
+    y = np.sqrt(lam_min) * spectrum.pinv_sqrt()
     if idx == 0:
         op = np.kron(y, np.eye(rho.dims[1]))
     else:
@@ -157,15 +143,20 @@ def local_filter(
     unnormalized = op @ rho.matrix @ op.conj().T
     p_succ = float(unnormalized.trace().real)
     filtered = DensityMatrix._trusted(rho.dims, unnormalized / p_succ)
+    # Rounding in Y rho Y^dagger grows with 1 / p_succ, so read the Hermitian part.
+    # The filtered marginal is support_projector / r_side, of entropy log2(r_side).
+    m = filtered.matrix
+    s_filtered = hermitian_eig((m + m.conj().T) / 2.0, rank_tol, vectors=False).entropy()
     return FilterOutcome(
         side=side,
         filter_operator=y,
         p_succ=p_succ,
         filtered_state=filtered,
-        support_projector=projector,
-        rank=_eigenvalues(rho).retained_count(rank_tol),
-        rank_side=r_side,
+        support_projector=spectrum.support_projector(),
+        rank=hermitian_eig(rho.matrix, rank_tol, vectors=False).rank,
+        rank_side=spectrum.rank,
         lambda_min=lam_min,
+        hashing_rate=p_succ * (log2(spectrum.rank) - s_filtered),
     )
 
 
@@ -191,7 +182,7 @@ def filtered_hashing_rate(
     that marginal to log2(r_side) bits of entropy, this rate always dominates
     ``low_rank_rate_bound`` on the same side.
     """
-    return local_filter(rho, side, rank_tol).hashing_rate(rank_tol)
+    return local_filter(rho, side, rank_tol).hashing_rate
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,7 +269,7 @@ def find_one_way_witness(
     _require_bipartite(rho, "one-way witness search")
     psi = purify(rho, rank_tol)
     r = psi.dims[2]  # the purifying register has dimension rank(rho)
-    r_b = _eigenvalues(partial_trace(rho, (1,))).retained_count(rank_tol)
+    r_b = hermitian_eig(partial_trace(rho, (1,)).matrix, rank_tol, vectors=False).rank
     if r >= r_b:
         raise RankNotLowError(
             f"rank(state) = {r} >= {r_b} = rank(marginal B); witness search does not apply"
@@ -418,8 +409,8 @@ def _analyze_reduction(
 
     ``factor`` is the amplitude tensor with rho = F F^dagger that the witness search ranks.
     """
-    state = _eigenvalues(rho)
-    r, r_first, r_second = (s.retained_count(rank_tol) for s in (state, first, second))
+    state = hermitian_eig(rho.matrix, rank_tol, vectors=False)
+    r, r_first, r_second = state.rank, first.rank, second.rank
     if r < r_second:
         witness = _witness_search(factor, r, witness_budget, seedseq, rank_tol)
     else:
@@ -433,9 +424,9 @@ def _analyze_reduction(
         rank_first=r_first,
         rank_second=r_second,
         ppt=is_ppt(rho, ppt_tol),
-        low_rank_bound_first=_marginal_bound(r, first, rank_tol),
-        low_rank_bound_second=_marginal_bound(r, second, rank_tol),
-        hashing_rate=second.entropy(rank_tol) - state.entropy(rank_tol),
+        low_rank_bound_first=_marginal_bound(r, first),
+        low_rank_bound_second=_marginal_bound(r, second),
+        hashing_rate=second.entropy() - state.entropy(),
         witness=witness,
     )
 
@@ -458,7 +449,10 @@ def classify(
     certificate (witness vector or positive hashing rate) exists, and unknown
     otherwise.
     """
-    marginals = [_eigenvalues(psi.reduction((k,))) for k in range(3)]
+    if witness_budget < 0:
+        raise BadParameterError(f"budget must be >= 0, got {witness_budget}")
+    marginals = [hermitian_eig(psi.reduction((k,)).matrix, rank_tol, vectors=False)
+                 for k in range(3)]
     amps = psi.amplitudes.reshape(psi.dims)
     red_ab, red_ae = (
         _analyze_reduction(
@@ -561,11 +555,11 @@ def separability_verdict(
     _require_bipartite(rho, "separability verdict")
     psi = purify(rho, rank_tol)
     r = psi.dims[2]  # the purifying register has dimension rank(rho)
-    spec_a, spec_b = (_eigenvalues(partial_trace(rho, (k,))) for k in (0, 1))
-    r_ae, r_e = (_eigenvalues(psi.reduction(keep)).retained_count(rank_tol)
+    spec_a, spec_b = (hermitian_eig(partial_trace(rho, (k,)).matrix, rank_tol, vectors=False)
+                      for k in (0, 1))
+    r_ae, r_e = (hermitian_eig(psi.reduction(keep).matrix, rank_tol, vectors=False).rank
                  for keep in ((0, 2), (2,)))
     return SeparabilityRecord(
-        rho.dims, r, spec_a.retained_count(rank_tol), spec_b.retained_count(rank_tol),
-        r_ae, r_e, is_ppt(rho, ppt_tol),
-        _marginal_bound(r, spec_a, rank_tol), _marginal_bound(r, spec_b, rank_tol),
+        rho.dims, r, spec_a.rank, spec_b.rank, r_ae, r_e, is_ppt(rho, ppt_tol),
+        _marginal_bound(r, spec_a), _marginal_bound(r, spec_b),
     )

@@ -1,10 +1,9 @@
 """Dense Hermitian-matrix primitives with one shared tolerance policy.
 
 Every rank, support projector and minimum positive eigenvalue in this package
-is derived from the same relative cutoff: an eigenvalue counts as zero when it
-is <= rank_tol * (largest eigenvalue). Tying rank and minimum-positive-
-eigenvalue extraction to a single cutoff keeps r and lambda_min consistent
-with each other. Matrices are plain complex ndarrays; dimensions here stay
+is derived from the same relative cutoff, decided once per spectrum: an
+eigenvalue counts as zero when it is <= rank_tol * (largest eigenvalue). Tying
+r and lambda_min to one cutoff keeps them consistent with each other. Matrices are plain complex ndarrays; dimensions here stay
 small (<= ~64), so everything is dense.
 """
 
@@ -15,7 +14,8 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import InputError, NonConvergenceError, NoPositiveEigenvalueError, NotHermitianError
+from .errors import (BadParameterError, InputError, NonConvergenceError,
+                     NoPositiveEigenvalueError, NotHermitianError)
 
 #: Relative eigenvalue cutoff below which spectra are treated as zero.
 DEFAULT_RANK_TOL = 1e-10
@@ -34,7 +34,7 @@ def as_complex_matrix(m) -> np.ndarray:
     return arr
 
 
-def validated_tolerance(value, field: str, error: type[InputError]) -> float:
+def validated_tolerance(value, field: str, error: type[InputError] = BadParameterError) -> float:
     """``value`` as a tolerance: a real number strictly inside (0, 1), not a bool."""
     if isinstance(value, bool) or not isinstance(value, Real) or not 0.0 < value < 1.0:
         raise error(f"{field} must lie in (0, 1), got {value!r}")
@@ -42,7 +42,11 @@ def validated_tolerance(value, field: str, error: type[InputError]) -> float:
 
 
 def _retained(lams: np.ndarray, rank_tol: float) -> np.ndarray:
-    """Eigenvalues above ``rank_tol * lambda_max``, counted per last axis; 0 if lambda_max <= 0."""
+    """Eigenvalues above ``rank_tol * lambda_max``, counted per last axis; 0 if lambda_max <= 0.
+
+    The package's one rank cutoff, and so the one check of ``rank_tol``.
+    """
+    validated_tolerance(rank_tol, "rank_tol")
     lam_max = np.max(lams, axis=-1, keepdims=True, initial=0.0)
     return np.sum(lams > rank_tol * lam_max, axis=-1)
 
@@ -54,53 +58,51 @@ class HermitianSpectrum:
     ``eigenvectors[:, k]`` is the unit eigenvector paired with
     ``eigenvalues[k]``, or ``eigenvectors`` is None when only eigenvalues
     were computed. Ties keep the (reversed) eigensolver order, which is
-    deterministic for identical input.
+    deterministic for identical input. ``rank`` counts the eigenvalues
+    strictly above ``rank_tol * max(eigenvalues)``, the cutoff the spectrum
+    was built with; every method reads the support off it.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None
+    rank: int
 
-    def retained_count(self, rank_tol: float = DEFAULT_RANK_TOL) -> int:
-        """Number of eigenvalues strictly above ``rank_tol * max(eigenvalues)``."""
-        return int(_retained(self.eigenvalues, rank_tol))
-
-    def min_positive(self, rank_tol: float = DEFAULT_RANK_TOL) -> float:
+    def min_positive(self) -> float:
         """Smallest eigenvalue above the rank cutoff."""
-        k = self.retained_count(rank_tol)
-        if k == 0:
+        if self.rank == 0:
             raise NoPositiveEigenvalueError("spectrum has no eigenvalue above the rank cutoff")
-        return float(self.eigenvalues[k - 1])
+        return float(self.eigenvalues[self.rank - 1])
 
-    def entropy(self, rank_tol: float = DEFAULT_RANK_TOL) -> float:
+    def entropy(self) -> float:
         """-sum lam log2 lam in bits over the eigenvalues above the rank cutoff."""
-        k = self.retained_count(rank_tol)
-        lams = self.eigenvalues[:k]
-        return float(-np.sum(lams * np.log2(lams))) if k else 0.0
+        lams = self.eigenvalues[: self.rank]
+        return float(-np.sum(lams * np.log2(lams))) if self.rank else 0.0
 
-    def support_projector(self, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-        k = self.retained_count(rank_tol)
-        v = self.eigenvectors[:, :k]
+    def support_projector(self) -> np.ndarray:
+        v = self.eigenvectors[:, : self.rank]
         return v @ v.conj().T
 
-    def pinv_sqrt(self, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+    def pinv_sqrt(self) -> np.ndarray:
         """Inverse square root on the support, zero on the kernel."""
-        k = self.retained_count(rank_tol)
-        v = self.eigenvectors[:, :k]
-        inv_sqrt = 1.0 / np.sqrt(self.eigenvalues[:k])
+        v = self.eigenvectors[:, : self.rank]
+        inv_sqrt = 1.0 / np.sqrt(self.eigenvalues[: self.rank])
         return (v * inv_sqrt) @ v.conj().T
 
 
-def hermitian_eig(m, *, vectors: bool = True) -> HermitianSpectrum:
-    """Eigendecompose a Hermitian matrix, eigenvalues descending.
+def hermitian_eig(
+    m, rank_tol: float = DEFAULT_RANK_TOL, *, vectors: bool = True
+) -> HermitianSpectrum:
+    """Eigendecompose a Hermitian matrix, eigenvalues descending, rank at ``rank_tol``.
 
     With ``vectors=False`` only the eigenvalues are computed (one cheaper
     ``eigvalsh`` solve); that serves every rank, entropy, bound and PPT
     witness, which never read the eigenvectors.
 
-    Raises NotHermitianError when ``max|m - m^dagger|`` exceeds
-    ``HERMITICITY_TOL`` and NonConvergenceError when the underlying solver
-    fails. The matrix is symmetrized before the solve so that sub-tolerance
-    asymmetry cannot leak into the output.
+    Raises BadParameterError unless ``rank_tol`` lies in (0, 1),
+    NotHermitianError when ``max|m - m^dagger|`` exceeds ``HERMITICITY_TOL``
+    and NonConvergenceError when the underlying solver fails. The matrix is
+    symmetrized before the solve so that sub-tolerance asymmetry cannot leak
+    into the output.
     """
     arr = as_complex_matrix(m)
     if arr.size and np.max(np.abs(arr - arr.conj().T)) > HERMITICITY_TOL:
@@ -109,12 +111,12 @@ def hermitian_eig(m, *, vectors: bool = True) -> HermitianSpectrum:
         )
     sym = (arr + arr.conj().T) / 2.0
     try:
-        if not vectors:
-            return HermitianSpectrum(np.linalg.eigvalsh(sym)[::-1].copy(), None)
-        evals, evecs = np.linalg.eigh(sym)
+        evals, evecs = np.linalg.eigh(sym) if vectors else (np.linalg.eigvalsh(sym), None)
     except np.linalg.LinAlgError as exc:
         raise NonConvergenceError(f"eigensolver did not converge: {exc}") from exc
-    return HermitianSpectrum(evals[::-1].copy(), evecs[:, ::-1].copy())
+    evals = evals[::-1].copy()
+    evecs = evecs[:, ::-1].copy() if vectors else None
+    return HermitianSpectrum(evals, evecs, int(_retained(evals, rank_tol)))
 
 
 def gram_ranks(k: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
@@ -122,7 +124,7 @@ def gram_ranks(k: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
 
     Each rank is read off the smaller Gram matrix, K K^dagger (p x p) or
     K^dagger K (q x q), which share their nonzero eigenvalues; the whole
-    stack is one ``eigvalsh`` solve. The cutoff is ``retained_count``'s:
+    stack is one ``eigvalsh`` solve. The cutoff is ``hermitian_eig``'s:
     eigenvalues strictly above ``rank_tol * lambda_max``, and rank 0 when
     lambda_max <= 0.
     """

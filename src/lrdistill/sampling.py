@@ -32,8 +32,10 @@ def sample_pure(
     for identical seed within one package version.
     """
     dims = tuple(validated_dimension(d, "dimension", EnsembleSpecError) for d in (d_a, d_b, d_e))
-    rng = np.random.default_rng(seed)
     n = dims[0] * dims[1] * dims[2]
+    if n > np.iinfo(np.intp).max:
+        raise EnsembleSpecError(f"d_A * d_B * d_E = {n} exceeds the largest array size")
+    rng = np.random.default_rng(seed)
     amp = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return TripartitePureState(dims, amp / np.linalg.norm(amp))
 
@@ -157,14 +159,12 @@ def run_experiment(spec: EnsembleSpec, witness_budget: int = 50) -> EnsembleRepo
         )
         amps = psi.amplitudes.reshape(psi.dims)
         rho = partial_trace(psi.density_matrix(), (0, 1))
-        spectrum = hermitian_eig(rho.matrix, vectors=False)
-        rank_state = spectrum.retained_count(spec.rank_tol)
-        lams = spectrum.eigenvalues
-        smallest_retained = float(lams[rank_state - 1])
+        spectrum = hermitian_eig(rho.matrix, spec.rank_tol, vectors=False)
+        rank_state, lams = spectrum.rank, spectrum.eigenvalues
         largest_discarded = float(lams[rank_state]) if rank_state < lams.size else None
         rank_marginal = hermitian_eig(
-            partial_trace(rho, (1,)).matrix, vectors=False
-        ).retained_count(spec.rank_tol)
+            partial_trace(rho, (1,)).matrix, spec.rank_tol, vectors=False
+        ).rank
         basis_ranks = gram_ranks(amps, spec.rank_tol)
         schmidt_ranks = tuple(int(r) for r in basis_ranks)
         rng = np.random.default_rng(
@@ -187,7 +187,7 @@ def run_experiment(spec: EnsembleSpec, witness_budget: int = 50) -> EnsembleRepo
                 low_rank=rank_state < rank_marginal,
                 witness_found=phi is not None,
                 witness_trials=trials,
-                smallest_retained=smallest_retained,
+                smallest_retained=spectrum.min_positive(),
                 largest_discarded=largest_discarded,
             )
         )

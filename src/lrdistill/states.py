@@ -18,7 +18,8 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import InputError, NotNormalizedError, StateFormatError, SubsystemError
-from .kernels import DEFAULT_RANK_TOL, HERMITICITY_TOL, gram_ranks, hermitian_eig
+from .kernels import (DEFAULT_RANK_TOL, HERMITICITY_TOL, gram_ranks, hermitian_eig,
+                      validated_tolerance)
 
 #: Validation tolerances for density-matrix invariants (Hermiticity: ``HERMITICITY_TOL``).
 TRACE_TOL = 1e-10
@@ -212,13 +213,14 @@ def partial_transpose(rho: DensityMatrix, subsystem: int) -> np.ndarray:
 def is_ppt(rho: DensityMatrix, tol: float = DEFAULT_PPT_TOL) -> PptVerdict:
     """PPT test for a bipartite state: min partial-transpose eigenvalue >= -tol."""
     _require_bipartite(rho, "PPT test")
+    validated_tolerance(tol, "ppt_tol")
     witness = float(hermitian_eig(partial_transpose(rho, 1), vectors=False).eigenvalues[-1])
     return PptVerdict(witness >= -tol, witness, abs(witness) < 10.0 * tol)
 
 
 def von_neumann_entropy(rho: DensityMatrix, rank_tol: float = DEFAULT_RANK_TOL) -> float:
     """Entropy -Tr(rho log2 rho) in bits; eigenvalues below the cutoff contribute 0."""
-    return hermitian_eig(rho.matrix, vectors=False).entropy(rank_tol)
+    return hermitian_eig(rho.matrix, rank_tol, vectors=False).entropy()
 
 
 def coherent_information(rho: DensityMatrix, rank_tol: float = DEFAULT_RANK_TOL) -> float:
@@ -238,8 +240,8 @@ def purify(rho: DensityMatrix, rank_tol: float = DEFAULT_RANK_TOL) -> Tripartite
     eigenvalues keep the eigensolver's order.
     """
     _require_bipartite(rho, "purification")
-    spectrum = hermitian_eig(rho.matrix)
-    k = spectrum.retained_count(rank_tol)
+    spectrum = hermitian_eig(rho.matrix, rank_tol)
+    k = spectrum.rank
     lams = spectrum.eigenvalues[:k]
     vecs = spectrum.eigenvectors[:, :k]
     # amp[(a*dB + b), e] = sqrt(lam_e) <ab|e_e>; C-order ravel is (a, b, e) row-major.

@@ -72,6 +72,16 @@ def random_density(d_a, d_b, d_e, seed):
     return DensityMatrix((d_a, d_b), mat)
 
 
+def random_separable(rng, d_a, d_b, r):
+    """sum_i p_i |a_i b_i><a_i b_i| with r Gaussian product terms, no weight negligible."""
+    weights = 1.0 + rng.random(r)
+    mat = np.zeros((d_a * d_b, d_a * d_b), dtype=complex)
+    for p in weights / weights.sum():
+        v = np.kron(gaussian_unit_vector(rng, d_a), gaussian_unit_vector(rng, d_b))
+        mat += p * np.outer(v, v.conj())
+    return DensityMatrix((d_a, d_b), mat)
+
+
 def random_isometry(rng, d_in, d_out):
     """Isometry from a QR decomposition of a Gaussian matrix (d_out >= d_in)."""
     g = rng.standard_normal((d_out, d_in)) + 1j * rng.standard_normal((d_out, d_in))

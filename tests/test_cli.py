@@ -1,12 +1,15 @@
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from lrdistill.cli import main
 from lrdistill.states import DensityMatrix, TripartitePureState, bell_state, ghz_state
+
+from conftest import gaussian_unit_vector
 
 ALL_EXAMPLES = ["bell", "ghz", "maximally-mixed", "werner-holevo", "wh-choi", "flagged-depolarizing"]
 
@@ -223,6 +226,12 @@ def test_sample_bad_spec(capsys):
     assert "d_E < d_B" in err
 
 
+def test_sample_with_an_unallocatable_size_exits_2(capsys):
+    code, out, err = run_cli(capsys, "sample", "2", "1" + "0" * 30, "1", "1")
+    assert code == 2 and out == ""
+    assert "exceeds the largest array size" in err
+
+
 def test_sample_csv(capsys):
     code, out, _ = run_cli(capsys, "sample", "2", "3", "2", "4", "--format", "csv")
     assert code == 0
@@ -349,3 +358,35 @@ def test_witness_solver_failure_exits_3(tmp_path, capsys, monkeypatch):
     code, out, err = run_cli(capsys, "analyze", path)
     assert code == 3 and out == ""
     assert "did not converge" in err
+
+
+def test_eigensolver_calls_per_command(tmp_path, capsys, monkeypatch):
+    # the documents of the docs-large benchmark workload: a Haar (8,8,16) pure
+    # state and rho_AB of a Haar (4,16,8) state
+    rng = np.random.default_rng(0)
+    psi = TripartitePureState((8, 8, 16), gaussian_unit_vector(rng, 1024))
+    pure = write_state(tmp_path, "haar.json", psi.to_json_dict())
+    m = gaussian_unit_vector(rng, 512).reshape(64, 8)
+    gram = m @ m.conj().T
+    rho = DensityMatrix((4, 16), (gram + gram.conj().T) / 2)
+    mixed = write_state(tmp_path, "ab.json", rho.to_json_dict())
+    calls = Counter()
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    for args, want in (
+        # three marginals, AB and AE, two partial transposes, the basis batch
+        (("analyze", pure), {"eigvalsh": 8}),
+        # input validation, the filtered state and rho's rank; the side marginal with vectors
+        (("filter", mixed, "--side", "A"), {"eigh": 1, "eigvalsh": 3}),
+        (("filter", mixed, "--side", "B"), {"eigh": 1, "eigvalsh": 3}),
+    ):
+        calls.clear()
+        assert run_cli(capsys, *args)[0] == 0
+        assert dict(calls) == want, args

@@ -504,6 +504,12 @@ def test_classify_eigensolver_count(monkeypatch):
     assert 0 < len(calls) <= 10
 
 
+def test_classify_rejects_a_negative_budget_before_any_search():
+    # the GHZ state runs no witness search, so only the check at the top can fire
+    with pytest.raises(BadParameterError, match="budget must be >= 0, got -1"):
+        classify(ghz_state(), witness_budget=-1)
+
+
 def test_report_separability_matches_separability_verdict():
     for seed, dims in enumerate([(2, 4, 3), (3, 3, 3), (2, 2, 5), (3, 4, 2)]):
         psi = haar_state(dims, seed)

@@ -9,6 +9,7 @@ code under test.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,11 +17,12 @@ from lrdistill import (
     DensityMatrix,
     TripartitePureState,
     classify,
+    local_filter,
     purify,
     separability_verdict,
 )
 
-from conftest import gaussian_unit_vector, random_isometry
+from conftest import gaussian_unit_vector, random_density, random_isometry, random_separable
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -30,12 +32,7 @@ def separable_states(draw):
     d_a, d_b = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     r = draw(st.integers(1, min(d_a, d_b)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    weights = 1.0 + rng.random(r)  # no term is negligible against another
-    mat = np.zeros((d_a * d_b, d_a * d_b), dtype=complex)
-    for p in weights / weights.sum():
-        v = np.kron(gaussian_unit_vector(rng, d_a), gaussian_unit_vector(rng, d_b))
-        mat += p * np.outer(v, v.conj())
-    return DensityMatrix((d_a, d_b), mat)
+    return random_separable(rng, d_a, d_b, r)
 
 
 @PROPERTY
@@ -99,3 +96,36 @@ def test_classify_decisions_are_invariant_under_local_unitaries(psi, seed):
     )
     rotated = TripartitePureState(psi.dims, amps.reshape(-1))
     assert _decisions(classify(rotated)) == _decisions(classify(psi))
+
+
+def _swap(rho):
+    """rho with its two tensor factors exchanged, in plain numpy."""
+    d_a, d_b = rho.dims
+    mat = rho.matrix.reshape(d_a, d_b, d_a, d_b).transpose(1, 0, 3, 2)
+    return DensityMatrix((d_b, d_a), mat.reshape(d_a * d_b, d_a * d_b))
+
+
+_SWAP_STATES = [
+    *(pytest.param(random_separable(np.random.default_rng(seed), *dims), id=f"separable{dims}")
+      for seed, dims in enumerate([(2, 3, 2), (3, 4, 3), (4, 2, 1), (3, 3, 2)])),
+    *(pytest.param(random_density(*dims, seed), id=f"induced{dims}")
+      for seed, dims in enumerate([(2, 4, 3), (4, 2, 3), (3, 3, 2), (2, 3, 6)])),
+]
+
+
+@pytest.mark.parametrize("rho", _SWAP_STATES)
+def test_swapping_a_and_b_maps_side_a_results_onto_side_b(rho):
+    swapped = _swap(rho)
+    for side, other in (("A", "B"), ("B", "A")):
+        got, want = local_filter(swapped, other), local_filter(rho, side)
+        assert (got.rank, got.rank_side) == (want.rank, want.rank_side)
+        for field in ("p_succ", "lambda_min", "hashing_rate"):
+            assert abs(getattr(got, field) - getattr(want, field)) <= 1e-12, field
+        assert abs(want.p_succ - want.lambda_min * want.rank_side) <= 1e-12
+    got, want = separability_verdict(swapped), separability_verdict(rho)
+    assert (got.rank, got.rank_a, got.rank_b) == (want.rank, want.rank_b, want.rank_a)
+    assert (got.rank_e, got.ppt.is_ppt) == (want.rank_e, want.ppt.is_ppt)
+    assert got.verdict == want.verdict
+    for a, b in ((got.low_rank_bound_a, want.low_rank_bound_b),
+                 (got.low_rank_bound_b, want.low_rank_bound_a)):
+        assert (a is None and b is None) or abs(a - b) <= 1e-12

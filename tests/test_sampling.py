@@ -91,6 +91,12 @@ def test_ensemble_spec_validation():
         sample_pure(True, 2.9, 2)
 
 
+def test_sample_pure_rejects_an_unallocatable_size_before_drawing():
+    # d_A d_B d_E = 2e30 > the largest intp; nothing of that size is ever allocated
+    with pytest.raises(EnsembleSpecError, match="exceeds the largest array size"):
+        sample_pure(2, 10**30, 1)
+
+
 def test_experiment_requires_small_environment():
     with pytest.raises(EnsembleSpecError):
         run_experiment(EnsembleSpec(d_a=2, d_b=4, d_e=4, n_samples=10))
@@ -168,7 +174,7 @@ def test_experiment_solver_calls(monkeypatch):
     # rho_B, and the Schmidt-rank batch, which is also the witness search's
     # basis batch
     assert calls["eigh"] == 0 and calls["svd"] == 0
-    assert calls["eigvalsh"] <= 4 * 10
+    assert calls["eigvalsh"] == 4 * 10
 
 
 def test_experiment_csv_columns_are_the_json_fields():
