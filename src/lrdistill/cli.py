@@ -17,7 +17,6 @@ from . import __version__
 from .channels import channel_from_dict, flagged_depolarizing_channel, werner_holevo_channel
 from .distill import DEFAULT_WITNESS_BUDGET, classify, local_filter
 from .errors import (
-    BadParameterError,
     InputError,
     LrdistillError,
     RankNotLowError,
@@ -49,19 +48,14 @@ _EXAMPLES = {
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run's settings; the library checks each one where it applies it."""
+
     rank_tol: float = DEFAULT_RANK_TOL
     ppt_tol: float = DEFAULT_PPT_TOL
     seed: int = 0
     witness_budget: int = DEFAULT_WITNESS_BUDGET
     fmt: str = "json"
     output: str | None = None
-
-    def __post_init__(self):
-        # Tolerances are checked where they are applied, in the library.
-        if self.witness_budget < 0:
-            raise BadParameterError("witness budget must be >= 0")
-        if self.seed < 0:
-            raise BadParameterError("seed must be >= 0")
 
     def to_json_dict(self) -> dict:
         return {
@@ -158,17 +152,9 @@ def _dump_json(payload: dict) -> str:
 
 def _cmd_analyze(args, config: RunConfig) -> str:
     kind, state = _load_state(args.state_file)
-    if isinstance(state, TripartitePureState):
-        psi = state
-    else:
-        psi = purify(state, config.rank_tol)
-    report = classify(
-        psi,
-        rank_tol=config.rank_tol,
-        ppt_tol=config.ppt_tol,
-        witness_budget=config.witness_budget,
-        seed=config.seed,
-    )
+    psi = state if isinstance(state, TripartitePureState) else purify(state, config.rank_tol)
+    report = classify(psi, rank_tol=config.rank_tol, ppt_tol=config.ppt_tol,
+                      witness_budget=config.witness_budget, seed=config.seed)
     separability = report.separability_ab()
     if config.fmt == "pretty":
         lines = [

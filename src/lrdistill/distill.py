@@ -39,6 +39,7 @@ from .states import (
     is_ppt,
     partial_trace,
     purify,
+    validated_seed,
 )
 
 Side = Literal["A", "B"]
@@ -140,13 +141,12 @@ def local_filter(
         op = np.kron(y, np.eye(rho.dims[1]))
     else:
         op = np.kron(np.eye(rho.dims[0]), y)
-    unnormalized = op @ rho.matrix @ op.conj().T
-    p_succ = float(unnormalized.trace().real)
-    filtered = DensityMatrix._trusted(rho.dims, unnormalized / p_succ)
-    # Rounding in Y rho Y^dagger grows with 1 / p_succ, so read the Hermitian part.
+    u = op @ rho.matrix @ op.conj().T
+    p_succ = float(u.trace().real)
+    # Rounding in Y rho Y^dagger grows with 1 / p_succ; store its exactly Hermitian part.
+    filtered = DensityMatrix._trusted(rho.dims, (u + u.conj().T) / (2.0 * p_succ))
     # The filtered marginal is support_projector / r_side, of entropy log2(r_side).
-    m = filtered.matrix
-    s_filtered = hermitian_eig((m + m.conj().T) / 2.0, rank_tol, vectors=False).entropy()
+    s_filtered = hermitian_eig(filtered.matrix, rank_tol, vectors=False).entropy()
     return FilterOutcome(
         side=side,
         filter_operator=y,
@@ -267,6 +267,7 @@ def find_one_way_witness(
     one-way rate. ``found = False`` is inconclusive by itself.
     """
     _require_bipartite(rho, "one-way witness search")
+    seed = validated_seed(seed, sequence=True)
     psi = purify(rho, rank_tol)
     r = psi.dims[2]  # the purifying register has dimension rank(rho)
     r_b = hermitian_eig(partial_trace(rho, (1,)).matrix, rank_tol, vectors=False).rank
@@ -291,11 +292,8 @@ def _witness_search(
     phi, trials = _saturation_search(
         factor, gram_ranks(factor, rank_tol), r, budget, np.random.default_rng(seed), rank_tol
     )
-    if phi is None:
-        return WitnessSearchOutcome(
-            True, False, None, trials, note="budget exhausted without certificate"
-        )
-    return WitnessSearchOutcome(True, True, phi, trials)
+    note = None if phi is not None else "budget exhausted without certificate"
+    return WitnessSearchOutcome(True, phi is not None, phi, trials, note)
 
 
 @dataclass(frozen=True, eq=False)
@@ -382,15 +380,11 @@ class DistillabilityReport:
         }
 
     def separability_ab(self) -> "SeparabilityRecord":
-        """``separability_verdict`` of rho_AB, read off this report.
-
-        |psi> purifies rho_AB, so its AE and E ranks are those of the
-        canonical purification that ``separability_verdict`` builds.
-        """
-        ab, ae = self.reduction_ab, self.reduction_ae
+        """``separability_verdict`` of rho_AB, read off this report's AB reduction."""
+        ab = self.reduction_ab
         return SeparabilityRecord(
-            ab.dims, ab.rank, ab.rank_first, ab.rank_second, ae.rank, ae.rank_second,
-            ab.ppt, ab.low_rank_bound_first, ab.low_rank_bound_second,
+            ab.dims, ab.rank, ab.rank_first, ab.rank_second, ab.ppt,
+            ab.low_rank_bound_first, ab.low_rank_bound_second,
         )
 
 
@@ -400,17 +394,19 @@ def _analyze_reduction(
     factor: np.ndarray,
     first: HermitianSpectrum,
     second: HermitianSpectrum,
+    third: HermitianSpectrum,
     rank_tol: float,
     ppt_tol: float,
     witness_budget: int,
     seedseq: np.random.SeedSequence,
 ) -> ReductionAnalysis:
-    """Analysis of the reduction ``rho`` of the parties in ``label``, from its marginal spectra.
+    """Analysis of the reduction ``rho`` of the parties in ``label``, from one-party spectra.
 
-    ``factor`` is the amplitude tensor with rho = F F^dagger that the witness search ranks.
+    ``first`` and ``second`` are rho's marginals; ``third``, the remaining
+    party, has rho's nonzero spectrum (Schmidt duality), so rho is never
+    diagonalized. ``factor`` is the amplitude tensor with rho = F F^dagger.
     """
-    state = hermitian_eig(rho.matrix, rank_tol, vectors=False)
-    r, r_first, r_second = state.rank, first.rank, second.rank
+    r, r_first, r_second = third.rank, first.rank, second.rank
     if r < r_second:
         witness = _witness_search(factor, r, witness_budget, seedseq, rank_tol)
     else:
@@ -426,7 +422,7 @@ def _analyze_reduction(
         ppt=is_ppt(rho, ppt_tol),
         low_rank_bound_first=_marginal_bound(r, first),
         low_rank_bound_second=_marginal_bound(r, second),
-        hashing_rate=second.entropy() - state.entropy(),
+        hashing_rate=second.entropy() - third.entropy(),
         witness=witness,
     )
 
@@ -448,37 +444,36 @@ def classify(
     both-one-way configuration is reported positive only when a one-way
     certificate (witness vector or positive hashing rate) exists, and unknown
     otherwise.
+
+    Only the one-party marginals A, B and E are diagonalized: rho_AB has
+    rho_E's nonzero spectrum and rho_AE rho_B's, so the AE hashing rate
+    S(E) - S(B) is exactly minus the AB one.
     """
     if witness_budget < 0:
         raise BadParameterError(f"budget must be >= 0, got {witness_budget}")
+    seed = validated_seed(seed)
     marginals = [hermitian_eig(psi.reduction((k,)).matrix, rank_tol, vectors=False)
                  for k in range(3)]
     amps = psi.amplitudes.reshape(psi.dims)
     red_ab, red_ae = (
         _analyze_reduction(
-            label, psi.reduction((0, k)), factor, marginals[0], marginals[k], rank_tol,
-            ppt_tol, witness_budget, np.random.SeedSequence(entropy=seed, spawn_key=(k - 1,)),
+            label, psi.reduction((0, k)), factor, marginals[0], marginals[k], marginals[3 - k],
+            rank_tol, ppt_tol, witness_budget,
+            np.random.SeedSequence(entropy=seed, spawn_key=(k - 1,)),
         )
         for k, label, factor in ((1, "AB", amps), (2, "AE", amps.swapaxes(1, 2)))
     )
     both_ppt = red_ab.ppt.is_ppt and red_ae.ppt.is_ppt
     npt = tuple(red.label for red in (red_ab, red_ae) if not red.ppt.is_ppt)
+    keys = ("both_two_way", "ab_two_way_ae_one_way", "ab_one_way_ae_two_way", "both_one_way")
     if both_ppt:
-        rates = {key: RATE_ZERO for key in (
-            "both_two_way", "ab_two_way_ae_one_way", "ab_one_way_ae_two_way", "both_one_way",
-        )}
+        rates = dict.fromkeys(keys, RATE_ZERO)
         classification = CLASS_FULLY_UNDISTILLABLE
     else:
-        one_way_evidence = any(
-            red.witness.found or red.hashing_rate > POSITIVE_RATE_TOL
-            for red in (red_ab, red_ae)
-        )
-        rates = {
-            "both_two_way": RATE_POSITIVE,
-            "ab_two_way_ae_one_way": RATE_POSITIVE,
-            "ab_one_way_ae_two_way": RATE_POSITIVE,
-            "both_one_way": RATE_POSITIVE if one_way_evidence else RATE_UNKNOWN,
-        }
+        rates = dict.fromkeys(keys, RATE_POSITIVE)
+        if not any(red.witness.found or red.hashing_rate > POSITIVE_RATE_TOL
+                   for red in (red_ab, red_ae)):
+            rates["both_one_way"] = RATE_UNKNOWN
         classification = CLASS_SOME_2WAY
     return DistillabilityReport(
         dims=psi.dims,
@@ -506,15 +501,21 @@ class SeparabilityRecord:
     rank: int
     rank_a: int
     rank_b: int
-    rank_ae: int
-    rank_e: int
     ppt: PptVerdict
     low_rank_bound_a: float | None
     low_rank_bound_b: float | None
 
     @property
+    def rank_e(self) -> int:
+        return self.rank  # E of any purification has rho's nonzero spectrum
+
+    @property
+    def rank_ae(self) -> int:
+        return self.rank_b  # and AE has rho_B's
+
+    @property
     def rank_pattern_holds(self) -> bool:
-        """rank(AB) = rank(E) <= rank(AE) = rank(B)."""
+        """rank(AB) = rank(E) <= rank(AE) = rank(B), i.e. rank(AB) <= rank(B)."""
         return self.rank == self.rank_e <= self.rank_ae == self.rank_b
 
     @property
@@ -549,17 +550,14 @@ def separability_verdict(
     """Classify a bipartite state through its rank regime and PPT verdict.
 
     Also reports whether the complement rank pattern
-    rank(AB) = rank(E) <= rank(AE) = rank(B) holds for the canonical
-    purification.
+    rank(AB) = rank(E) <= rank(AE) = rank(B) holds for a purification; its
+    E and AE ranks are rank(AB) and rank(B), so no purification is built.
     """
     _require_bipartite(rho, "separability verdict")
-    psi = purify(rho, rank_tol)
-    r = psi.dims[2]  # the purifying register has dimension rank(rho)
+    r = hermitian_eig(rho.matrix, rank_tol, vectors=False).rank
     spec_a, spec_b = (hermitian_eig(partial_trace(rho, (k,)).matrix, rank_tol, vectors=False)
                       for k in (0, 1))
-    r_ae, r_e = (hermitian_eig(psi.reduction(keep).matrix, rank_tol, vectors=False).rank
-                 for keep in ((0, 2), (2,)))
     return SeparabilityRecord(
-        rho.dims, r, spec_a.rank, spec_b.rank, r_ae, r_e, is_ppt(rho, ppt_tol),
+        rho.dims, r, spec_a.rank, spec_b.rank, is_ppt(rho, ppt_tol),
         _marginal_bound(r, spec_a), _marginal_bound(r, spec_b),
     )

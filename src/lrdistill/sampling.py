@@ -19,7 +19,8 @@ import numpy as np
 from .distill import _saturation_search
 from .errors import EnsembleSpecError
 from .kernels import DEFAULT_RANK_TOL, gram_ranks, hermitian_eig, validated_tolerance
-from .states import DensityMatrix, TripartitePureState, partial_trace, validated_dimension
+from .states import (DensityMatrix, TripartitePureState, partial_trace, validated_dimension,
+                     validated_seed)
 
 
 def sample_pure(
@@ -35,7 +36,7 @@ def sample_pure(
     n = dims[0] * dims[1] * dims[2]
     if n > np.iinfo(np.intp).max:
         raise EnsembleSpecError(f"d_A * d_B * d_E = {n} exceeds the largest array size")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(validated_seed(seed, EnsembleSpecError, sequence=True))
     amp = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return TripartitePureState(dims, amp / np.linalg.norm(amp))
 
@@ -64,6 +65,7 @@ class EnsembleSpec:
             value = validated_dimension(getattr(self, name), name, EnsembleSpecError)
             object.__setattr__(self, name, value)
         validated_tolerance(self.rank_tol, "rank_tol", EnsembleSpecError)
+        object.__setattr__(self, "seed", validated_seed(self.seed, EnsembleSpecError))
 
     def to_json_dict(self) -> dict:
         return {

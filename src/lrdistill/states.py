@@ -17,7 +17,8 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InputError, NotNormalizedError, StateFormatError, SubsystemError
+from .errors import (BadParameterError, InputError, NotNormalizedError, StateFormatError,
+                     SubsystemError)
 from .kernels import (DEFAULT_RANK_TOL, HERMITICITY_TOL, gram_ranks, hermitian_eig,
                       validated_tolerance)
 
@@ -39,6 +40,15 @@ def validated_dimension(value, field: str, error: type[InputError] = StateFormat
     )
     if isinstance(value, bool) or not integral or value < 1:
         raise error(f"{field} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
+def validated_seed(value, error: type[InputError] = BadParameterError, *, sequence: bool = False):
+    """``value`` as a PRNG seed: an integer >= 0, not a bool; also a SeedSequence if ``sequence``."""
+    if sequence and isinstance(value, np.random.SeedSequence):
+        return value
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < 0:
+        raise error(f"seed must be an integer >= 0, got {value!r}")
     return int(value)
 
 

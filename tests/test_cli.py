@@ -141,11 +141,19 @@ BAD_TOLERANCE_ARGS = {
        for v in ("nan", "2")},
 }
 
+#: A negative seed or budget, which the library rejects where it consumes the value.
+BAD_SEED_AND_BUDGET_ARGS = {
+    f"{cmd[0]}-{flag[2:]}-negative": (*cmd, flag, "-1")
+    for cmd in (("analyze", "DOC"), ("sample", "2", "4", "3", "2"))
+    for flag in ("--seed", "--budget")
+}
+
 #: case -> (document, argv): every one must exit 2 with nothing on stdout.
 FUZZ_CASES = {
     **{f"{name}-{argv[0]}": (doc, argv) for name, doc in MALFORMED_DOCS.items()
        for argv in (("analyze", "DOC"), ("filter", "DOC", "--side", "A"))},
-    **{name: (GHZ_DOC, argv) for name, argv in BAD_TOLERANCE_ARGS.items()},
+    **{name: (GHZ_DOC, argv)
+       for name, argv in {**BAD_TOLERANCE_ARGS, **BAD_SEED_AND_BUDGET_ARGS}.items()},
 }
 
 
@@ -381,8 +389,8 @@ def test_eigensolver_calls_per_command(tmp_path, capsys, monkeypatch):
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     for args, want in (
-        # three marginals, AB and AE, two partial transposes, the basis batch
-        (("analyze", pure), {"eigvalsh": 8}),
+        # the three one-party marginals, two partial transposes, the basis batch
+        (("analyze", pure), {"eigvalsh": 6}),
         # input validation, the filtered state and rho's rank; the side marginal with vectors
         (("filter", mixed, "--side", "A"), {"eigh": 1, "eigvalsh": 3}),
         (("filter", mixed, "--side", "B"), {"eigh": 1, "eigvalsh": 3}),

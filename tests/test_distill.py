@@ -1,3 +1,4 @@
+from collections import Counter
 from functools import partial
 
 import numpy as np
@@ -380,7 +381,7 @@ def test_exhausted_search_eigensolver_count(monkeypatch):
     assert not out.found and out.trials_used == 2003
     # purification, the B marginal, the basis batch and 32 Haar batches (one
     # solve per trial before batching: 2005)
-    assert len(calls) <= 40
+    assert Counter(calls) == {"eigh": 1, "eigvalsh": 34}
 
 
 def test_search_solver_failure_is_non_convergence(monkeypatch):
@@ -500,8 +501,57 @@ def haar_state(dims, seed):
 def test_classify_eigensolver_count(monkeypatch):
     calls = count_eigensolves(monkeypatch)
     classify(haar_state((2, 4, 3), 0))
-    # rho_AB, rho_AE, rho_A, rho_B, rho_E, two partial transposes, witness trials
-    assert 0 < len(calls) <= 10
+    # rho_A, rho_B, rho_E, two partial transposes and the AB witness search's basis batch
+    assert calls == ["eigvalsh"] * 6
+
+
+def test_only_the_one_party_marginals_are_diagonalized(monkeypatch):
+    # rho_AB and rho_AE take their spectra from rho_E and rho_B, so the
+    # reduction analysis itself diagonalizes nothing
+    shapes = []
+    real = distill.hermitian_eig
+
+    def recorded(m, *args, **kwargs):
+        shapes.append(np.shape(m))
+        return real(m, *args, **kwargs)
+
+    monkeypatch.setattr(distill, "hermitian_eig", recorded)
+    classify(haar_state((2, 4, 3), 0))
+    assert shapes == [(2, 2), (4, 4), (3, 3)]
+
+
+def test_separability_verdict_builds_no_purification(monkeypatch):
+    rho = haar_state((8, 8, 16), 0).reduction((0, 1))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(distill, "purify", forbidden)
+    monkeypatch.setattr(TripartitePureState, "reduction", forbidden)
+    calls = count_eigensolves(monkeypatch)
+    record = separability_verdict(rho)
+    # rho, rho_A, rho_B and the partial transpose
+    assert calls == ["eigvalsh"] * 4
+    assert (record.rank, record.rank_a, record.rank_b) == (16, 8, 8)
+    assert (record.rank_e, record.rank_ae) == (16, 8)
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, True, "0", None, np.random.SeedSequence(0)])
+def test_classify_rejects_a_bad_seed(seed):
+    with pytest.raises(BadParameterError, match="seed must be an integer >= 0"):
+        classify(ghz_state(), seed=seed)
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, True, "0", None])
+def test_witness_search_rejects_a_bad_seed(seed):
+    with pytest.raises(BadParameterError, match="seed must be an integer >= 0"):
+        find_one_way_witness(tilted_state(), seed=seed)
+
+
+def test_integral_seeds_and_seed_sequences_are_accepted():
+    params = classify(ghz_state(), seed=np.int64(3)).to_json_dict()["params"]
+    assert type(params["seed"]) is int and params["seed"] == 3
+    assert find_one_way_witness(tilted_state(), seed=np.random.SeedSequence(4)).found
 
 
 def test_classify_rejects_a_negative_budget_before_any_search():

@@ -2,7 +2,8 @@
 
 Discrete fields (ranks, verdicts, rate statuses, flags, ``trials_used``) must
 match exactly; floats must match within 1e-12. ``golden/build_corpus.py``
-describes how the corpus was made.
+describes how the corpus was made. Every JSON report, and every ``example``
+document, must also survive a strict JSON round trip.
 """
 
 import json
@@ -12,6 +13,10 @@ import re
 import pytest
 
 from golden.build_corpus import HERE, run_case
+from lrdistill import ChoiChannel, TripartitePureState
+from lrdistill.channels import channel_from_dict
+from lrdistill.cli import _EXAMPLES, build_parser
+from lrdistill.states import state_from_dict
 
 FLOAT_TOL = 1e-12
 
@@ -80,3 +85,37 @@ def test_comparison_catches_a_changed_field():
             assert_json_close(got, want)
     with pytest.raises(AssertionError):
         assert_text_close("rank=3 rate=0.5\n", "rank=2 rate=0.5\n")
+
+
+#: Every CLI call whose stdout is a JSON document: the golden JSON cases and each example.
+JSON_CALLS = {
+    **{name: argv for name, argv in CASES.items() if "--format" not in argv},
+    **{f"example_{name}": ["example", name] for name in _EXAMPLES},
+}
+
+
+@pytest.mark.parametrize("name", sorted(JSON_CALLS))
+def test_json_output_round_trips_byte_for_byte(name):
+    code, text = run_case(JSON_CALLS[name])
+    assert code == 0
+    doc = json.loads(text, parse_constant=_reject_constant)
+    assert json.dumps(doc, indent=2) + "\n" == text
+
+
+def _arrays(obj):
+    """The dimensions and the bytes of the arrays that define a state or channel."""
+    if isinstance(obj, ChoiChannel):
+        return (obj.d_in, obj.d_out, *_arrays(obj.choi))
+    if isinstance(obj, TripartitePureState):
+        return obj.dims, obj.amplitudes.tobytes()
+    return obj.dims, obj.matrix.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(_EXAMPLES))
+def test_every_example_reloads_to_bit_equal_arrays(name):
+    argv = ["example", name]
+    code, text = run_case(argv)
+    assert code == 0
+    doc = json.loads(text)
+    loaded = channel_from_dict(doc) if "choi" in doc else state_from_dict(doc)
+    assert _arrays(loaded) == _arrays(_EXAMPLES[name](build_parser().parse_args(argv)))

@@ -22,7 +22,17 @@ from lrdistill import (
     separability_verdict,
 )
 
-from conftest import gaussian_unit_vector, random_density, random_isometry, random_separable
+from lrdistill.states import bell_state, maximally_mixed
+
+from conftest import (
+    gaussian_unit_vector,
+    loop_partial_trace,
+    numerical_rank,
+    random_choi,
+    random_density,
+    random_isometry,
+    random_separable,
+)
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -129,3 +139,68 @@ def test_swapping_a_and_b_maps_side_a_results_onto_side_b(rho):
     for a, b in ((got.low_rank_bound_a, want.low_rank_bound_b),
                  (got.low_rank_bound_b, want.low_rank_bound_a)):
         assert (a is None and b is None) or abs(a - b) <= 1e-12
+
+
+# --- Schmidt duality: a reduction of a pure state and its complementary marginal ---
+
+
+@st.composite
+def haar_states(draw):
+    dims = draw(st.tuples(*[st.integers(1, 4)] * 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return TripartitePureState(dims, gaussian_unit_vector(rng, int(np.prod(dims))))
+
+
+def _entropy(m, rank_tol=1e-10):
+    """-sum lam log2 lam over the eigenvalues above rank_tol * lambda_max, in plain numpy."""
+    lams = np.linalg.eigvalsh(m)
+    kept = lams[lams > rank_tol * lams[-1]]
+    return float(-np.sum(kept * np.log2(kept)))
+
+
+def _oracle_reductions(vector, dims):
+    """Reductions of |v><v| by explicit index summation, keyed by the parties kept."""
+    full = np.outer(vector, vector.conj())
+    return {label: loop_partial_trace(full, dims, keep)
+            for label, keep in (("AB", (0, 1)), ("AE", (0, 2)), ("B", (1,)), ("E", (2,)))}
+
+
+@PROPERTY
+@given(psi=st.one_of(tripartite_states(), haar_states()))
+def test_classify_ranks_and_rates_match_the_two_party_reductions(psi):
+    red = _oracle_reductions(psi.amplitudes, psi.dims)
+    report = classify(psi)
+    ab, ae = report.reduction_ab, report.reduction_ae
+    assert (ab.rank, ae.rank) == (numerical_rank(red["AB"]), numerical_rank(red["AE"]))
+    assert abs(ab.hashing_rate - (_entropy(red["B"]) - _entropy(red["AB"]))) <= 1e-12
+    assert abs(ae.hashing_rate - (_entropy(red["E"]) - _entropy(red["AE"]))) <= 1e-12
+    # I(A>E) = S(E) - S(AE) = S(AB) - S(B) = -I(A>B)
+    assert ae.hashing_rate == -ab.hashing_rate
+
+
+def _purification(rho):
+    """|psi> on A B E with E a copy of AB: sum_k sqrt(lam_k) |v_k>|k>, from one eigh."""
+    lams, vecs = np.linalg.eigh(rho.matrix)
+    amps = vecs * np.sqrt(np.clip(lams, 0.0, None))
+    return amps.ravel(), (*rho.dims, rho.dim)
+
+
+_MIXED_STATES = [
+    pytest.param(random_separable(np.random.default_rng(3), 2, 3, 2), id="separable(2,3,2)"),
+    pytest.param(random_separable(np.random.default_rng(4), 3, 3, 3), id="separable(3,3,3)"),
+    pytest.param(random_density(2, 3, 2, 5), id="induced(2,3,2)"),
+    pytest.param(random_density(3, 2, 4, 6), id="induced(3,2,4)"),
+    pytest.param(random_choi(2, 3, 2, 7), id="choi(2,3,2)"),
+    pytest.param(random_choi(2, 2, 3, 8), id="choi(2,2,3)"),
+    pytest.param(bell_state(), id="bell"),
+    pytest.param(maximally_mixed((2, 3)), id="maximally-mixed(2,3)"),
+]
+
+
+@pytest.mark.parametrize("rho", _MIXED_STATES)
+def test_separability_ranks_of_e_and_ae_match_a_purification(rho):
+    record = separability_verdict(rho)
+    red = _oracle_reductions(*_purification(rho))
+    assert record.rank == numerical_rank(rho.matrix)
+    assert (record.rank_e, record.rank_ae) == (numerical_rank(red["E"]), numerical_rank(red["AE"]))
+    assert record.rank_pattern_holds == (numerical_rank(red["E"]) <= numerical_rank(red["AE"]))

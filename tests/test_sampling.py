@@ -91,6 +91,21 @@ def test_ensemble_spec_validation():
         sample_pure(True, 2.9, 2)
 
 
+@pytest.mark.parametrize("seed", [-1, 2.5, True, "0", None])
+def test_a_bad_seed_is_an_ensemble_spec_error(seed):
+    with pytest.raises(EnsembleSpecError, match="seed must be an integer >= 0"):
+        EnsembleSpec(d_a=2, d_b=4, d_e=3, n_samples=2, seed=seed)
+    with pytest.raises(EnsembleSpecError, match="seed must be an integer >= 0"):
+        sample_pure(2, 4, 3, seed)
+
+
+def test_an_ensemble_seed_is_an_integer_not_a_seed_sequence():
+    # sample_pure takes a SeedSequence; the spec derives one per sample from its integer
+    with pytest.raises(EnsembleSpecError, match="seed must be an integer >= 0"):
+        EnsembleSpec(d_a=2, d_b=4, d_e=3, n_samples=2, seed=np.random.SeedSequence(0))
+    assert EnsembleSpec(d_a=2, d_b=4, d_e=3, n_samples=2, seed=np.uint8(3)).seed == 3
+
+
 def test_sample_pure_rejects_an_unallocatable_size_before_drawing():
     # d_A d_B d_E = 2e30 > the largest intp; nothing of that size is ever allocated
     with pytest.raises(EnsembleSpecError, match="exceeds the largest array size"):

@@ -7,6 +7,8 @@ above and below that cutoff in a random basis, so the expected ranks come
 from the construction, with a margin far above the eigensolver's rounding.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -28,9 +30,10 @@ from lrdistill import (
     von_neumann_entropy,
     werner_holevo_channel,
 )
+from lrdistill.cli import main
 from lrdistill.errors import BadParameterError
 from lrdistill.kernels import gram_ranks
-from lrdistill.states import ghz_state
+from lrdistill.states import ghz_state, state_from_dict
 
 from conftest import random_density, random_isometry
 
@@ -124,18 +127,48 @@ def test_gram_and_schmidt_ranks_at_the_cutoff_edge(tol, shape):
     assert schmidt_rank(vector, shape, tol) == _expected_rank(lams, tol)
 
 
-@pytest.mark.parametrize("side", ["A", "B"])
-@pytest.mark.parametrize("tol", EDGE_TOLS)
-def test_local_filter_rank_side_and_lambda_min_at_the_cutoff_edge(tol, side):
-    # sum_i sqrt(p_i) U_A|i> U_B|i>: both marginals have spectrum p
+def _edge_state(tol):
+    """sum_i sqrt(p_i) U_A|i> U_B|i>: both marginals have the edge spectrum p."""
     p = _edge_spectrum(tol) / _edge_spectrum(tol).sum()
     rng = np.random.default_rng(7)
     u_a, u_b = (random_isometry(rng, p.size, p.size) for _ in range(2))
     psi = ((u_a * np.sqrt(p)) @ u_b.T).ravel()
-    rho = DensityMatrix((p.size, p.size), np.outer(psi, psi.conj()))
+    return p, DensityMatrix((p.size, p.size), np.outer(psi, psi.conj()))
+
+
+@pytest.mark.parametrize("side", ["A", "B"])
+@pytest.mark.parametrize("tol", EDGE_TOLS)
+def test_local_filter_rank_side_and_lambda_min_at_the_cutoff_edge(tol, side):
+    p, rho = _edge_state(tol)
     out = local_filter(rho, side, tol)
     assert out.rank_side == _expected_rank(p, tol)
     assert out.lambda_min == pytest.approx(p[2], rel=1e-4)
     # p_succ ~ 1e-10 amplifies rounding in the filtered state; it is pure, so
     # the rate is p_succ * log2(r_side)
     assert out.hashing_rate == pytest.approx(out.p_succ * np.log2(3), rel=1e-9)
+
+
+@pytest.mark.parametrize("side", ["A", "B"])
+@pytest.mark.parametrize("tol", EDGE_TOLS)
+def test_the_filtered_state_is_exactly_hermitian_at_the_cutoff_edge(tol, side):
+    # Y rho Y^dagger / p_succ carries rounding of order eps / p_succ, 1.7e-8 of
+    # asymmetry at p_succ ~ 2e-10, more than the eigensolver's Hermiticity check allows
+    filtered = local_filter(_edge_state(tol)[1], side, tol).filtered_state
+    m = filtered.matrix
+    assert np.array_equal(m, m.conj().T)
+    assert np.isfinite(von_neumann_entropy(filtered, tol))
+
+
+@pytest.mark.parametrize("side", ["A", "B"])
+def test_the_filter_report_reloads_to_the_bit_equal_filtered_state(tmp_path, capsys, side):
+    # At rank_tol 1e-10 (p_succ ~ 2e-10) the reloaded state would fail the
+    # positivity floor instead: see README, Report schemas.
+    rho = _edge_state(1e-6)[1]
+    path = tmp_path / "rho.json"
+    path.write_text(json.dumps(rho.to_json_dict()))
+    assert main(["filter", str(path), "--side", side, "--rank-tol", "1e-6"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    loaded = state_from_dict(doc["filter"]["filtered_state"])
+    want = local_filter(rho, side, 1e-6).filtered_state
+    assert loaded.dims == want.dims
+    assert loaded.matrix.tobytes() == want.matrix.tobytes()
