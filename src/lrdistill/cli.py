@@ -9,13 +9,16 @@ reproducible from the report alone.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, fields
+from itertools import chain
+from math import isfinite
 
 from . import __version__
 from .channels import channel_from_dict, flagged_depolarizing_channel, werner_holevo_channel
-from .distill import DEFAULT_WITNESS_BUDGET, classify, local_filter
+from .distill import DEFAULT_WITNESS_BUDGET, classify, local_filter, validated_budget
 from .errors import (
     InputError,
     LrdistillError,
@@ -33,6 +36,7 @@ from .states import (
     maximally_mixed,
     purify,
     state_from_dict,
+    validated_seed,
 )
 
 #: ``example`` name -> the object whose JSON document it emits, in ``--help`` order.
@@ -89,7 +93,9 @@ def _add_flags(sub: argparse.ArgumentParser, *names: str, formats: tuple[str, ..
     sub.add_argument("--output", default=None, help="write output to file instead of stdout")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by every later ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="lrdistill",
         description="Distillability bounds, local filtering, and PPT classification "
@@ -147,10 +153,59 @@ def _load_state(path: str) -> tuple[str, DensityMatrix | TripartitePureState]:
 
 
 def _dump_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    """``json.dumps(payload, indent=2) + "\\n"``, byte for byte, for any JSON value."""
+    return _indented(payload, "\n") + "\n"
+
+
+def _indented(value, nl: str) -> str:
+    """``value`` as ``json.dumps(value, indent=2)`` renders it where a line break is ``nl``.
+
+    Dicts with ``str`` keys and lists are walked here, and regular float
+    arrays rendered in bulk; every other value is left to ``json.dumps``.
+    """
+    inner = nl + "  "
+    if type(value) is dict and value and all(type(k) is str for k in value):
+        return "{" + inner + ("," + inner).join(
+            json.dumps(k) + ": " + _indented(v, inner) for k, v in value.items()
+        ) + nl + "}"
+    if type(value) is list and value:
+        return _float_array(value, nl) or "[" + inner + ("," + inner).join(
+            _indented(v, inner) for v in value
+        ) + nl + "]"
+    if isinstance(value, (list, tuple, dict)):
+        # JSON strings escape their line breaks, so every "\n" here starts a line.
+        return json.dumps(value, indent=2).replace("\n", nl)
+    return json.dumps(value)  # a scalar reads the same at any indent; this is json's C path
+
+
+def _float_array(rows: list, nl: str) -> str | None:
+    """A nonempty regular nested list of finite floats as ``_indented`` renders it, else None.
+
+    The leaves go through ``float.__repr__`` (json's own float format) in one
+    pass, into one ``%s`` template laid out by the array's shape.
+    """
+    shape = []
+    nodes = [rows]
+    while type(nodes[0]) is list:
+        n = len(nodes[0])
+        if not n or set(map(type, nodes)) != {list} or set(map(len, nodes)) != {n}:
+            return None
+        shape.append(n)
+        nodes = list(chain.from_iterable(nodes))
+    if set(map(type, nodes)) != {float} or not all(map(isfinite, nodes)):
+        return None
+    template = "%s"
+    for depth in reversed(range(len(shape))):
+        outer = nl + "  " * depth
+        inner = outer + "  "
+        template = "[" + inner + ("," + inner).join([template] * shape[depth]) + outer + "]"
+    return template % tuple(map(float.__repr__, nodes))
 
 
 def _cmd_analyze(args, config: RunConfig) -> str:
+    # Checked before the input is loaded, so a bad flag costs no eigensolve.
+    validated_budget(config.witness_budget)
+    validated_seed(config.seed)
     kind, state = _load_state(args.state_file)
     psi = state if isinstance(state, TripartitePureState) else purify(state, config.rank_tol)
     report = classify(psi, rank_tol=config.rank_tol, ppt_tol=config.ppt_tol,

@@ -65,6 +65,13 @@ VERDICT_PPT_UNDECIDED = "PPT but separability undecided by this tool"
 VERDICT_NPT_UNDECIDED = "entangled (NPT), 2-way distillability undecided"
 
 
+def validated_budget(value: int) -> int:
+    """``value`` as a witness-search budget: a number of Haar trials >= 0."""
+    if value < 0:
+        raise BadParameterError(f"budget must be >= 0, got {value}")
+    return value
+
+
 def _side_index(side: Side) -> int:
     if side not in ("A", "B"):
         raise BadParameterError(f"side must be 'A' or 'B', got {side!r}")
@@ -232,8 +239,7 @@ def _saturation_search(
     one vector at a time, so the outcome is deterministic given
     (state, budget, seed).
     """
-    if budget < 0:
-        raise BadParameterError(f"budget must be >= 0, got {budget}")
+    validated_budget(budget)
     d_a = factor.shape[0]
     hits = np.flatnonzero(basis_ranks == target_rank)
     if hits.size:
@@ -267,6 +273,7 @@ def find_one_way_witness(
     one-way rate. ``found = False`` is inconclusive by itself.
     """
     _require_bipartite(rho, "one-way witness search")
+    validated_budget(budget)
     seed = validated_seed(seed, sequence=True)
     psi = purify(rho, rank_tol)
     r = psi.dims[2]  # the purifying register has dimension rank(rho)
@@ -449,8 +456,7 @@ def classify(
     rho_E's nonzero spectrum and rho_AE rho_B's, so the AE hashing rate
     S(E) - S(B) is exactly minus the AB one.
     """
-    if witness_budget < 0:
-        raise BadParameterError(f"budget must be >= 0, got {witness_budget}")
+    validated_budget(witness_budget)
     seed = validated_seed(seed)
     marginals = [hermitian_eig(psi.reduction((k,)).matrix, rank_tol, vectors=False)
                  for k in range(3)]

@@ -1,10 +1,10 @@
 """Dense Hermitian-matrix primitives with one shared tolerance policy.
 
 Every rank, support projector and minimum positive eigenvalue in this package
-is derived from the same relative cutoff, decided once per spectrum: an
-eigenvalue counts as zero when it is <= rank_tol * (largest eigenvalue). Tying
-r and lambda_min to one cutoff keeps them consistent with each other. Matrices are plain complex ndarrays; dimensions here stay
-small (<= ~64), so everything is dense.
+comes from one relative cutoff, decided once per spectrum, so r and lambda_min
+stay consistent: an eigenvalue counts as zero when it is <= rank_tol * (largest
+eigenvalue). Matrices are plain complex ndarrays, small enough (<= ~64) to be
+kept dense.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
-from .distill import _saturation_search
+from .distill import _saturation_search, validated_budget
 from .errors import EnsembleSpecError
 from .kernels import DEFAULT_RANK_TOL, gram_ranks, hermitian_eig, validated_tolerance
 from .states import (DensityMatrix, TripartitePureState, partial_trace, validated_dimension,
@@ -146,6 +146,7 @@ def run_experiment(spec: EnsembleSpec, witness_budget: int = 50) -> EnsembleRepo
 
     Requires d_E < d_B so that sampled states are generically low rank.
     """
+    validated_budget(witness_budget)
     if spec.d_e >= spec.d_b:
         raise EnsembleSpecError(
             f"experiment needs d_E < d_B, got d_E = {spec.d_e}, d_B = {spec.d_b}"

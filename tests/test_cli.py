@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from lrdistill.cli import main
+from lrdistill.cli import build_parser, main
 from lrdistill.states import DensityMatrix, TripartitePureState, bell_state, ghz_state
 
 from conftest import gaussian_unit_vector
@@ -368,7 +368,23 @@ def test_witness_solver_failure_exits_3(tmp_path, capsys, monkeypatch):
     assert "did not converge" in err
 
 
-def test_eigensolver_calls_per_command(tmp_path, capsys, monkeypatch):
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """Counts of the ``np.linalg`` eigen and singular-value solves made while the test runs."""
+    calls = Counter()
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("eigh", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    return calls
+
+
+def test_eigensolver_calls_per_command(tmp_path, capsys, solver_calls):
     # the documents of the docs-large benchmark workload: a Haar (8,8,16) pure
     # state and rho_AB of a Haar (4,16,8) state
     rng = np.random.default_rng(0)
@@ -378,16 +394,6 @@ def test_eigensolver_calls_per_command(tmp_path, capsys, monkeypatch):
     gram = m @ m.conj().T
     rho = DensityMatrix((4, 16), (gram + gram.conj().T) / 2)
     mixed = write_state(tmp_path, "ab.json", rho.to_json_dict())
-    calls = Counter()
-
-    def counted(name, real):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
-        return wrapper
-
-    for name in ("eigh", "eigvalsh"):
-        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     for args, want in (
         # the three one-party marginals, two partial transposes, the basis batch
         (("analyze", pure), {"eigvalsh": 6}),
@@ -395,6 +401,59 @@ def test_eigensolver_calls_per_command(tmp_path, capsys, monkeypatch):
         (("filter", mixed, "--side", "A"), {"eigh": 1, "eigvalsh": 3}),
         (("filter", mixed, "--side", "B"), {"eigh": 1, "eigvalsh": 3}),
     ):
-        calls.clear()
+        solver_calls.clear()
         assert run_cli(capsys, *args)[0] == 0
-        assert dict(calls) == want, args
+        assert dict(solver_calls) == want, args
+
+
+@pytest.mark.parametrize("args, message", [
+    (("sample", "4", "8", "6", "20", "--budget", "-1"), "budget must be >= 0, got -1"),
+    (("sample", "4", "8", "6", "20", "--seed", "-1"), "seed must be an integer >= 0"),
+    (("analyze", "RHO", "--budget", "-1"), "budget must be >= 0, got -1"),
+    (("analyze", "RHO", "--seed", "-1"), "seed must be an integer >= 0, got -1"),
+])
+def test_a_negative_budget_or_seed_exits_2_before_any_solve(tmp_path, capsys, solver_calls,
+                                                            args, message):
+    rho = write_state(tmp_path, "bell.json", bell_state().to_json_dict())
+    solver_calls.clear()
+    code, out, err = run_cli(capsys, *(rho if a == "RHO" else a for a in args))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: " + message)
+    assert solver_calls == {}
+
+
+def test_one_parser_serves_every_call_as_a_fresh_one_would(tmp_path, capsys):
+    path = write_state(tmp_path, "ghz.json", ghz_state().to_json_dict())
+    calls = [
+        ("--help",),
+        ("--version",),
+        ("filter", path),  # usage error: --side is required
+        ("analyze", "--seed", "5", path),
+        ("analyze", path),
+        ("example", "flagged-depolarizing", "--q", "0.3"),
+        ("example", "flagged-depolarizing"),
+    ]
+
+    def outcomes(fresh: bool):
+        results = []
+        for args in calls:
+            if fresh:
+                build_parser.cache_clear()
+            results.append(run_cli(capsys, *args))
+        return results
+
+    build_parser.cache_clear()
+    shared = outcomes(fresh=False)
+    assert build_parser.cache_info().misses == 1
+    assert shared == outcomes(fresh=True)
+    assert [code for code, _, _ in shared] == [0, 0, 2, 0, 0, 0, 0]
+    assert "--side" in shared[2][2]
+    seeds = [json.loads(out)["config"]["seed"] for _, out, _ in shared[3:5]]
+    assert seeds == [5, 0]
+    assert shared[5][1] != shared[6][1]
+
+
+def test_importing_the_cli_builds_no_parser():
+    probe = "import lrdistill.cli as c; print(c.build_parser.cache_info().misses)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert out.stdout == "0\n"
