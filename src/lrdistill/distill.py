@@ -28,7 +28,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import BadParameterError, RankNotLowError
-from .kernels import DEFAULT_RANK_TOL, HermitianSpectrum, gram_ranks, hermitian_eig
+from .kernels import DEFAULT_RANK_TOL, HermitianSpectrum, gram_ranks, solve_hermitian
 from .states import (
     DEFAULT_PPT_TOL,
     DensityMatrix,
@@ -141,29 +141,29 @@ def local_filter(
     """
     _require_bipartite(rho, "local filter")
     idx = _side_index(side)
-    spectrum = hermitian_eig(partial_trace(rho, (idx,)).matrix, rank_tol)
+    psi = purify(rho, rank_tol)  # rho = F F^dagger, F of shape (d_A, d_B, r)
+    spectrum = solve_hermitian(psi.reduction((idx,)).matrix, rank_tol)
     lam_min = spectrum.min_positive()
     y = np.sqrt(lam_min) * spectrum.pinv_sqrt()
-    if idx == 0:
-        op = np.kron(y, np.eye(rho.dims[1]))
-    else:
-        op = np.kron(np.eye(rho.dims[0]), y)
-    u = op @ rho.matrix @ op.conj().T
-    p_succ = float(u.trace().real)
-    # Rounding in Y rho Y^dagger grows with 1 / p_succ; store its exactly Hermitian part.
-    filtered = DensityMatrix._trusted(rho.dims, (u + u.conj().T) / (2.0 * p_succ))
-    # The filtered marginal is support_projector / r_side, of entropy log2(r_side).
-    s_filtered = hermitian_eig(filtered.matrix, rank_tol, vectors=False).entropy()
+    # G = (Y (x) 1) F; the filtered state, AB of G / sqrt(p_succ), is positive by construction.
+    g = np.moveaxis(np.tensordot(y, psi.amplitudes.reshape(psi.dims), (1, idx)), 0, idx)
+    p_succ = float(np.vdot(g, g).real)
+    filtered = TripartitePureState(psi.dims, g / np.sqrt(p_succ))
+    filtered_ab, projector = filtered.reduction((0, 1)), spectrum.support_projector()
+    # S(filtered state) from the r x r E-marginal, solved last on purpose: with OpenBLAS's
+    # Haswell kernels a complex matmul left as the last numerical call slows the Python
+    # float formatting that follows (the JSON writer) by about a third.
+    e_spectrum = solve_hermitian(filtered.reduction((2,)).matrix, rank_tol, vectors=False)
     return FilterOutcome(
         side=side,
         filter_operator=y,
         p_succ=p_succ,
-        filtered_state=filtered,
-        support_projector=spectrum.support_projector(),
-        rank=hermitian_eig(rho.matrix, rank_tol, vectors=False).rank,
+        filtered_state=filtered_ab,
+        support_projector=projector,
+        rank=psi.dims[2],
         rank_side=spectrum.rank,
         lambda_min=lam_min,
-        hashing_rate=p_succ * (log2(spectrum.rank) - s_filtered),
+        hashing_rate=p_succ * (log2(spectrum.rank) - e_spectrum.entropy()),
     )
 
 
@@ -277,7 +277,7 @@ def find_one_way_witness(
     seed = validated_seed(seed, sequence=True)
     psi = purify(rho, rank_tol)
     r = psi.dims[2]  # the purifying register has dimension rank(rho)
-    r_b = hermitian_eig(partial_trace(rho, (1,)).matrix, rank_tol, vectors=False).rank
+    r_b = solve_hermitian(partial_trace(rho, (1,)).matrix, rank_tol, vectors=False).rank
     if r >= r_b:
         raise RankNotLowError(
             f"rank(state) = {r} >= {r_b} = rank(marginal B); witness search does not apply"
@@ -458,7 +458,7 @@ def classify(
     """
     validated_budget(witness_budget)
     seed = validated_seed(seed)
-    marginals = [hermitian_eig(psi.reduction((k,)).matrix, rank_tol, vectors=False)
+    marginals = [solve_hermitian(psi.reduction((k,)).matrix, rank_tol, vectors=False)
                  for k in range(3)]
     amps = psi.amplitudes.reshape(psi.dims)
     red_ab, red_ae = (
@@ -560,8 +560,8 @@ def separability_verdict(
     E and AE ranks are rank(AB) and rank(B), so no purification is built.
     """
     _require_bipartite(rho, "separability verdict")
-    r = hermitian_eig(rho.matrix, rank_tol, vectors=False).rank
-    spec_a, spec_b = (hermitian_eig(partial_trace(rho, (k,)).matrix, rank_tol, vectors=False)
+    r = solve_hermitian(rho.matrix, rank_tol, vectors=False).rank
+    spec_a, spec_b = (solve_hermitian(partial_trace(rho, (k,)).matrix, rank_tol, vectors=False)
                       for k in (0, 1))
     return SeparabilityRecord(
         rho.dims, r, spec_a.rank, spec_b.rank, is_ppt(rho, ppt_tol),

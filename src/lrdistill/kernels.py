@@ -14,24 +14,29 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import (BadParameterError, InputError, NonConvergenceError,
+from .errors import (BadParameterError, InputError, LrdistillError, NonConvergenceError,
                      NoPositiveEigenvalueError, NotHermitianError)
 
 #: Relative eigenvalue cutoff below which spectra are treated as zero.
 DEFAULT_RANK_TOL = 1e-10
 
-#: Max-norm tolerance for ``m == m.conj().T`` checks, in states and eigensolves alike.
+#: Max-norm tolerance of the one ``m == m.conj().T`` check, ``hermitian_part``.
 HERMITICITY_TOL = 1e-10
 
 
-def as_complex_matrix(m) -> np.ndarray:
-    """Coerce to a square complex128 matrix, rejecting NaN/Inf entries."""
+def hermitian_part(m, error: type[LrdistillError] = NotHermitianError) -> np.ndarray:
+    """(m + m^dagger) / 2, exactly Hermitian: the one check of a matrix from outside the package.
+
+    Raises ``error`` unless ``m`` is square, finite and within ``HERMITICITY_TOL`` of m^dagger.
+    """
     arr = np.asarray(m, dtype=np.complex128)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise NotHermitianError(f"expected a square matrix, got shape {arr.shape}")
+        raise error(f"expected a square matrix, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
-        raise NotHermitianError("matrix contains non-finite entries")
-    return arr
+        raise error("matrix contains non-finite entries")
+    if arr.size and np.max(np.abs(arr - arr.conj().T)) > HERMITICITY_TOL:
+        raise error(f"matrix deviates from Hermitian symmetry by more than {HERMITICITY_TOL:g}")
+    return (arr + arr.conj().T) / 2.0
 
 
 def validated_tolerance(value, field: str, error: type[InputError] = BadParameterError) -> float:
@@ -92,26 +97,22 @@ class HermitianSpectrum:
 def hermitian_eig(
     m, rank_tol: float = DEFAULT_RANK_TOL, *, vectors: bool = True
 ) -> HermitianSpectrum:
-    """Eigendecompose a Hermitian matrix, eigenvalues descending, rank at ``rank_tol``.
+    """``solve_hermitian`` of ``hermitian_part(m)``: a user's matrix, checked and symmetrized."""
+    return solve_hermitian(hermitian_part(m), rank_tol, vectors=vectors)
 
-    With ``vectors=False`` only the eigenvalues are computed (one cheaper
-    ``eigvalsh`` solve); that serves every rank, entropy, bound and PPT
-    witness, which never read the eigenvectors.
 
-    Raises BadParameterError unless ``rank_tol`` lies in (0, 1),
-    NotHermitianError when ``max|m - m^dagger|`` exceeds ``HERMITICITY_TOL``
-    and NonConvergenceError when the underlying solver fails. The matrix is
-    symmetrized before the solve so that sub-tolerance asymmetry cannot leak
-    into the output.
+def solve_hermitian(
+    h: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL, *, vectors: bool = True
+) -> HermitianSpectrum:
+    """Eigendecompose an exactly Hermitian matrix, eigenvalues descending, rank at ``rank_tol``.
+
+    ``h`` is not checked: every matrix the package builds is exactly Hermitian.
+    ``vectors=False`` makes one cheaper ``eigvalsh`` solve, for every rank,
+    entropy, bound and PPT witness. Raises BadParameterError unless
+    ``rank_tol`` lies in (0, 1), NonConvergenceError when the solver fails.
     """
-    arr = as_complex_matrix(m)
-    if arr.size and np.max(np.abs(arr - arr.conj().T)) > HERMITICITY_TOL:
-        raise NotHermitianError(
-            f"matrix deviates from Hermitian symmetry by more than {HERMITICITY_TOL:g}"
-        )
-    sym = (arr + arr.conj().T) / 2.0
     try:
-        evals, evecs = np.linalg.eigh(sym) if vectors else (np.linalg.eigvalsh(sym), None)
+        evals, evecs = np.linalg.eigh(h) if vectors else (np.linalg.eigvalsh(h), None)
     except np.linalg.LinAlgError as exc:
         raise NonConvergenceError(f"eigensolver did not converge: {exc}") from exc
     evals = evals[::-1].copy()

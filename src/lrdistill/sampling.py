@@ -18,7 +18,7 @@ import numpy as np
 
 from .distill import _saturation_search, validated_budget
 from .errors import EnsembleSpecError
-from .kernels import DEFAULT_RANK_TOL, gram_ranks, hermitian_eig, validated_tolerance
+from .kernels import DEFAULT_RANK_TOL, gram_ranks, solve_hermitian, validated_tolerance
 from .states import (DensityMatrix, TripartitePureState, partial_trace, validated_dimension,
                      validated_seed)
 
@@ -162,12 +162,11 @@ def run_experiment(spec: EnsembleSpec, witness_budget: int = 50) -> EnsembleRepo
         )
         amps = psi.amplitudes.reshape(psi.dims)
         rho = partial_trace(psi.density_matrix(), (0, 1))
-        spectrum = hermitian_eig(rho.matrix, spec.rank_tol, vectors=False)
+        spectrum = solve_hermitian(rho.matrix, spec.rank_tol, vectors=False)
         rank_state, lams = spectrum.rank, spectrum.eigenvalues
         largest_discarded = float(lams[rank_state]) if rank_state < lams.size else None
-        rank_marginal = hermitian_eig(
-            partial_trace(rho, (1,)).matrix, spec.rank_tol, vectors=False
-        ).rank
+        rank_marginal = solve_hermitian(partial_trace(rho, (1,)).matrix, spec.rank_tol,
+                                        vectors=False).rank
         basis_ranks = gram_ranks(amps, spec.rank_tol)
         schmidt_ranks = tuple(int(r) for r in basis_ranks)
         rng = np.random.default_rng(

@@ -19,10 +19,10 @@ import numpy as np
 
 from .errors import (BadParameterError, InputError, NotNormalizedError, StateFormatError,
                      SubsystemError)
-from .kernels import (DEFAULT_RANK_TOL, HERMITICITY_TOL, gram_ranks, hermitian_eig,
+from .kernels import (DEFAULT_RANK_TOL, gram_ranks, hermitian_part, solve_hermitian,
                       validated_tolerance)
 
-#: Validation tolerances for density-matrix invariants (Hermiticity: ``HERMITICITY_TOL``).
+#: Validation tolerances for density-matrix invariants (Hermiticity: ``kernels.hermitian_part``).
 TRACE_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-10
 
@@ -75,7 +75,8 @@ class DensityMatrix:
     Construction validates the state invariants: Hermiticity within 1e-10,
     unit trace within 1e-10, and eigenvalues >= -1e-10. States derived inside
     the package from valid ones (reductions, the filtered state, complements)
-    are built with ``_trusted`` and not validated again.
+    are built with ``_trusted`` and not validated again. Either way ``matrix``
+    is exactly Hermitian, so internal solves need no check.
     """
 
     dims: tuple[int, ...]
@@ -83,39 +84,34 @@ class DensityMatrix:
 
     def __post_init__(self):
         dims = _validated_dims(self.dims)
-        arr = np.array(self.matrix, dtype=np.complex128)
+        arr = np.asarray(self.matrix, dtype=np.complex128)
         d = prod(dims)
         if arr.shape != (d, d):
             raise StateFormatError(
                 f"matrix shape {arr.shape} does not match dims {dims} (total {d})"
             )
-        if not np.all(np.isfinite(arr)):
-            raise StateFormatError("matrix contains non-finite entries")
-        if np.max(np.abs(arr - arr.conj().T)) > HERMITICITY_TOL:
-            raise StateFormatError(f"matrix is not Hermitian within {HERMITICITY_TOL:g}")
-        tr = arr.trace()
+        herm = hermitian_part(arr, StateFormatError)
+        tr = herm.trace()
         if abs(tr - 1.0) > TRACE_TOL:
             raise StateFormatError(f"trace {tr:.12g} is not 1 within {TRACE_TOL:g}")
-        min_eig = float(np.linalg.eigvalsh((arr + arr.conj().T) / 2.0)[0])
+        min_eig = float(np.linalg.eigvalsh(herm)[0])
         if min_eig < EIGENVALUE_FLOOR:
             raise StateFormatError(
                 f"matrix has negative eigenvalue {min_eig:.3e} below {EIGENVALUE_FLOOR:g}"
             )
-        arr.setflags(write=False)
+        herm.setflags(write=False)
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "matrix", arr)
+        object.__setattr__(self, "matrix", herm)
 
     @classmethod
     def _trusted(cls, dims: Sequence[int], matrix) -> "DensityMatrix":
-        """A state that is valid by construction; skips the ``__post_init__`` checks.
-
-        The matrix is copied, so the stored read-only array has no writable alias.
-        """
-        arr = np.array(matrix, dtype=np.complex128)
-        arr.setflags(write=False)
+        """A state valid by construction, unchecked; stores a new read-only (m + m^dagger) / 2."""
+        arr = np.asarray(matrix, dtype=np.complex128)
+        herm = (arr + arr.conj().T) / 2.0
+        herm.setflags(write=False)
         rho = object.__new__(cls)
         object.__setattr__(rho, "dims", tuple(dims))
-        object.__setattr__(rho, "matrix", arr)
+        object.__setattr__(rho, "matrix", herm)
         return rho
 
     @property
@@ -212,7 +208,7 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
 
 
 def partial_transpose(rho: DensityMatrix, subsystem: int) -> np.ndarray:
-    """Transpose one tensor factor; returns a plain (possibly non-PSD) matrix."""
+    """Transpose one tensor factor: a permutation of entries, exactly Hermitian, maybe not PSD."""
     (sub,) = _check_subsystems(rho.dims, (subsystem,))
     n = len(rho.dims)
     tensor = rho.matrix.reshape(*rho.dims, *rho.dims)
@@ -224,13 +220,13 @@ def is_ppt(rho: DensityMatrix, tol: float = DEFAULT_PPT_TOL) -> PptVerdict:
     """PPT test for a bipartite state: min partial-transpose eigenvalue >= -tol."""
     _require_bipartite(rho, "PPT test")
     validated_tolerance(tol, "ppt_tol")
-    witness = float(hermitian_eig(partial_transpose(rho, 1), vectors=False).eigenvalues[-1])
+    witness = float(solve_hermitian(partial_transpose(rho, 1), vectors=False).eigenvalues[-1])
     return PptVerdict(witness >= -tol, witness, abs(witness) < 10.0 * tol)
 
 
 def von_neumann_entropy(rho: DensityMatrix, rank_tol: float = DEFAULT_RANK_TOL) -> float:
     """Entropy -Tr(rho log2 rho) in bits; eigenvalues below the cutoff contribute 0."""
-    return hermitian_eig(rho.matrix, rank_tol, vectors=False).entropy()
+    return solve_hermitian(rho.matrix, rank_tol, vectors=False).entropy()
 
 
 def coherent_information(rho: DensityMatrix, rank_tol: float = DEFAULT_RANK_TOL) -> float:
@@ -250,7 +246,7 @@ def purify(rho: DensityMatrix, rank_tol: float = DEFAULT_RANK_TOL) -> Tripartite
     eigenvalues keep the eigensolver's order.
     """
     _require_bipartite(rho, "purification")
-    spectrum = hermitian_eig(rho.matrix, rank_tol)
+    spectrum = solve_hermitian(rho.matrix, rank_tol)
     k = spectrum.rank
     lams = spectrum.eigenvalues[:k]
     vecs = spectrum.eigenvectors[:, :k]

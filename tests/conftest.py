@@ -8,7 +8,7 @@ Choi plumbing) so that test expectations stay independent of what they check.
 import numpy as np
 import pytest
 
-from lrdistill import DensityMatrix
+from lrdistill import DensityMatrix, complement, local_filter, partial_trace, partial_transpose
 
 
 def loop_partial_trace(mat, dims, keep):
@@ -99,6 +99,17 @@ def random_choi(d_in, d_out, d_env, seed):
     full = np.outer(psi, psi.conj())
     mat = loop_partial_trace(full, (d_in, d_out, d_env), (0, 1))
     return DensityMatrix((d_in, d_out), mat)
+
+
+def derived_matrices(rho, rank_tol=1e-10):
+    """Every matrix the library derives from a bipartite state, with a label for each."""
+    out = {"state": rho.matrix, "complement": complement(rho, rank_tol).matrix}
+    for k in (0, 1):
+        out[f"partial_trace {k}"] = partial_trace(rho, (k,)).matrix
+        out[f"partial_transpose {k}"] = partial_transpose(rho, k)
+    for side in ("A", "B"):
+        out[f"filtered {side}"] = local_filter(rho, side, rank_tol).filtered_state.matrix
+    return out
 
 
 @pytest.fixture

@@ -123,6 +123,8 @@ MALFORMED_DOCS = {
     "matrix-3d": {**BELL_DOC, "matrix": [ROWS, ROWS]},
     "matrix-empty": {**BELL_DOC, "matrix": []},
     "matrix-three-dims": {**BELL_DOC, "dims": [2, 2, 1]},
+    # rho[0, 3] - conj(rho[3, 0]) = 1e-9, above the 1e-10 Hermiticity tolerance
+    "matrix-not-hermitian": {**BELL_DOC, "matrix": [[*ROWS[0][:3], [0.5 + 1e-9, 0.0]], *ROWS[1:]]},
     "dims-huge-int": {**BELL_DOC, "dims": [10**400, 1]},
     "vector-dict": {**GHZ_DOC, "vector": {"0": [1.0, 0.0]}},
     "vector-string": {**GHZ_DOC, "vector": "1, 0"},
@@ -397,9 +399,10 @@ def test_eigensolver_calls_per_command(tmp_path, capsys, solver_calls):
     for args, want in (
         # the three one-party marginals, two partial transposes, the basis batch
         (("analyze", pure), {"eigvalsh": 6}),
-        # input validation, the filtered state and rho's rank; the side marginal with vectors
-        (("filter", mixed, "--side", "A"), {"eigh": 1, "eigvalsh": 3}),
-        (("filter", mixed, "--side", "B"), {"eigh": 1, "eigvalsh": 3}),
+        # eigvalsh: input validation and the filtered state's r x r E-marginal;
+        # eigh: the purification and the side marginal
+        (("filter", mixed, "--side", "A"), {"eigh": 2, "eigvalsh": 2}),
+        (("filter", mixed, "--side", "B"), {"eigh": 2, "eigvalsh": 2}),
     ):
         solver_calls.clear()
         assert run_cli(capsys, *args)[0] == 0

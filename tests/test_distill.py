@@ -509,13 +509,13 @@ def test_only_the_one_party_marginals_are_diagonalized(monkeypatch):
     # rho_AB and rho_AE take their spectra from rho_E and rho_B, so the
     # reduction analysis itself diagonalizes nothing
     shapes = []
-    real = distill.hermitian_eig
+    real = distill.solve_hermitian
 
     def recorded(m, *args, **kwargs):
         shapes.append(np.shape(m))
         return real(m, *args, **kwargs)
 
-    monkeypatch.setattr(distill, "hermitian_eig", recorded)
+    monkeypatch.setattr(distill, "solve_hermitian", recorded)
     classify(haar_state((2, 4, 3), 0))
     assert shapes == [(2, 2), (4, 4), (3, 3)]
 

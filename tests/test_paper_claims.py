@@ -17,7 +17,10 @@ from lrdistill import (
     DensityMatrix,
     TripartitePureState,
     classify,
+    filtered_hashing_rate,
+    is_ppt,
     local_filter,
+    low_rank_rate_bound,
     purify,
     separability_verdict,
 )
@@ -27,6 +30,7 @@ from lrdistill.states import bell_state, maximally_mixed
 from conftest import (
     gaussian_unit_vector,
     loop_partial_trace,
+    loop_partial_transpose,
     numerical_rank,
     random_choi,
     random_density,
@@ -204,3 +208,71 @@ def test_separability_ranks_of_e_and_ae_match_a_purification(rho):
     assert record.rank == numerical_rank(rho.matrix)
     assert (record.rank_e, record.rank_ae) == (numerical_rank(red["E"]), numerical_rank(red["AE"]))
     assert record.rank_pattern_holds == (numerical_rank(red["E"]) <= numerical_rank(red["AE"]))
+
+
+# --- NPT by construction: a Bell pair mixed into a low-rank state ---
+
+
+@st.composite
+def bell_mixtures(draw):
+    """p |Phi><Phi| + (1 - p) sigma in plain numpy: a Bell pair on |00>, |11> mixed
+    into a random state sigma = M M^dagger / Tr of rank k."""
+    d_a, d_b = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    k = draw(st.integers(1, d_a * d_b - 1))
+    p = draw(st.floats(0.2, 0.8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = rng.standard_normal((d_a * d_b, k)) + 1j * rng.standard_normal((d_a * d_b, k))
+    sigma = m @ m.conj().T
+    phi = np.zeros(d_a * d_b)
+    phi[0] = phi[d_b + 1] = 1 / np.sqrt(2)
+    return DensityMatrix((d_a, d_b), p * np.outer(phi, phi) + (1 - p) * sigma / np.trace(sigma))
+
+
+def _complement(rho):
+    """rho_AE of ``_purification(rho)``, in plain numpy."""
+    vector, dims = _purification(rho)
+    amps = vector.reshape(dims)
+    mat = np.einsum("abe,cbf->aecf", amps, amps.conj())
+    return DensityMatrix((dims[0], dims[2]), mat.reshape(dims[0] * dims[2], -1))
+
+
+def _ranks(rho):
+    """rank(rho), rank(rho_A) and rank(rho_B) by the loop oracles."""
+    return (numerical_rank(rho.matrix),
+            *(numerical_rank(loop_partial_trace(rho.matrix, rho.dims, (k,))) for k in (0, 1)))
+
+
+def _oracle_npt(rho, tol=1e-9):
+    return np.linalg.eigvalsh(loop_partial_transpose(rho.matrix, rho.dims, 1))[0] < -tol
+
+
+@PROPERTY
+@given(rho=bell_mixtures())
+def test_a_state_or_its_complement_gets_a_positive_two_way_rate(rho):
+    rates = []
+    for state in (rho, _complement(rho)):
+        r, *side_ranks = _ranks(state)
+        for side, r_side in zip("AB", side_ranks):
+            if r < r_side:
+                bound = low_rank_rate_bound(state, side)
+                assert 0 < bound <= filtered_hashing_rate(state, side) + 1e-12
+                rates.append(bound)
+    r, _, r_b = _ranks(rho)
+    if r != r_b:
+        # rank(AE) = rank(B) and rank(E) = rank(AB): one of the two is low rank
+        assert rates
+    elif _oracle_npt(rho):
+        # rank(AB) = rank(B): the regime where NPT means 2-way distillable
+        assert separability_verdict(rho).verdict == "entangled, 2-way distillable"
+
+
+@PROPERTY
+@given(rho=bell_mixtures())
+def test_rank_below_a_marginal_rank_means_npt_and_distillable(rho):
+    # Horodecki, Lewenstein, Vidal & Cirac: rank(rho) < max(r_A, r_B) implies
+    # distillable, so NPT; ranks and PPT come from different solves
+    for state in (rho, _complement(rho)):
+        r, r_a, r_b = _ranks(state)
+        if r < max(r_a, r_b):
+            assert not is_ppt(state).is_ppt
+            assert separability_verdict(state).verdict == "entangled, 2-way distillable"

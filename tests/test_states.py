@@ -12,6 +12,7 @@ from lrdistill import (
     coherent_information,
     complement,
     conditional_marginal,
+    hermitian_eig,
     is_ppt,
     partial_trace,
     partial_transpose,
@@ -20,7 +21,8 @@ from lrdistill import (
     schmidt_rank,
     von_neumann_entropy,
 )
-from lrdistill.errors import NotNormalizedError, StateFormatError, SubsystemError
+from lrdistill.errors import (NotHermitianError, NotNormalizedError, StateFormatError,
+                              SubsystemError)
 from lrdistill.states import (
     bell_state,
     complex_pairs,
@@ -32,6 +34,7 @@ from lrdistill.states import (
 )
 
 from conftest import (
+    derived_matrices,
     gaussian_unit_vector,
     loop_partial_trace,
     loop_partial_transpose,
@@ -64,6 +67,51 @@ def test_density_matrix_rejects_bad_inputs():
         DensityMatrix((2,), np.eye(2))  # trace 2
     with pytest.raises(StateFormatError):
         DensityMatrix((2,), np.diag([1.5, -0.5]))  # negative eigenvalue
+
+
+def _exactly_hermitian(m) -> bool:
+    return np.array_equal(m, m.conj().T)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dims=st.tuples(*[st.integers(1, 4)] * 3), seed=st.integers(0, 2**32 - 1))
+def test_every_derived_matrix_is_exactly_hermitian(dims, seed):
+    rng = np.random.default_rng(seed)
+    psi = TripartitePureState(dims, gaussian_unit_vector(rng, int(np.prod(dims))))
+    for size in (1, 2, 3):
+        for keep in combinations(range(3), size):
+            assert _exactly_hermitian(psi.reduction(keep).matrix), keep
+    # a loop partial trace carries rounding-level asymmetry into the input
+    full = np.outer(psi.amplitudes, psi.amplitudes.conj())
+    rho = DensityMatrix(dims[:2], loop_partial_trace(full, dims, (0, 1)))
+    for name, m in derived_matrices(rho).items():
+        assert _exactly_hermitian(m), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+def test_asymmetry_within_the_tolerance_is_stored_as_the_exact_hermitian_part(d, seed):
+    rng = np.random.default_rng(seed)
+    m = random_dm(rng, d)
+    m = (m + m.conj().T) / 2
+    m[0, 1] += 1e-12
+    rho = DensityMatrix((d,), m)
+    assert np.array_equal(rho.matrix, (m + m.conj().T) / 2)
+    assert _exactly_hermitian(rho.matrix)
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(2, 6), seed=st.integers(0, 2**32 - 1),
+       asymmetry=st.floats(2e-10, 1e-3))
+def test_asymmetry_above_the_tolerance_is_rejected(d, seed, asymmetry):
+    rng = np.random.default_rng(seed)
+    m = random_dm(rng, d)
+    m = (m + m.conj().T) / 2
+    m[0, 1] += asymmetry
+    with pytest.raises(StateFormatError, match="Hermitian"):
+        DensityMatrix((d,), m)
+    with pytest.raises(NotHermitianError):
+        hermitian_eig(m)
 
 
 def test_pure_state_norm_invariant():

@@ -35,7 +35,7 @@ from lrdistill.errors import BadParameterError
 from lrdistill.kernels import gram_ranks
 from lrdistill.states import ghz_state, state_from_dict
 
-from conftest import random_density, random_isometry
+from conftest import derived_matrices, random_density, random_isometry
 
 BAD_TOLERANCES = [float("nan"), float("inf"), 0.0, 1.0, -1.0]
 
@@ -143,32 +143,38 @@ def test_local_filter_rank_side_and_lambda_min_at_the_cutoff_edge(tol, side):
     out = local_filter(rho, side, tol)
     assert out.rank_side == _expected_rank(p, tol)
     assert out.lambda_min == pytest.approx(p[2], rel=1e-4)
-    # p_succ ~ 1e-10 amplifies rounding in the filtered state; it is pure, so
-    # the rate is p_succ * log2(r_side)
+    # the filtered state is pure, so the rate is p_succ * log2(r_side)
     assert out.hashing_rate == pytest.approx(out.p_succ * np.log2(3), rel=1e-9)
 
 
 @pytest.mark.parametrize("side", ["A", "B"])
 @pytest.mark.parametrize("tol", EDGE_TOLS)
 def test_the_filtered_state_is_exactly_hermitian_at_the_cutoff_edge(tol, side):
-    # Y rho Y^dagger / p_succ carries rounding of order eps / p_succ, 1.7e-8 of
-    # asymmetry at p_succ ~ 2e-10, more than the eigensolver's Hermiticity check allows
+    # a Gram matrix of the filtered purification, even at p_succ ~ 2e-10
     filtered = local_filter(_edge_state(tol)[1], side, tol).filtered_state
     m = filtered.matrix
     assert np.array_equal(m, m.conj().T)
     assert np.isfinite(von_neumann_entropy(filtered, tol))
 
 
+@pytest.mark.parametrize("tol", EDGE_TOLS)
+def test_every_derived_matrix_of_the_edge_state_is_exactly_hermitian(tol):
+    for name, m in derived_matrices(_edge_state(tol)[1], tol).items():
+        assert np.array_equal(m, m.conj().T), name
+
+
 @pytest.mark.parametrize("side", ["A", "B"])
-def test_the_filter_report_reloads_to_the_bit_equal_filtered_state(tmp_path, capsys, side):
-    # At rank_tol 1e-10 (p_succ ~ 2e-10) the reloaded state would fail the
-    # positivity floor instead: see README, Report schemas.
-    rho = _edge_state(1e-6)[1]
+@pytest.mark.parametrize("tol", EDGE_TOLS)
+def test_the_filter_report_reloads_to_the_bit_equal_filtered_state(tmp_path, capsys, tol, side):
+    # The filtered state is a Gram matrix of the filtered purification, so it
+    # passes the positivity floor even at p_succ ~ 2e-10 (rank_tol 1e-10).
+    rho = _edge_state(tol)[1]
     path = tmp_path / "rho.json"
     path.write_text(json.dumps(rho.to_json_dict()))
-    assert main(["filter", str(path), "--side", side, "--rank-tol", "1e-6"]) == 0
+    assert main(["filter", str(path), "--side", side, "--rank-tol", repr(tol)]) == 0
     doc = json.loads(capsys.readouterr().out)
     loaded = state_from_dict(doc["filter"]["filtered_state"])
-    want = local_filter(rho, side, 1e-6).filtered_state
+    want = local_filter(rho, side, tol).filtered_state
     assert loaded.dims == want.dims
     assert loaded.matrix.tobytes() == want.matrix.tobytes()
+    assert np.linalg.eigvalsh(loaded.matrix)[0] >= -1e-15
