@@ -23,12 +23,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import log2
+from numbers import Integral
 from typing import Literal
 
 import numpy as np
 
 from .errors import BadParameterError, RankNotLowError
-from .kernels import DEFAULT_RANK_TOL, HermitianSpectrum, gram_ranks, solve_hermitian
+from .kernels import (DEFAULT_RANK_TOL, HermitianSpectrum, gram_rank_equals, gram_ranks,
+                      solve_hermitian)
 from .states import (
     DEFAULT_PPT_TOL,
     DensityMatrix,
@@ -46,7 +48,7 @@ Side = Literal["A", "B"]
 
 DEFAULT_WITNESS_BUDGET = 50
 
-#: Haar trials of the witness search ranked together in one batched eigensolve.
+#: Haar trials of the witness search decided together in one batched rank screen.
 _BATCH = 64
 
 #: A rate above this threshold counts as numerically positive evidence.
@@ -65,11 +67,13 @@ VERDICT_PPT_UNDECIDED = "PPT but separability undecided by this tool"
 VERDICT_NPT_UNDECIDED = "entangled (NPT), 2-way distillability undecided"
 
 
-def validated_budget(value: int) -> int:
-    """``value`` as a witness-search budget: a number of Haar trials >= 0."""
+def validated_budget(value) -> int:
+    """``value`` as a witness-search budget: a number of Haar trials, an int >= 0, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise BadParameterError(f"budget must be an integer, got {value!r}")
     if value < 0:
         raise BadParameterError(f"budget must be >= 0, got {value}")
-    return value
+    return int(value)
 
 
 def _side_index(side: Side) -> int:
@@ -232,14 +236,15 @@ def _saturation_search(
     conditioned on |phi> is K K^dagger with K = sum_a conj(phi_a) F[a].
 
     Tries the d_A computational basis vectors first (they catch structured
-    states cheaply), then ``budget`` Haar-random vectors, ``_BATCH`` of them
-    per rank solve. ``basis_ranks`` is ``gram_ranks(factor, rank_tol)``, the
+    states cheaply), then ``budget`` Haar-random vectors (a budget the caller
+    has validated) in batches of ``_BATCH``, each batch decided by the pivot
+    screen of ``gram_rank_equals``, which eigensolves only the trials it
+    leaves open. ``basis_ranks`` is ``gram_ranks(factor, rank_tol)``, the
     basis vectors' ranks, which callers that also report them compute once.
     Trial order, random draws and the returned vector are those of trying
     one vector at a time, so the outcome is deterministic given
     (state, budget, seed).
     """
-    validated_budget(budget)
     d_a = factor.shape[0]
     hits = np.flatnonzero(basis_ranks == target_rank)
     if hits.size:
@@ -252,7 +257,7 @@ def _saturation_search(
         g = rng.standard_normal((n, 2, d_a))
         v = g[:, 0] + 1j * g[:, 1]
         k = (v.conj() @ flat).reshape(n, *factor.shape[1:])
-        hits = np.flatnonzero(gram_ranks(k, rank_tol) == target_rank)
+        hits = np.flatnonzero(gram_rank_equals(k, target_rank, rank_tol))
         if hits.size:
             phi = v[hits[0]]
             return phi / np.linalg.norm(phi), d_a + done + int(hits[0]) + 1
@@ -273,7 +278,7 @@ def find_one_way_witness(
     one-way rate. ``found = False`` is inconclusive by itself.
     """
     _require_bipartite(rho, "one-way witness search")
-    validated_budget(budget)
+    budget = validated_budget(budget)
     seed = validated_seed(seed, sequence=True)
     psi = purify(rho, rank_tol)
     r = psi.dims[2]  # the purifying register has dimension rank(rho)
@@ -456,7 +461,7 @@ def classify(
     rho_E's nonzero spectrum and rho_AE rho_B's, so the AE hashing rate
     S(E) - S(B) is exactly minus the AB one.
     """
-    validated_budget(witness_budget)
+    witness_budget = validated_budget(witness_budget)
     seed = validated_seed(seed)
     marginals = [solve_hermitian(psi.reduction((k,)).matrix, rank_tol, vectors=False)
                  for k in range(3)]

@@ -129,10 +129,78 @@ def gram_ranks(k: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     eigenvalues strictly above ``rank_tol * lambda_max``, and rank 0 when
     lambda_max <= 0.
     """
+    return _stack_ranks(_gram(k), rank_tol)
+
+
+def _gram(k: np.ndarray) -> np.ndarray:
+    """The smaller Gram matrix of each K of a stack: K K^dagger or K^dagger K."""
     kh = np.conj(np.swapaxes(k, 1, 2))
-    gram = k @ kh if k.shape[1] <= k.shape[2] else kh @ k
+    return k @ kh if k.shape[1] <= k.shape[2] else kh @ k
+
+
+def _stack_ranks(gram: np.ndarray, rank_tol: float) -> np.ndarray:
+    """Ranks of a stack of Hermitian matrices at ``rank_tol``: one ``eigvalsh`` solve."""
     try:
         lams = np.linalg.eigvalsh(gram)
     except np.linalg.LinAlgError as exc:
         raise NonConvergenceError(f"eigensolver did not converge: {exc}") from exc
     return _retained(lams, rank_tol)
+
+
+def gram_rank_equals(k: np.ndarray, target: int, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+    """``gram_ranks(k, rank_tol) == target``, eigensolving only what a pivot screen leaves open.
+
+    With m the size of the smaller Gram matrix G and target = m, the question
+    is whether lambda_min > rank_tol * lambda_max. An LDL^dagger elimination of
+    G / tr G, run on the whole stack at once and reading G's lower triangle as
+    ``eigvalsh`` does, settles it for almost every K. Its pivots d_j are the
+    exact pivots of G + E, and ``eigvalsh``'s eigenvalues those of G + E', with
+    ||E||, ||E'|| <= mu tr G, mu = 64 m^2 eps (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., Thm 10.3 and section 10.3). A pivot
+    at or below the floor f = rank_tol / m - (2 + rank_tol) mu skips its step,
+    which continues the elimination on a principal submatrix of G. Then
+
+    * rank < m when some d_j lies in [-1, f]: the principal block that ends
+      in d_j has lambda_min <= max(d_j, 0) (its Schur complement), so by
+      interlacing the computed lambda_min is at most (f + 2 mu) tr G, while
+      the computed lambda_max >= (1/m - mu) tr G. A pivot below -1 can only
+      come from rounding after a tiny pivot, where the bound on E fails, so
+      it decides nothing;
+    * rank = m when every d_j > f and prod d_j > (1 + mu)^(m-1) (rank_tol
+      (1 + mu) + 2 mu): lambda_min(G + E) >= det / lambda_max^(m-1) with
+      lambda_max(G + E) <= (1 + mu) tr G, so the computed lambda_min exceeds
+      rank_tol times the computed lambda_max.
+
+    The margins cover both solvers' rounding, so the mask is exactly the
+    one eigensolving every K would give. The elimination stops at a pivot
+    that decides rank < m for every K. The K left open (and every K with
+    tr G = 0) go to one ``eigvalsh`` of their Gram matrices. When target != m,
+    or when f <= 0 (a tolerance too small for the screen to prove anything),
+    the function is ``gram_ranks(k, rank_tol) == target``.
+    """
+    validated_tolerance(rank_tol, "rank_tol")
+    n, m = len(k), min(k.shape[1:])
+    mu = 64 * m * m * np.finfo(float).eps
+    if target != m or n * m == 0 or rank_tol / m <= (2 + rank_tol) * mu:
+        return gram_ranks(k, rank_tol) == target
+    floor = rank_tol / m - (2 + rank_tol) * mu
+    gram = _gram(k)
+    trace = np.einsum("nii->n", gram).real
+    screened = trace > np.finfo(float).tiny
+    # (m, m, n): the stack is numpy's inner loop in every elimination step.
+    scale = 1.0 / np.where(screened, trace, np.inf)
+    a = (gram * scale[:, None, None]).transpose(1, 2, 0).copy()
+    for j in range(m):
+        d = a[j, j].real
+        if d.max() <= floor and d.min() >= -1.0 and screened.all():
+            return np.zeros(n, dtype=bool)  # this pivot decides rank < m for every K
+        col = a[j + 1:, j]
+        a[j + 1:, j + 1:] -= (col / np.where(d > floor, d, np.inf))[:, None] * col.conj()
+    pivots = np.diagonal(a).real
+    lower = np.any((pivots >= -1.0) & (pivots <= floor), axis=1)
+    full = np.all(pivots > floor, axis=1) & (
+        np.prod(pivots, axis=1) > (1 + mu) ** (m - 1) * (rank_tol * (1 + mu) + 2 * mu))
+    undecided = np.flatnonzero(~(lower | full) | ~screened)
+    if undecided.size:
+        full[undecided] = _stack_ranks(gram[undecided], rank_tol) == target
+    return full

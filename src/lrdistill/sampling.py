@@ -146,7 +146,7 @@ def run_experiment(spec: EnsembleSpec, witness_budget: int = 50) -> EnsembleRepo
 
     Requires d_E < d_B so that sampled states are generically low rank.
     """
-    validated_budget(witness_budget)
+    witness_budget = validated_budget(witness_budget)
     if spec.d_e >= spec.d_b:
         raise EnsembleSpecError(
             f"experiment needs d_E < d_B, got d_E = {spec.d_e}, d_B = {spec.d_b}"

@@ -338,22 +338,22 @@ def test_find_one_way_witness_matches_loop_oracle():
 
 @pytest.mark.parametrize("haar_trial", [distill._BATCH, distill._BATCH + 1])
 def test_hit_at_a_batch_boundary(monkeypatch, haar_trial):
-    # the rank function reports saturation only at Haar trial ``haar_trial``:
+    # the mask function reports saturation only at Haar trial ``haar_trial``:
     # the last trial of the first batch, then the first trial of the second
     d_a, target, seed = 3, 2, 8
     factor = structured_factor(d_a, 4, 2, "shared_column", seed)
     batch_sizes = []
 
-    def fake_ranks(k, rank_tol):
+    def fake_hits(k, target_rank, rank_tol):
         first = sum(batch_sizes) + 1
         batch_sizes.append(len(k))
         trial = np.arange(first, first + len(k))
-        return np.where(trial == d_a + haar_trial, target, 0)
+        return (trial == d_a + haar_trial) & (target_rank == target)
 
-    monkeypatch.setattr(distill, "gram_ranks", fake_ranks)
+    monkeypatch.setattr(distill, "gram_rank_equals", fake_hits)
+    basis_ranks = np.where(fake_hits(factor, target, DEFAULT_RANK_TOL), target, 0)
     phi, trials = distill._saturation_search(
-        factor, distill.gram_ranks(factor, DEFAULT_RANK_TOL), target, 200,
-        np.random.default_rng(seed), DEFAULT_RANK_TOL)
+        factor, basis_ranks, target, 200, np.random.default_rng(seed), DEFAULT_RANK_TOL)
     assert trials == d_a + haar_trial
     want = loop_haar_draws(np.random.default_rng(seed), d_a, haar_trial)[-1]
     assert np.array_equal(phi, want)
@@ -379,9 +379,10 @@ def test_exhausted_search_eigensolver_count(monkeypatch):
     calls = count_eigensolves(monkeypatch)
     out = find_one_way_witness(j_ae, budget=2000, seed=0)
     assert not out.found and out.trials_used == 2003
-    # purification, the B marginal, the basis batch and 32 Haar batches (one
-    # solve per trial before batching: 2005)
-    assert Counter(calls) == {"eigh": 1, "eigvalsh": 34}
+    # the purification (eigh), the B marginal and the basis batch; the pivot
+    # screen decides all 2000 Haar trials without an eigensolve (34 eigvalsh
+    # with one per Haar batch, 2005 solves with one per trial)
+    assert Counter(calls) == {"eigh": 1, "eigvalsh": 2}
 
 
 def test_search_solver_failure_is_non_convergence(monkeypatch):
@@ -558,6 +559,29 @@ def test_classify_rejects_a_negative_budget_before_any_search():
     # the GHZ state runs no witness search, so only the check at the top can fire
     with pytest.raises(BadParameterError, match="budget must be >= 0, got -1"):
         classify(ghz_state(), witness_budget=-1)
+
+
+#: Witness budgets that are not integers (negative ones are tested above).
+NON_INTEGER_BUDGETS = [2.5, True, "3", None]
+
+
+@pytest.mark.parametrize("budget", NON_INTEGER_BUDGETS)
+def test_witness_search_rejects_a_non_integer_budget(budget):
+    with pytest.raises(BadParameterError, match="budget must be an integer, got"):
+        find_one_way_witness(tilted_state(), budget=budget)
+
+
+@pytest.mark.parametrize("budget", NON_INTEGER_BUDGETS)
+def test_classify_rejects_a_non_integer_budget(budget):
+    # the GHZ state runs no witness search, so only the check at the top can fire
+    with pytest.raises(BadParameterError, match="budget must be an integer, got"):
+        classify(ghz_state(), witness_budget=budget)
+
+
+def test_integral_budgets_are_stored_as_int():
+    params = classify(ghz_state(), witness_budget=np.int64(7)).to_json_dict()["params"]
+    assert type(params["witness_budget"]) is int and params["witness_budget"] == 7
+    assert find_one_way_witness(tilted_state(), budget=np.uint8(3)).found
 
 
 def test_report_separability_matches_separability_verdict():

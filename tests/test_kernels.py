@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrdistill import hermitian_eig
-from lrdistill.errors import NoPositiveEigenvalueError, NotHermitianError, NumericsError
-from lrdistill.kernels import gram_ranks
+from lrdistill.errors import (NonConvergenceError, NoPositiveEigenvalueError, NotHermitianError,
+                              NumericsError)
+from lrdistill.kernels import gram_rank_equals, gram_ranks
 
 from conftest import gaussian_unit_vector, loop_partial_trace, numerical_rank
+from test_tolerances import EDGE_TOLS
 
 
 def antisymmetric_choi():
@@ -93,6 +97,95 @@ def test_gram_ranks_match_rank_of_each_marginal(rng, shape):
     got = gram_ranks(np.array(stack))
     assert list(got) == [numerical_rank(k @ k.conj().T) for k in stack]
     assert list(got) == list(range(min(p, q) + 1))
+
+
+def isometry(rng, d, m):
+    """d x m with orthonormal columns, from the QR of a complex Gaussian."""
+    g = rng.standard_normal((d, m)) + 1j * rng.standard_normal((d, m))
+    return np.linalg.qr(g)[0]
+
+
+def gram_stack(rng, shape, n, spectrum):
+    """n matrices K of ``shape`` whose smaller Gram matrix has eigenvalues ``spectrum()``."""
+    p, q = shape
+    m = min(p, q)
+    return np.array([(isometry(rng, p, m) * np.sqrt(spectrum())) @ isometry(rng, q, m).conj().T
+                     for _ in range(n)])
+
+
+def smaller_gram(k):
+    return k @ k.conj().T if k.shape[0] <= k.shape[1] else k.conj().T @ k
+
+
+@st.composite
+def screen_cases(draw):
+    """(stack, target, rank_tol): tall and wide stacks whose Gram spectra the screen must read."""
+    p, q = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    m = min(p, q)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["gaussian", "deficient", "above", "below", "defer"]))
+    tol = draw(st.sampled_from(EDGE_TOLS))
+    if kind == "gaussian":
+        def spectrum():
+            return rng.uniform(0.2, 1.0, m)
+    elif kind == "deficient":  # rank deficiency 1..m; m is a zero K
+        deficiency = draw(st.integers(1, m))
+
+        def spectrum():
+            return np.concatenate([rng.uniform(0.2, 1.0, m - deficiency), np.zeros(deficiency)])
+    elif kind in ("above", "below"):  # lambda_min a relative 1e-3 either side of the cutoff (m > 1)
+        edge = tol * (1 + 1e-3 if kind == "above" else 1 - 1e-3)
+
+        def spectrum():
+            return np.concatenate([[1.0], rng.uniform(0.2, 1.0, max(m - 2, 0)), [edge]])[-m:]
+    else:  # a tolerance too small for the screen: the mask is gram_ranks' itself
+        tol = 1e-15
+
+        def spectrum():
+            return rng.uniform(0.5, 1.0, m)
+    k = gram_stack(rng, (p, q), draw(st.integers(1, 6)), spectrum)
+    k *= 10.0 ** draw(st.sampled_from([-150, 0, 150]))
+    return k, m - draw(st.sampled_from([0, 0, 0, 1])), tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(screen_cases())
+def test_gram_rank_equals_matches_an_eigensolve_of_each_gram_matrix(case):
+    k, target, tol = case
+    want = [numerical_rank(smaller_gram(x), tol) == target for x in k]
+    got = gram_rank_equals(k, target, tol)
+    assert got.dtype == bool and list(got) == want
+    assert np.array_equal(got, gram_ranks(k, tol) == target)
+
+
+def fail_stacked_eigvalsh(monkeypatch):
+    real = np.linalg.eigvalsh
+
+    def failing(a, *args, **kwargs):
+        if np.ndim(a) == 3:
+            raise np.linalg.LinAlgError("forced")
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+
+
+def test_screen_decides_well_separated_spectra_without_an_eigensolve(monkeypatch):
+    rng = np.random.default_rng(5)
+    full = gram_stack(rng, (6, 10), 64, lambda: rng.uniform(0.2, 1.0, 6))
+    short = gram_stack(rng, (10, 6), 64, lambda: np.r_[rng.uniform(0.2, 1.0, 5), 0.0])
+    fail_stacked_eigvalsh(monkeypatch)
+    assert gram_rank_equals(full, 6).all()
+    assert not gram_rank_equals(short, 6).any()
+
+
+def test_a_failing_fallback_eigensolve_is_non_convergence(monkeypatch):
+    # lambda_min a relative 1e-3 above the cutoff: the screen leaves it to eigvalsh
+    rng = np.random.default_rng(6)
+    edge = gram_stack(rng, (4, 6), 8, lambda: np.r_[1.0, 0.5, 0.5, 1e-10 * (1 + 1e-3)])
+    assert gram_rank_equals(edge, 4, 1e-10).all()
+    fail_stacked_eigvalsh(monkeypatch)
+    with pytest.raises(NonConvergenceError):
+        gram_rank_equals(edge, 4, 1e-10)
 
 
 def test_rank_induced_measure_marginal():

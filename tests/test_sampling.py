@@ -122,6 +122,17 @@ def test_experiment_rejects_negative_budget():
         run_experiment(EnsembleSpec(d_a=2, d_b=4, d_e=3, n_samples=2), witness_budget=-1)
 
 
+@pytest.mark.parametrize("budget", [2.5, True, "3", None])
+def test_experiment_rejects_a_non_integer_budget(budget):
+    with pytest.raises(BadParameterError, match="budget must be an integer"):
+        run_experiment(EnsembleSpec(d_a=2, d_b=4, d_e=3, n_samples=2), witness_budget=budget)
+
+
+def test_experiment_stores_an_integral_budget_as_int():
+    report = run_experiment(EnsembleSpec(d_a=2, d_b=4, d_e=3, n_samples=1), np.int64(5))
+    assert type(report.witness_budget) is int and report.witness_budget == 5
+
+
 def test_experiment_generic_low_rank():
     report = run_experiment(EnsembleSpec(d_a=2, d_b=4, d_e=3, n_samples=30, seed=0))
     assert report.frequencies == {
