@@ -14,7 +14,8 @@ from .errors import (
     StateFormatError,
 )
 from .kernels import DEFAULT_RANK_TOL
-from .states import DensityMatrix, complement, density_matrix_from_dict, validated_dimension
+from .states import (DensityMatrix, complement, density_matrix_from_dict, partial_trace,
+                     validated_dimension)
 
 #: Max deviation of the Choi input marginal from 1/d_in accepted on load.
 TRACE_PRESERVATION_TOL = 1e-6
@@ -46,7 +47,7 @@ class ChoiChannel:
             raise DimensionMismatchError(
                 f"Choi dims {self.choi.dims} do not match ({self.d_in}, {self.d_out})"
             )
-        marginal = _input_marginal(self.choi)
+        marginal = partial_trace(self.choi, (0,)).matrix
         dev = np.max(np.abs(marginal - np.eye(self.d_in) / self.d_in))
         if dev > TRACE_PRESERVATION_TOL:
             raise NotTracePreservingError(
@@ -65,13 +66,6 @@ class ChoiChannel:
 
     def to_json_dict(self) -> dict:
         return {"d_in": self.d_in, "d_out": self.d_out, "choi": self.choi.to_json_dict()}
-
-
-def _input_marginal(choi: DensityMatrix) -> np.ndarray:
-    d_in, d_out = choi.dims
-    return np.einsum(
-        "abcb->ac", choi.matrix.reshape(d_in, d_out, d_in, d_out)
-    )
 
 
 def channel_from_dict(doc: dict) -> ChoiChannel:

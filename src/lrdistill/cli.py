@@ -12,7 +12,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass, fields
 from itertools import chain
 from math import isfinite
 
@@ -50,47 +49,34 @@ _EXAMPLES = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One run's settings; the library checks each one where it applies it."""
-
-    rank_tol: float = DEFAULT_RANK_TOL
-    ppt_tol: float = DEFAULT_PPT_TOL
-    seed: int = 0
-    witness_budget: int = DEFAULT_WITNESS_BUDGET
-    fmt: str = "json"
-    output: str | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rank_tol": self.rank_tol,
-            "ppt_tol": self.ppt_tol,
-            "seed": self.seed,
-            "witness_budget": self.witness_budget,
-            "version": __version__,
-        }
-
-
-#: RunConfig field -> (flag, add_argument keywords); each command takes the ones it reads.
+#: args attribute -> (flag, default, add_argument keywords); each command takes the ones it
+#: reads, and settings a command does not take keep their defaults in the report.
 _FLAGS = {
-    "rank_tol": ("--rank-tol", dict(type=float, default=DEFAULT_RANK_TOL,
-                                    help="relative eigenvalue cutoff for ranks (default 1e-10)")),
-    "ppt_tol": ("--ppt-tol", dict(type=float, default=DEFAULT_PPT_TOL,
-                                  help="partial-transpose witness threshold (default 1e-9)")),
-    "seed": ("--seed", dict(type=int, default=0, help="PRNG seed (default 0)")),
-    "witness_budget": ("--budget", dict(type=int, default=DEFAULT_WITNESS_BUDGET,
-                                        help="random trials for the witness search (default 50)")),
+    "rank_tol": ("--rank-tol", DEFAULT_RANK_TOL,
+                 dict(type=float, help="relative eigenvalue cutoff for ranks (default 1e-10)")),
+    "ppt_tol": ("--ppt-tol", DEFAULT_PPT_TOL,
+                dict(type=float, help="partial-transpose witness threshold (default 1e-9)")),
+    "seed": ("--seed", 0, dict(type=int, help="PRNG seed (default 0)")),
+    "witness_budget": ("--budget", DEFAULT_WITNESS_BUDGET,
+                       dict(type=int, help="random trials for the witness search (default 50)")),
 }
 
 
 def _add_flags(sub: argparse.ArgumentParser, *names: str, formats: tuple[str, ...] = ()):
+    # Defaults live on the root parser; SUPPRESS keeps an omitted flag from overwriting them.
     for name in names:
-        flag, kwargs = _FLAGS[name]
-        sub.add_argument(flag, dest=name, **kwargs)
+        flag, _, kwargs = _FLAGS[name]
+        sub.add_argument(flag, dest=name, default=argparse.SUPPRESS, **kwargs)
     if formats:
-        sub.add_argument("--format", dest="fmt", choices=formats, default="json",
+        sub.add_argument("--format", dest="fmt", choices=formats, default=argparse.SUPPRESS,
                          help="output format (default json)")
-    sub.add_argument("--output", default=None, help="write output to file instead of stdout")
+    sub.add_argument("--output", default=argparse.SUPPRESS,
+                     help="write output to file instead of stdout")
+
+
+def _config(args) -> dict:
+    """The report's ``config`` block: every setting of the run and the package version."""
+    return {**{name: getattr(args, name) for name in _FLAGS}, "version": __version__}
 
 
 @functools.cache
@@ -102,6 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
         "for low-rank bipartite quantum states.",
     )
     parser.add_argument("--version", action="version", version=f"lrdistill {__version__}")
+    parser.set_defaults(fmt="json", output=None,
+                        **{name: default for name, (_, default, _) in _FLAGS.items()})
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("analyze", help="classify a state file (full undistillability report)")
@@ -130,7 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_document(path: str) -> dict:
+def _load_state(path: str) -> tuple[str, DensityMatrix | TripartitePureState]:
+    """Load a state document; channel documents contribute their Choi state."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -140,12 +129,6 @@ def _load_document(path: str) -> dict:
         raise StateFormatError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise StateFormatError(f"{path}: top-level JSON value must be an object")
-    return doc
-
-
-def _load_state(path: str) -> tuple[str, DensityMatrix | TripartitePureState]:
-    """Load a state document; channel documents contribute their Choi state."""
-    doc = _load_document(path)
     if "choi" in doc:
         return "channel", channel_from_dict(doc).choi
     state = state_from_dict(doc)
@@ -202,16 +185,16 @@ def _float_array(rows: list, nl: str) -> str | None:
     return template % tuple(map(float.__repr__, nodes))
 
 
-def _cmd_analyze(args, config: RunConfig) -> str:
+def _cmd_analyze(args) -> str:
     # Checked before the input is loaded, so a bad flag costs no eigensolve.
-    validated_budget(config.witness_budget)
-    validated_seed(config.seed)
+    validated_budget(args.witness_budget)
+    validated_seed(args.seed)
     kind, state = _load_state(args.state_file)
-    psi = state if isinstance(state, TripartitePureState) else purify(state, config.rank_tol)
-    report = classify(psi, rank_tol=config.rank_tol, ppt_tol=config.ppt_tol,
-                      witness_budget=config.witness_budget, seed=config.seed)
+    psi = state if isinstance(state, TripartitePureState) else purify(state, args.rank_tol)
+    report = classify(psi, rank_tol=args.rank_tol, ppt_tol=args.ppt_tol,
+                      witness_budget=args.witness_budget, seed=args.seed)
     separability = report.separability_ab()
-    if config.fmt == "pretty":
+    if args.fmt == "pretty":
         lines = [
             f"input: {kind} dims={list(state.dims)}",
             f"classification: {report.classification}",
@@ -238,7 +221,7 @@ def _cmd_analyze(args, config: RunConfig) -> str:
     return _dump_json(
         {
             "schema": "analyze-report/1",
-            "config": config.to_json_dict(),
+            "config": _config(args),
             "input": {"kind": kind, "dims": list(state.dims)},
             "report": report.to_json_dict(),
             "separability_AB": separability.to_json_dict(),
@@ -246,17 +229,17 @@ def _cmd_analyze(args, config: RunConfig) -> str:
     )
 
 
-def _cmd_filter(args, config: RunConfig) -> str:
+def _cmd_filter(args) -> str:
     kind, state = _load_state(args.state_file)
     rho = state.reduction((0, 1)) if isinstance(state, TripartitePureState) else state
-    outcome = local_filter(rho, args.side, config.rank_tol)
+    outcome = local_filter(rho, args.side, args.rank_tol)
     try:
         bound = outcome.rate_bound()
         bound_note = None
     except RankNotLowError as exc:
         bound = None
         bound_note = str(exc)
-    if config.fmt == "pretty":
+    if args.fmt == "pretty":
         lines = [
             f"input: {kind} dims={list(rho.dims)}",
             f"side: {outcome.side}",
@@ -270,7 +253,7 @@ def _cmd_filter(args, config: RunConfig) -> str:
     return _dump_json(
         {
             "schema": "filter-report/1",
-            "config": config.to_json_dict(),
+            "config": _config(args),
             "input": {"kind": kind, "dims": list(rho.dims)},
             "filter": outcome.to_json_dict(),
             "low_rank_bound": bound,
@@ -280,19 +263,12 @@ def _cmd_filter(args, config: RunConfig) -> str:
     )
 
 
-def _cmd_sample(args, config: RunConfig) -> str:
-    spec = EnsembleSpec(
-        d_a=args.d_a,
-        d_b=args.d_b,
-        d_e=args.d_e,
-        n_samples=args.n,
-        seed=config.seed,
-        rank_tol=config.rank_tol,
-    )
-    report = run_experiment(spec, witness_budget=config.witness_budget)
-    if config.fmt == "csv":
+def _cmd_sample(args) -> str:
+    spec = EnsembleSpec(args.d_a, args.d_b, args.d_e, args.n, args.seed, args.rank_tol)
+    report = run_experiment(spec, witness_budget=args.witness_budget)
+    if args.fmt == "csv":
         return report.to_csv()
-    if config.fmt == "pretty":
+    if args.fmt == "pretty":
         lines = [
             f"spec: d_A={spec.d_a} d_B={spec.d_b} d_E={spec.d_e} "
             f"n={spec.n_samples} seed={spec.seed}",
@@ -301,11 +277,11 @@ def _cmd_sample(args, config: RunConfig) -> str:
         ]
         return "\n".join(lines) + "\n"
     payload = report.to_json_dict()
-    payload["config"] = config.to_json_dict()
+    payload["config"] = _config(args)
     return _dump_json(payload)
 
 
-def _cmd_example(args, config: RunConfig) -> str:
+def _cmd_example(args) -> str:
     return _dump_json(_EXAMPLES[args.name](args).to_json_dict())
 
 
@@ -323,11 +299,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # usage errors (2), --help and --version (0)
         return exc.code
     try:
-        # Settings a command does not take keep their defaults in the report.
-        config = RunConfig(
-            **{f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
-        )
-        text = _COMMANDS[args.command](args, config)
+        text = _COMMANDS[args.command](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -337,12 +309,12 @@ def main(argv=None) -> int:
     except Exception as exc:  # malformed input must never crash the CLI
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    if config.output:
+    if args.output:
         try:
-            with open(config.output, "w", encoding="utf-8") as fh:
+            with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            print(f"error: cannot write {config.output}: {exc}", file=sys.stderr)
+            print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
             return 2
     else:
         sys.stdout.write(text)

@@ -16,7 +16,7 @@ from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
-from .distill import _saturation_search, validated_budget
+from .distill import DEFAULT_WITNESS_BUDGET, _saturation_search, validated_budget
 from .errors import EnsembleSpecError
 from .kernels import DEFAULT_RANK_TOL, gram_ranks, solve_hermitian, validated_tolerance
 from .states import (DensityMatrix, TripartitePureState, partial_trace, validated_dimension,
@@ -132,7 +132,9 @@ class EnsembleReport:
         return buf.getvalue()
 
 
-def run_experiment(spec: EnsembleSpec, witness_budget: int = 50) -> EnsembleReport:
+def run_experiment(
+    spec: EnsembleSpec, witness_budget: int = DEFAULT_WITNESS_BUDGET
+) -> EnsembleReport:
     """Sample n states from the induced measure and audit each one.
 
     Per sample: (i) rank of the state equals min(d_E, d_A*d_B); (ii) rank of

@@ -94,7 +94,7 @@ class DensityMatrix:
         tr = herm.trace()
         if abs(tr - 1.0) > TRACE_TOL:
             raise StateFormatError(f"trace {tr:.12g} is not 1 within {TRACE_TOL:g}")
-        min_eig = float(np.linalg.eigvalsh(herm)[0])
+        min_eig = float(solve_hermitian(herm, vectors=False).eigenvalues[-1])
         if min_eig < EIGENVALUE_FLOOR:
             raise StateFormatError(
                 f"matrix has negative eigenvalue {min_eig:.3e} below {EIGENVALUE_FLOOR:g}"
@@ -177,7 +177,10 @@ class PptVerdict(NamedTuple):
 
 
 def _check_subsystems(dims: tuple[int, ...], subsystems: Iterable[int]) -> tuple[int, ...]:
-    subs = tuple(int(s) for s in subsystems)
+    subs = tuple(subsystems)
+    if any(isinstance(s, bool) or not isinstance(s, Integral) for s in subs):
+        raise SubsystemError(f"subsystem indices must be integers, got {subs}")
+    subs = tuple(map(int, subs))
     if not subs:
         raise SubsystemError("subsystem set must be nonempty")
     if len(set(subs)) != len(subs):
@@ -286,7 +289,10 @@ def schmidt_rank(vector, dims: Sequence[int], rank_tol: float = DEFAULT_RANK_TOL
     (eigenvalues above ``rank_tol * lambda_max``), i.e. singular values of C
     above ``sqrt(rank_tol) * s_max``.
     """
-    d1, d2 = _validated_dims(dims)
+    dims = _validated_dims(dims)
+    if len(dims) != 2:
+        raise SubsystemError(f"Schmidt rank needs a bipartition, got dims {dims}")
+    d1, d2 = dims
     v = _unit_vector(vector, "vector")
     if v.size != d1 * d2:
         raise SubsystemError(f"vector of length {v.size} does not match bipartition {d1}x{d2}")

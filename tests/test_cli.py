@@ -370,6 +370,18 @@ def test_witness_solver_failure_exits_3(tmp_path, capsys, monkeypatch):
     assert "did not converge" in err
 
 
+def test_a_failed_validation_solve_exits_3(tmp_path, capsys, monkeypatch):
+    path = write_state(tmp_path, "bell.json", bell_state().to_json_dict())
+
+    def failing(a, *args, **kwargs):
+        raise np.linalg.LinAlgError("forced")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    code, out, err = run_cli(capsys, "analyze", path)
+    assert code == 3 and out == ""
+    assert err.startswith("internal error: eigensolver did not converge")
+
+
 @pytest.fixture
 def solver_calls(monkeypatch):
     """Counts of the ``np.linalg`` eigen and singular-value solves made while the test runs."""

@@ -21,8 +21,8 @@ from lrdistill import (
     schmidt_rank,
     von_neumann_entropy,
 )
-from lrdistill.errors import (NotHermitianError, NotNormalizedError, StateFormatError,
-                              SubsystemError)
+from lrdistill.errors import (NonConvergenceError, NotHermitianError, NotNormalizedError,
+                              StateFormatError, SubsystemError)
 from lrdistill.states import (
     bell_state,
     complex_pairs,
@@ -67,6 +67,15 @@ def test_density_matrix_rejects_bad_inputs():
         DensityMatrix((2,), np.eye(2))  # trace 2
     with pytest.raises(StateFormatError):
         DensityMatrix((2,), np.diag([1.5, -0.5]))  # negative eigenvalue
+
+
+def test_a_failed_validation_solve_is_a_nonconvergence_error(monkeypatch):
+    def failing(a, *args, **kwargs):
+        raise np.linalg.LinAlgError("forced")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    with pytest.raises(NonConvergenceError, match="did not converge"):
+        DensityMatrix((2, 2), np.eye(4) / 4)
 
 
 def _exactly_hermitian(m) -> bool:
@@ -162,6 +171,30 @@ def test_partial_trace_bad_subsystems():
         partial_trace(rho, (2,))
     with pytest.raises(SubsystemError):
         partial_trace(rho, (0, 0))
+
+
+#: Index values that are not integers; int() would truncate or misread each one.
+NON_INTEGER_INDICES = [0.5, 1.7, True, False, "a", np.float64(1.0), np.bool_(True)]
+
+
+@pytest.mark.parametrize("index", NON_INTEGER_INDICES, ids=repr)
+def test_non_integer_subsystem_indices_are_rejected(index):
+    with pytest.raises(SubsystemError, match="must be integers"):
+        partial_trace(bell_state(), (index,))
+    with pytest.raises(SubsystemError, match="must be integers"):
+        partial_transpose(bell_state(), index)
+    with pytest.raises(SubsystemError, match="must be integers"):
+        ghz_state().reduction((0, index))
+
+
+def test_numpy_integer_subsystem_indices_are_accepted():
+    rho = random_density(2, 3, 2, seed=2)
+    assert np.array_equal(partial_trace(rho, (np.int64(1),)).matrix,
+                          partial_trace(rho, (1,)).matrix)
+    assert np.array_equal(partial_transpose(rho, np.int64(1)), partial_transpose(rho, 1))
+    psi = ghz_state()
+    assert np.array_equal(psi.reduction((np.int64(0), np.int32(2))).matrix,
+                          psi.reduction((0, 2)).matrix)
 
 
 # --- partial transpose and PPT ----------------------------------------------
@@ -390,6 +423,12 @@ def test_schmidt_rank_requires_normalization():
         schmidt_rank([np.nan, 0.0, 0.0, 0.0], (2, 2))
     with pytest.raises(StateFormatError):
         schmidt_rank(np.eye(6)[0], (2.9, 2.1))
+
+
+@pytest.mark.parametrize("dims", [(8,), (2, 2, 2)])
+def test_schmidt_rank_needs_two_factors(dims):
+    with pytest.raises(SubsystemError, match="bipartition"):
+        schmidt_rank(np.eye(8)[0], dims)
 
 
 # --- JSON round trips -----------------------------------------------------------

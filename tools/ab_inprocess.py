@@ -146,6 +146,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out")
     args = parser.parse_args(argv)
+    if args.rounds < 2:
+        parser.error(f"--rounds must be at least 2 for the quartiles, got {args.rounds}")
     workloads = bench_workloads()
     with tempfile.TemporaryDirectory() as scratch:
         trees = {label: source_tree(spec, scratch)
