@@ -13,7 +13,7 @@ from .errors import (
     NotTracePreservingError,
     StateFormatError,
 )
-from .kernels import DEFAULT_RANK_TOL
+from .kernels import DEFAULT_RANK_TOL, validated_tolerance
 from .states import (DensityMatrix, complement, density_matrix_from_dict, partial_trace,
                      validated_dimension)
 
@@ -126,8 +126,7 @@ def flagged_depolarizing_channel(d: int, q: float = 0.5) -> ChoiChannel:
     d = validated_dimension(d, "input dimension", BadParameterError)
     if d < 2:
         raise BadParameterError(f"input dimension must be >= 2, got {d}")
-    if not 0.0 < q < 1.0:
-        raise BadParameterError(f"depolarizing strength q must lie in (0, 1), got {q}")
+    validated_tolerance(q, "depolarizing strength q", BadParameterError)
     omega = maximally_entangled(d)
     j_identity = np.outer(omega, omega.conj())
     j_depol = depolarizing_choi(d, q).matrix

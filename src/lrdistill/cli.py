@@ -49,27 +49,28 @@ _EXAMPLES = {
 }
 
 
-#: args attribute -> (flag, default, add_argument keywords); each command takes the ones it
-#: reads, and settings a command does not take keep their defaults in the report.
+#: args attribute -> (flag, default, type, help); each command takes the ones it reads, and
+#: settings a command does not take keep their defaults in the report.
 _FLAGS = {
-    "rank_tol": ("--rank-tol", DEFAULT_RANK_TOL,
-                 dict(type=float, help="relative eigenvalue cutoff for ranks (default 1e-10)")),
-    "ppt_tol": ("--ppt-tol", DEFAULT_PPT_TOL,
-                dict(type=float, help="partial-transpose witness threshold (default 1e-9)")),
-    "seed": ("--seed", 0, dict(type=int, help="PRNG seed (default 0)")),
-    "witness_budget": ("--budget", DEFAULT_WITNESS_BUDGET,
-                       dict(type=int, help="random trials for the witness search (default 50)")),
+    "rank_tol": ("--rank-tol", DEFAULT_RANK_TOL, float, "relative eigenvalue cutoff for ranks"),
+    "ppt_tol": ("--ppt-tol", DEFAULT_PPT_TOL, float, "partial-transpose witness threshold"),
+    "seed": ("--seed", 0, int, "PRNG seed"),
+    "witness_budget": ("--budget", DEFAULT_WITNESS_BUDGET, int,
+                       "random trials for the witness search"),
 }
 
 
-def _add_flags(sub: argparse.ArgumentParser, *names: str, formats: tuple[str, ...] = ()):
-    # Defaults live on the root parser; SUPPRESS keeps an omitted flag from overwriting them.
+def _add_flags(root: argparse.ArgumentParser, sub: argparse.ArgumentParser, *names: str,
+               formats: tuple[str, ...] = ()):
+    # Defaults live on the root parser, and each help names the root's; SUPPRESS keeps an
+    # omitted flag from overwriting them.
     for name in names:
-        flag, _, kwargs = _FLAGS[name]
-        sub.add_argument(flag, dest=name, default=argparse.SUPPRESS, **kwargs)
+        flag, _, type_, help_ = _FLAGS[name]
+        sub.add_argument(flag, dest=name, type=type_, default=argparse.SUPPRESS,
+                         help=f"{help_} (default {root.get_default(name)})")
     if formats:
         sub.add_argument("--format", dest="fmt", choices=formats, default=argparse.SUPPRESS,
-                         help="output format (default json)")
+                         help=f"output format (default {root.get_default('fmt')})")
     sub.add_argument("--output", default=argparse.SUPPRESS,
                      help="write output to file instead of stdout")
 
@@ -89,32 +90,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"lrdistill {__version__}")
     parser.set_defaults(fmt="json", output=None,
-                        **{name: default for name, (_, default, _) in _FLAGS.items()})
+                        **{name: default for name, (_, default, *_) in _FLAGS.items()})
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("analyze", help="classify a state file (full undistillability report)")
     p.add_argument("state_file", help="JSON state or channel document")
-    _add_flags(p, "rank_tol", "ppt_tol", "seed", "witness_budget", formats=("json", "pretty"))
+    _add_flags(parser, p, "rank_tol", "ppt_tol", "seed", "witness_budget",
+               formats=("json", "pretty"))
 
     p = subs.add_parser("filter", help="apply the marginal-flattening local filter")
     p.add_argument("state_file", help="JSON state or channel document")
     p.add_argument("--side", choices=("A", "B"), required=True, help="filtering side")
-    _add_flags(p, "rank_tol", formats=("json", "pretty"))
+    _add_flags(parser, p, "rank_tol", formats=("json", "pretty"))
 
     p = subs.add_parser("sample", help="run the random low-rank state experiment")
     p.add_argument("d_a", type=int, help="dimension of A")
     p.add_argument("d_b", type=int, help="dimension of B")
     p.add_argument("d_e", type=int, help="dimension of E (must be < d_B)")
     p.add_argument("n", type=int, help="number of samples")
-    _add_flags(p, "rank_tol", "seed", "witness_budget", formats=("json", "csv", "pretty"))
+    _add_flags(parser, p, "rank_tol", "seed", "witness_budget", formats=("json", "csv", "pretty"))
 
     p = subs.add_parser("example", help="emit a named example state or channel")
     p.add_argument("name", choices=_EXAMPLES)
     p.add_argument("--d", type=int, default=2,
-                   help="input dimension for flagged-depolarizing (default 2)")
+                   help="input dimension for flagged-depolarizing (default %(default)s)")
     p.add_argument("--q", type=float, default=0.5,
-                   help="depolarizing strength for flagged-depolarizing (default 0.5)")
-    _add_flags(p)
+                   help="depolarizing strength for flagged-depolarizing (default %(default)s)")
+    _add_flags(parser, p)
     return parser
 
 
@@ -125,7 +127,7 @@ def _load_state(path: str) -> tuple[str, DensityMatrix | TripartitePureState]:
             doc = json.load(fh)
     except OSError as exc:
         raise StateFormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too deep, too many digits
         raise StateFormatError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise StateFormatError(f"{path}: top-level JSON value must be an object")
@@ -193,7 +195,7 @@ def _cmd_analyze(args) -> str:
     psi = state if isinstance(state, TripartitePureState) else purify(state, args.rank_tol)
     report = classify(psi, rank_tol=args.rank_tol, ppt_tol=args.ppt_tol,
                       witness_budget=args.witness_budget, seed=args.seed)
-    separability = report.separability_ab()
+    separability = report.reduction_ab.separability
     if args.fmt == "pretty":
         lines = [
             f"input: {kind} dims={list(state.dims)}",
@@ -204,16 +206,17 @@ def _cmd_analyze(args) -> str:
             "rates: " + " ".join(f"{k}={v}" for k, v in report.rates.items()),
         ]
         for red in (report.reduction_ab, report.reduction_ae):
-            ppt = "PPT" if red.ppt.is_ppt else "NPT"
+            record = red.separability
+            ppt = "PPT" if record.ppt.is_ppt else "NPT"
             witness = (
                 "not applicable"
                 if not red.witness.performed
                 else ("found" if red.witness.found else "not found")
             )
             lines.append(
-                f"reduction {red.label}: {ppt} (witness={red.ppt.witness!r}) "
-                f"rank={red.rank} hashing_rate={red.hashing_rate!r} "
-                f"bounds=({red.low_rank_bound_first!r}, {red.low_rank_bound_second!r}) "
+                f"reduction {red.label}: {ppt} (witness={record.ppt.witness!r}) "
+                f"rank={record.rank} hashing_rate={red.hashing_rate!r} "
+                f"bounds=({record.low_rank_bound_a!r}, {record.low_rank_bound_b!r}) "
                 f"one_way_witness={witness}"
             )
         lines.append(f"separability(AB): {separability.verdict}")

@@ -87,10 +87,6 @@ def _rate_bound(r: int, r_side: int, lam_min: float) -> float | None:
     return lam_min * r_side * (log2(r_side) - log2(r)) if r < r_side else None
 
 
-def _marginal_bound(r: int, marginal: HermitianSpectrum) -> float | None:
-    return _rate_bound(r, marginal.rank, marginal.min_positive())
-
-
 @dataclass(frozen=True, eq=False)
 class FilterOutcome:
     """Success branch of the local filtering measurement on one side.
@@ -310,17 +306,14 @@ def _witness_search(
 
 @dataclass(frozen=True, eq=False)
 class ReductionAnalysis:
-    """Distillability data for one reduction (AB or AE) of a tripartite state."""
+    """Distillability data for one reduction (AB or AE) of a tripartite state.
+
+    ``separability`` is the reduction's rank-regime record, its first party
+    in the record's A slot and its second party in the B slot.
+    """
 
     label: str
-    parties: tuple[str, str]
-    dims: tuple[int, int]
-    rank: int
-    rank_first: int
-    rank_second: int
-    ppt: PptVerdict
-    low_rank_bound_first: float | None
-    low_rank_bound_second: float | None
+    separability: SeparabilityRecord
     hashing_rate: float
     witness: WitnessSearchOutcome
 
@@ -336,16 +329,17 @@ class ReductionAnalysis:
         return self.witness.performed and not self.witness.found
 
     def to_json_dict(self) -> dict:
+        record = self.separability
         return {
             "label": self.label,
-            "parties": list(self.parties),
-            "dims": list(self.dims),
-            "rank": self.rank,
-            "rank_first": self.rank_first,
-            "rank_second": self.rank_second,
-            "ppt": self.ppt._asdict(),
-            "low_rank_bound_first": self.low_rank_bound_first,
-            "low_rank_bound_second": self.low_rank_bound_second,
+            "parties": list(self.label),
+            "dims": list(record.dims),
+            "rank": record.rank,
+            "rank_first": record.rank_a,
+            "rank_second": record.rank_b,
+            "ppt": record.ppt._asdict(),
+            "low_rank_bound_first": record.low_rank_bound_a,
+            "low_rank_bound_second": record.low_rank_bound_b,
             "hashing_rate": self.hashing_rate,
             "witness_search": self.witness.to_json_dict(),
             "two_way_heuristic": self.two_way_heuristic,
@@ -370,7 +364,7 @@ class DistillabilityReport:
     params: dict
 
     def to_json_dict(self) -> dict:
-        red_ab, red_ae = self.reduction_ab, self.reduction_ae
+        red_ab, ab = self.reduction_ab, self.reduction_ab.separability
         return {
             "schema": "distillability-report/1",
             "params": dict(self.params),
@@ -378,26 +372,13 @@ class DistillabilityReport:
             "classification": self.classification,
             "npt_reductions": list(self.npt_reductions),
             "rates": dict(self.rates),
-            "ranks": {
-                "AB": red_ab.rank,
-                "A": red_ab.rank_first,
-                "B": red_ab.rank_second,
-                "E": red_ae.rank_second,
-            },
-            "low_rank_bound_A": red_ab.low_rank_bound_first,
-            "low_rank_bound_B": red_ab.low_rank_bound_second,
+            "ranks": {"AB": ab.rank, "A": ab.rank_a, "B": ab.rank_b, "E": ab.rank_e},
+            "low_rank_bound_A": ab.low_rank_bound_a,
+            "low_rank_bound_B": ab.low_rank_bound_b,
             "hashing_rate": red_ab.hashing_rate,
             "witness_phi": red_ab.witness.to_json_dict()["phi"],
-            "reductions": {"AB": red_ab.to_json_dict(), "AE": red_ae.to_json_dict()},
+            "reductions": {"AB": red_ab.to_json_dict(), "AE": self.reduction_ae.to_json_dict()},
         }
-
-    def separability_ab(self) -> "SeparabilityRecord":
-        """``separability_verdict`` of rho_AB, read off this report's AB reduction."""
-        ab = self.reduction_ab
-        return SeparabilityRecord(
-            ab.dims, ab.rank, ab.rank_first, ab.rank_second, ab.ppt,
-            ab.low_rank_bound_first, ab.low_rank_bound_second,
-        )
 
 
 def _analyze_reduction(
@@ -418,22 +399,15 @@ def _analyze_reduction(
     party, has rho's nonzero spectrum (Schmidt duality), so rho is never
     diagonalized. ``factor`` is the amplitude tensor with rho = F F^dagger.
     """
-    r, r_first, r_second = third.rank, first.rank, second.rank
-    if r < r_second:
+    r = third.rank
+    if r < second.rank:
         witness = _witness_search(factor, r, witness_budget, seedseq, rank_tol)
     else:
-        note = f"rank(state) = {r} >= {r_second} = rank(marginal): search does not apply"
+        note = f"rank(state) = {r} >= {second.rank} = rank(marginal): search does not apply"
         witness = WitnessSearchOutcome(False, False, None, 0, note=note)
     return ReductionAnalysis(
         label=label,
-        parties=tuple(label),
-        dims=rho.dims,
-        rank=r,
-        rank_first=r_first,
-        rank_second=r_second,
-        ppt=is_ppt(rho, ppt_tol),
-        low_rank_bound_first=_marginal_bound(r, first),
-        low_rank_bound_second=_marginal_bound(r, second),
+        separability=_separability_record(rho, r, first, second, ppt_tol),
         hashing_rate=second.entropy() - third.entropy(),
         witness=witness,
     )
@@ -474,10 +448,9 @@ def classify(
         )
         for k, label, factor in ((1, "AB", amps), (2, "AE", amps.swapaxes(1, 2)))
     )
-    both_ppt = red_ab.ppt.is_ppt and red_ae.ppt.is_ppt
-    npt = tuple(red.label for red in (red_ab, red_ae) if not red.ppt.is_ppt)
+    npt = tuple(red.label for red in (red_ab, red_ae) if not red.separability.ppt.is_ppt)
     keys = ("both_two_way", "ab_two_way_ae_one_way", "ab_one_way_ae_two_way", "both_one_way")
-    if both_ppt:
+    if not npt:
         rates = dict.fromkeys(keys, RATE_ZERO)
         classification = CLASS_FULLY_UNDISTILLABLE
     else:
@@ -568,7 +541,18 @@ def separability_verdict(
     r = solve_hermitian(rho.matrix, rank_tol, vectors=False).rank
     spec_a, spec_b = (solve_hermitian(partial_trace(rho, (k,)).matrix, rank_tol, vectors=False)
                       for k in (0, 1))
+    return _separability_record(rho, r, spec_a, spec_b, ppt_tol)
+
+
+def _separability_record(
+    rho: DensityMatrix,
+    r: int,
+    first: HermitianSpectrum,
+    second: HermitianSpectrum,
+    ppt_tol: float,
+) -> SeparabilityRecord:
+    """``rho``'s record, from its rank ``r`` and the spectra of its two marginals."""
     return SeparabilityRecord(
-        rho.dims, r, spec_a.rank, spec_b.rank, is_ppt(rho, ppt_tol),
-        _marginal_bound(r, spec_a), _marginal_bound(r, spec_b),
+        rho.dims, r, first.rank, second.rank, is_ppt(rho, ppt_tol),
+        *(_rate_bound(r, spec.rank, spec.min_positive()) for spec in (first, second)),
     )

@@ -167,8 +167,8 @@ def test_flagged_depolarizing_complement_ranks():
 
 
 def test_flagged_depolarizing_parameter_checks():
-    for q in (0.0, 1.0, -0.2, 1.5):
-        with pytest.raises(BadParameterError):
+    for q in (0.0, 1.0, -0.2, 1.5, "0.5", None, True, float("nan")):
+        with pytest.raises(BadParameterError, match="depolarizing strength q must lie in"):
             flagged_depolarizing_channel(2, q)
     with pytest.raises(BadParameterError):
         flagged_depolarizing_channel(1, 0.5)

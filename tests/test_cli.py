@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -6,6 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from lrdistill import cli
 from lrdistill.cli import build_parser, main
 from lrdistill.states import DensityMatrix, TripartitePureState, bell_state, ghz_state
 
@@ -22,7 +24,7 @@ def run_cli(capsys, *args):
 
 def write_state(tmp_path, name, doc):
     path = tmp_path / name
-    path.write_text(json.dumps(doc))
+    path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
     return str(path)
 
 
@@ -131,6 +133,10 @@ MALFORMED_DOCS = {
     "vector-short": {**GHZ_DOC, "vector": GHZ_DOC["vector"][:-1]},
     "vector-empty": {**GHZ_DOC, "vector": []},
     "choi-list": {"d_in": 2, "d_out": 2, "choi": ROWS},
+    # files that json.load itself rejects, as raw bytes
+    "bytes-not-utf8": b'{"dims": [2, 2], "matrix": "\xff"}',
+    "bytes-nested-200000-deep": b"[" * 200000 + b"]" * 200000,
+    "bytes-dims-5000-digits": b'{"dims": [' + b"9" * 5000 + b', 1], "matrix": []}',
 }
 
 #: Tolerance flags outside (0, 1) on a well-formed document ("DOC" is its path).
@@ -284,6 +290,27 @@ def test_help_and_version_return_zero(capsys):
     assert main(["--version"]) == 0
     assert main(["sample", "--help"]) == 0
     assert main([]) == 2
+
+
+def test_help_names_the_root_parsers_default_for_every_flag(monkeypatch):
+    parsers = [build_parser()]
+    # defaults no help text spells out, to tell a help built from the root from a copied one
+    changed = {"rank_tol": 1e-7, "ppt_tol": 1e-6, "seed": 11, "witness_budget": 7}
+    for name, default in changed.items():
+        flag, _, *rest = cli._FLAGS[name]
+        monkeypatch.setitem(cli._FLAGS, name, (flag, default, *rest))
+    parsers.append(build_parser.__wrapped__())
+    assert parsers[1].get_default("witness_budget") == 7
+    for parser in parsers:
+        subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        for name, sub in subs.choices.items():
+            text = " ".join(sub.format_help().split())  # one line at any terminal width
+            for action in sub._actions:
+                default = parser.get_default(action.dest)
+                if default not in (None, argparse.SUPPRESS):  # None: --output; SUPPRESS: --help
+                    assert f"(default {default})" in text, (name, action.dest)
+            if name == "example":
+                assert "(default 2)" in text and "(default 0.5)" in text
 
 
 def test_bad_tolerance_flag(tmp_path, capsys):

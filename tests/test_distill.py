@@ -406,14 +406,15 @@ def test_classify_ghz():
     assert report.classification == CLASS_FULLY_UNDISTILLABLE
     assert report.npt_reductions == ()
     assert all(v == RATE_ZERO for v in report.rates.values())
-    assert report.reduction_ab.ppt.is_ppt and report.reduction_ae.ppt.is_ppt
+    assert report.reduction_ab.separability.ppt.is_ppt
+    assert report.reduction_ae.separability.ppt.is_ppt
 
 
 def test_classify_bell_with_trivial_env():
     report = classify(bell_with_trivial_env())
     assert report.classification == CLASS_SOME_2WAY
     assert report.npt_reductions == ("AB",)
-    assert report.reduction_ab.low_rank_bound_second == pytest.approx(1.0, abs=1e-9)
+    assert report.reduction_ab.separability.low_rank_bound_b == pytest.approx(1.0, abs=1e-9)
     assert report.rates["both_two_way"] == RATE_POSITIVE
     assert report.rates["both_one_way"] == RATE_POSITIVE  # hashing rate 1 certifies it
     assert report.reduction_ab.witness.found
@@ -444,7 +445,8 @@ def test_classify_soundness_random_ensemble():
         v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         psi = TripartitePureState((2, 2, 2), v / np.linalg.norm(v))
         report = classify(psi, witness_budget=8, seed=seed)
-        both_ppt = report.reduction_ab.ppt.is_ppt and report.reduction_ae.ppt.is_ppt
+        both_ppt = all(red.separability.ppt.is_ppt
+                       for red in (report.reduction_ab, report.reduction_ae))
         expected = CLASS_FULLY_UNDISTILLABLE if both_ppt else CLASS_SOME_2WAY
         assert report.classification == expected
 
@@ -587,10 +589,12 @@ def test_integral_budgets_are_stored_as_int():
 def test_report_separability_matches_separability_verdict():
     for seed, dims in enumerate([(2, 4, 3), (3, 3, 3), (2, 2, 5), (3, 4, 2)]):
         psi = haar_state(dims, seed)
-        from_report = classify(psi).separability_ab().to_json_dict()
-        direct = separability_verdict(psi.reduction((0, 1))).to_json_dict()
-        assert from_report.pop("ppt")["is_ppt"] == direct.pop("ppt")["is_ppt"]
-        for key in ("low_rank_bound_A", "low_rank_bound_B"):
-            got, want = from_report.pop(key), direct.pop(key)
-            assert (got is None and want is None) or got == pytest.approx(want, abs=1e-12)
-        assert from_report == direct
+        report = classify(psi)
+        for reduction, keep in ((report.reduction_ab, (0, 1)), (report.reduction_ae, (0, 2))):
+            from_report = reduction.separability.to_json_dict()
+            direct = separability_verdict(psi.reduction(keep)).to_json_dict()
+            assert from_report.pop("ppt")["is_ppt"] == direct.pop("ppt")["is_ppt"]
+            for key in ("low_rank_bound_A", "low_rank_bound_B"):
+                got, want = from_report.pop(key), direct.pop(key)
+                assert (got is None and want is None) or got == pytest.approx(want, abs=1e-12)
+            assert from_report == direct

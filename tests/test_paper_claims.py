@@ -63,8 +63,8 @@ def test_separable_by_construction_gets_the_separable_verdict(rho):
 def test_both_reductions_ppt_means_fully_undistillable_and_separable(rho):
     psi = purify(rho)
     report = classify(psi)
-    assert report.reduction_ab.ppt.is_ppt  # rho_AB = rho is separable
-    if report.reduction_ae.ppt.is_ppt:
+    assert report.reduction_ab.separability.ppt.is_ppt  # rho_AB = rho is separable
+    if report.reduction_ae.separability.ppt.is_ppt:
         assert report.classification == "FULLY_UNDISTILLABLE_SEPARABLE"
         assert set(report.rates.values()) == {"zero"}
         assert separability_verdict(psi.reduction((0, 2))).verdict == "separable"
@@ -95,8 +95,8 @@ def _decisions(report):
         doc["classification"],
         doc["rates"],
         doc["ranks"],
-        [(red.rank, red.rank_first, red.rank_second, red.ppt.is_ppt)
-         for red in (report.reduction_ab, report.reduction_ae)],
+        [(rec.rank, rec.rank_a, rec.rank_b, rec.ppt.is_ppt)
+         for rec in (report.reduction_ab.separability, report.reduction_ae.separability)],
     )
 
 
@@ -175,7 +175,8 @@ def test_classify_ranks_and_rates_match_the_two_party_reductions(psi):
     red = _oracle_reductions(psi.amplitudes, psi.dims)
     report = classify(psi)
     ab, ae = report.reduction_ab, report.reduction_ae
-    assert (ab.rank, ae.rank) == (numerical_rank(red["AB"]), numerical_rank(red["AE"]))
+    ranks = (ab.separability.rank, ae.separability.rank)
+    assert ranks == (numerical_rank(red["AB"]), numerical_rank(red["AE"]))
     assert abs(ab.hashing_rate - (_entropy(red["B"]) - _entropy(red["AB"]))) <= 1e-12
     assert abs(ae.hashing_rate - (_entropy(red["E"]) - _entropy(red["AE"]))) <= 1e-12
     # I(A>E) = S(E) - S(AE) = S(AB) - S(B) = -I(A>B)
