@@ -29,7 +29,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import BadParameterError, RankNotLowError
-from .kernels import (DEFAULT_RANK_TOL, HermitianSpectrum, gram_rank_equals, gram_ranks,
+from .kernels import (DEFAULT_RANK_TOL, ConditionedGrams, HermitianSpectrum, gram_ranks,
                       solve_hermitian)
 from .states import (
     DEFAULT_PPT_TOL,
@@ -48,8 +48,9 @@ Side = Literal["A", "B"]
 
 DEFAULT_WITNESS_BUDGET = 50
 
-#: Haar trials of the witness search decided together in one batched rank screen.
+#: Haar trials of the witness search's first batch; each later batch doubles, up to _MAX_BATCH.
 _BATCH = 64
+_MAX_BATCH = 256
 
 #: A rate above this threshold counts as numerically positive evidence.
 POSITIVE_RATE_TOL = 1e-9
@@ -233,30 +234,33 @@ def _saturation_search(
 
     Tries the d_A computational basis vectors first (they catch structured
     states cheaply), then ``budget`` Haar-random vectors (a budget the caller
-    has validated) in batches of ``_BATCH``, each batch decided by the pivot
-    screen of ``gram_rank_equals``, which eigensolves only the trials it
-    leaves open. ``basis_ranks`` is ``gram_ranks(factor, rank_tol)``, the
-    basis vectors' ranks, which callers that also report them compute once.
-    Trial order, random draws and the returned vector are those of trying
-    one vector at a time, so the outcome is deterministic given
+    has validated) in batches of ``_BATCH`` trials, doubling up to
+    ``_MAX_BATCH``. ``ConditionedGrams.rank_equals`` decides each batch: it
+    forms the batch's Gram matrices in one GEMM from products of F's slices
+    computed once per search, screens them, and eigensolves only the trials
+    the screen leaves open. ``basis_ranks`` is ``gram_ranks(factor, rank_tol)``,
+    the basis vectors' ranks, which callers that also report them compute
+    once. Trial order, random draws and the returned vector are those of
+    trying one vector at a time, so the outcome is deterministic given
     (state, budget, seed).
     """
     d_a = factor.shape[0]
     hits = np.flatnonzero(basis_ranks == target_rank)
     if hits.size:
         return np.eye(d_a, dtype=np.complex128)[hits[0]], int(hits[0]) + 1
-    flat = factor.reshape(d_a, -1)
-    for done in range(0, budget, _BATCH):
-        n = min(_BATCH, budget - done)
+    grams = ConditionedGrams(factor)
+    done, size = 0, _BATCH
+    while done < budget:
+        n = min(size, budget - done)
         # Per trial d_A real parts, then d_A imaginary parts: the same stream
         # as drawing each trial's two parts on its own.
         g = rng.standard_normal((n, 2, d_a))
         v = g[:, 0] + 1j * g[:, 1]
-        k = (v.conj() @ flat).reshape(n, *factor.shape[1:])
-        hits = np.flatnonzero(gram_rank_equals(k, target_rank, rank_tol))
+        hits = np.flatnonzero(grams.rank_equals(v, target_rank, rank_tol))
         if hits.size:
             phi = v[hits[0]]
             return phi / np.linalg.norm(phi), d_a + done + int(hits[0]) + 1
+        done, size = done + n, min(2 * size, _MAX_BATCH)
     return None, d_a + budget
 
 
@@ -308,8 +312,8 @@ def _witness_search(
 class ReductionAnalysis:
     """Distillability data for one reduction (AB or AE) of a tripartite state.
 
-    ``separability`` is the reduction's rank-regime record, its first party
-    in the record's A slot and its second party in the B slot.
+    ``separability`` is the reduction's rank-regime record, whose parties
+    are ``label``.
     """
 
     label: str
@@ -407,7 +411,7 @@ def _analyze_reduction(
         witness = WitnessSearchOutcome(False, False, None, 0, note=note)
     return ReductionAnalysis(
         label=label,
-        separability=_separability_record(rho, r, first, second, ppt_tol),
+        separability=_separability_record(rho, r, first, second, ppt_tol, label),
         hashing_rate=second.entropy() - third.entropy(),
         witness=witness,
     )
@@ -479,6 +483,11 @@ class SeparabilityRecord:
     separability (and to two-way undistillability), so the PPT verdict
     upgrades to a separability verdict. Outside that regime the tool reports
     the PPT witness but leaves separability undecided.
+
+    ``parties`` names the state's two parties, the first in the ``_a`` slots
+    and the second in the ``_b`` slots; the purifying party is the third of
+    A, B and E. The JSON names every rank and bound by these parties: for
+    ``parties = "AE"`` its ranks are AE, A, E, AB and B.
     """
 
     dims: tuple[int, int]
@@ -488,6 +497,7 @@ class SeparabilityRecord:
     ppt: PptVerdict
     low_rank_bound_a: float | None
     low_rank_bound_b: float | None
+    parties: str = "AB"
 
     @property
     def rank_e(self) -> int:
@@ -513,16 +523,18 @@ class SeparabilityRecord:
         return VERDICT_PPT_UNDECIDED if self.ppt.is_ppt else VERDICT_NPT_UNDECIDED
 
     def to_json_dict(self) -> dict:
+        first, second = self.parties
+        third = next(p for p in "ABE" if p not in self.parties)
         return {
             "dims": list(self.dims),
-            "ranks": {"AB": self.rank, "A": self.rank_a, "B": self.rank_b,
-                      "AE": self.rank_ae, "E": self.rank_e},
+            "ranks": {self.parties: self.rank, first: self.rank_a, second: self.rank_b,
+                      first + third: self.rank_ae, third: self.rank_e},
             "rank_pattern_holds": self.rank_pattern_holds,
             "regime_applies": self.regime_applies,
             "ppt": self.ppt._asdict(),
             "verdict": self.verdict,
-            "low_rank_bound_A": self.low_rank_bound_a,
-            "low_rank_bound_B": self.low_rank_bound_b,
+            f"low_rank_bound_{first}": self.low_rank_bound_a,
+            f"low_rank_bound_{second}": self.low_rank_bound_b,
         }
 
 
@@ -541,7 +553,7 @@ def separability_verdict(
     r = solve_hermitian(rho.matrix, rank_tol, vectors=False).rank
     spec_a, spec_b = (solve_hermitian(partial_trace(rho, (k,)).matrix, rank_tol, vectors=False)
                       for k in (0, 1))
-    return _separability_record(rho, r, spec_a, spec_b, ppt_tol)
+    return _separability_record(rho, r, spec_a, spec_b, ppt_tol, "AB")
 
 
 def _separability_record(
@@ -550,9 +562,11 @@ def _separability_record(
     first: HermitianSpectrum,
     second: HermitianSpectrum,
     ppt_tol: float,
+    parties: str,
 ) -> SeparabilityRecord:
     """``rho``'s record, from its rank ``r`` and the spectra of its two marginals."""
     return SeparabilityRecord(
         rho.dims, r, first.rank, second.rank, is_ppt(rho, ppt_tol),
         *(_rate_bound(r, spec.rank, spec.min_positive()) for spec in (first, second)),
+        parties,
     )

@@ -147,60 +147,135 @@ def _stack_ranks(gram: np.ndarray, rank_tol: float) -> np.ndarray:
     return _retained(lams, rank_tol)
 
 
-def gram_rank_equals(k: np.ndarray, target: int, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """``gram_ranks(k, rank_tol) == target``, eigensolving only what a pivot screen leaves open.
+class ConditionedGrams:
+    """The Gram matrices of an amplitude factor conditioned on trial vectors of A.
 
-    With m the size of the smaller Gram matrix G and target = m, the question
-    is whether lambda_min > rank_tol * lambda_max. An LDL^dagger elimination of
-    G / tr G, run on the whole stack at once and reading G's lower triangle as
-    ``eigvalsh`` does, settles it for almost every K. Its pivots d_j are the
-    exact pivots of G + E, and ``eigvalsh``'s eigenvalues those of G + E', with
-    ||E||, ||E'|| <= mu tr G, mu = 64 m^2 eps (Higham, Accuracy and Stability
-    of Numerical Algorithms, 2nd ed., Thm 10.3 and section 10.3). A pivot
-    at or below the floor f = rank_tol / m - (2 + rank_tol) mu skips its step,
-    which continues the elimination on a principal submatrix of G. Then
-
-    * rank < m when some d_j lies in [-1, f]: the principal block that ends
-      in d_j has lambda_min <= max(d_j, 0) (its Schur complement), so by
-      interlacing the computed lambda_min is at most (f + 2 mu) tr G, while
-      the computed lambda_max >= (1/m - mu) tr G. A pivot below -1 can only
-      come from rounding after a tiny pivot, where the bound on E fails, so
-      it decides nothing;
-    * rank = m when every d_j > f and prod d_j > (1 + mu)^(m-1) (rank_tol
-      (1 + mu) + 2 mu): lambda_min(G + E) >= det / lambda_max^(m-1) with
-      lambda_max(G + E) <= (1 + mu) tr G, so the computed lambda_min exceeds
-      rank_tol times the computed lambda_max.
-
-    The margins cover both solvers' rounding, so the mask is exactly the
-    one eigensolving every K would give. The elimination stops at a pivot
-    that decides rank < m for every K. The K left open (and every K with
-    tr G = 0) go to one ``eigvalsh`` of their Gram matrices. When target != m,
-    or when f <= 0 (a tolerance too small for the screen to prove anything),
-    the function is ``gram_ranks(k, rank_tol) == target``.
+    ``factor`` F has shape (d_A, d_B, r). A trial phi conditions it to
+    K = sum_a conj(phi_a) F[a] (d_B x r), whose smaller Gram matrix G is
+    K^dagger K when d_B > r and K K^dagger otherwise, of size m = min(d_B, r).
+    The products T_ab = W[a]^dagger W[b], with W[a] = F[a] or F[a]^dagger, are
+    formed once, so a batch of trials needs one GEMM: G = sum_ab c_ab T_ab
+    with c_ab = x_a conj(x_b), x = phi or conj(phi).
     """
-    validated_tolerance(rank_tol, "rank_tol")
-    n, m = len(k), min(k.shape[1:])
-    mu = 64 * m * m * np.finfo(float).eps
-    if target != m or n * m == 0 or rank_tol / m <= (2 + rank_tol) * mu:
-        return gram_ranks(k, rank_tol) == target
-    floor = rank_tol / m - (2 + rank_tol) * mu
-    gram = _gram(k)
-    trace = np.einsum("nii->n", gram).real
-    screened = trace > np.finfo(float).tiny
-    # (m, m, n): the stack is numpy's inner loop in every elimination step.
-    scale = 1.0 / np.where(screened, trace, np.inf)
-    a = (gram * scale[:, None, None]).transpose(1, 2, 0).copy()
-    for j in range(m):
-        d = a[j, j].real
-        if d.max() <= floor and d.min() >= -1.0 and screened.all():
-            return np.zeros(n, dtype=bool)  # this pivot decides rank < m for every K
-        col = a[j + 1:, j]
-        a[j + 1:, j + 1:] -= (col / np.where(d > floor, d, np.inf))[:, None] * col.conj()
-    pivots = np.diagonal(a).real
-    lower = np.any((pivots >= -1.0) & (pivots <= floor), axis=1)
-    full = np.all(pivots > floor, axis=1) & (
-        np.prod(pivots, axis=1) > (1 + mu) ** (m - 1) * (rank_tol * (1 + mu) + 2 * mu))
-    undecided = np.flatnonzero(~(lower | full) | ~screened)
-    if undecided.size:
-        full[undecided] = _stack_ranks(gram[undecided], rank_tol) == target
-    return full
+
+    def __init__(self, factor: np.ndarray):
+        d_a, d_b, r = factor.shape
+        self.shape, self.m, p = factor.shape, min(d_b, r), max(d_b, r)
+        self._flat = factor.reshape(d_a, -1)
+        self._tall = d_b > r
+        w = factor if self._tall else np.conj(np.swapaxes(factor, 1, 2))  # (d_A, p, m)
+        # An exact power-of-two scale, which leaves H unchanged, keeps T clear of overflow.
+        w = w * 2.0 ** -np.frexp(np.max(np.abs(w), initial=0.0))[1]
+        x = np.swapaxes(w, 0, 1).reshape(p, d_a * self.m)  # columns (a, j)
+        t = (x.conj().T @ x).reshape(d_a, self.m, d_a, self.m)
+        self._products = t.transpose(1, 3, 0, 2).reshape(self.m * self.m, d_a * d_a)
+        self._traces = np.einsum("ajbj->ab", t).reshape(-1)
+        self._norms = np.linalg.norm(w.reshape(d_a, -1), axis=1)
+        eps = np.finfo(float).eps
+        self._mu0 = 64 * self.m * self.m * eps
+        self._kappa_u = 4 * (d_a * d_a + 2 * d_a + 3 * p + 12) * eps  # 8 (...) u, u = eps / 2
+
+    def conditioned(self, v: np.ndarray) -> np.ndarray:
+        """K = sum_a conj(v_a) F[a] for each row v_a of ``v`` (n, d_A): shape (n, d_B, r)."""
+        return (v.conj() @ self._flat).reshape(len(v), *self.shape[1:])
+
+    def rank_equals(self, v: np.ndarray, target: int,
+                    rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+        """``gram_ranks(self.conditioned(v), rank_tol) == target``, screening before eigensolving.
+
+        With target = m the question is whether lambda_min > rank_tol *
+        lambda_max. An LDL^dagger elimination of each trial's H = G / tr G,
+        formed from the products T_ab, run on the whole batch at once and
+        reading H's lower triangle as ``eigvalsh`` does, settles it for almost
+        every trial. The rest, and every trial with tr G <= tiny or with a
+        floor f <= 0, go to one ``eigvalsh`` of ``_gram(K)``, K formed as
+        ``conditioned`` forms it: the matrices ``gram_ranks`` solves.
+
+        The margin. With u = eps / 2, mu0 = 64 m^2 eps and p = max(d_B, r),
+        trial phi gets mu = mu0 + nu, nu = kappa u s^2 / tr G, where
+        s = sum_a |phi_a| ||F[a]||_F and kappa = 8 (d_A^2 + 2 d_A + 3 p + 12);
+        its floor is f = rank_tol / m - (2 + rank_tol) mu. Let G^ = ``_gram(K^)``
+        be the matrix ``eigvalsh`` would see, A = G^ / tr G^, and H^ the
+        screen's matrix. ``eigvalsh``'s eigenvalues are those of G^ + E' with
+        ||E'|| <= mu0 tr G^, and the elimination's pivots the exact pivots of
+        H^ + E with ||E|| <= mu0 (Higham, Accuracy and Stability of Numerical
+        Algorithms, 2nd ed., Thm 10.3 and section 10.3; mu0 is over ten times
+        the elimination's bound at unit trace, so it holds while tr H^ <= 3/2).
+        Below, ||H^ - A|| <= nu, so the pivots are exact pivots of A + E''
+        with ||E''|| <= mu. Then
+
+        * rank < m when some pivot d_j lies in [-1, f]: the principal block
+          of A + E'' that ends in d_j has lambda_min <= max(d_j, 0) (its Schur
+          complement), so by interlacing the computed lambda_min is at most
+          (f + 2 mu) tr G^, while the computed lambda_max >= (1/m - mu) tr G^.
+          A pivot below -1 can only come from rounding after a tiny pivot,
+          where the bound on E fails, so it decides nothing;
+        * rank = m when every d_j > f and prod d_j > (1 + mu)^(m-1) (rank_tol
+          (1 + mu) + 2 mu): lambda_min(A + E'') >= det / lambda_max^(m-1) with
+          lambda_max(A + E'') <= 1 + mu, so the computed lambda_min exceeds
+          rank_tol times the computed lambda_max.
+
+        Why ||H^ - A||_2 <= nu. Let K be exact, G its Gram matrix and t = tr G
+        = ||K||_F^2 <= s^2. Write gamma_k = k u / (1 - k u); a complex inner
+        product of length k errs by at most gamma_(k+2) |x|^dagger |y|
+        (Higham, sections 3.5 and 3.6) in any summation order. Use
+        || |X|^dagger |Y| ||_2 <= ||X||_F ||Y||_F and
+        sum_ab |phi_a| |phi_b| ||F[a]||_F ||F[b]||_F = s^2.
+
+        1. The eigensolved matrix: ||K^ - K||_F <= gamma_(d_A+2) s, and ``_gram``
+           adds at most gamma_(p+2) ||K^||_F^2. So ||G^ - G||_2 and
+           |tr G^ - t| are at most e1 s^2, e1 ~ 2 gamma_(d_A+2) + gamma_(p+2).
+        2. The trace: forming T^_ab errs by gamma_(p+2) |W[a]|^dagger |W[b]|,
+           its trace by gamma_m more, the coefficients c_ab = x_a conj(x_b)
+           by sqrt(2) gamma_2 relative, and the d_A^2-term sum by
+           gamma_(d_A^2+2): |t^ - t| <= e2 s^2,
+           e2 ~ gamma_(p+2) + gamma_m + gamma_4 + gamma_(d_A^2+2).
+        3. The matrix: scaling c by fl(1 / t^) adds two roundings, and the
+           GEMM's d_A^2-term sum gamma_(d_A^2+2). So H^ = (G + D) / t^ with
+           ||D||_2 <= e3 s^2, e3 ~ gamma_(p+2) + gamma_6 + gamma_(d_A^2+2).
+        4. Let q = s^2 / t^. If (e1 + e2) q <= 1/4, then t <= 5 t^ / 4 and
+           tr G^ >= 3 t^ / 4, and ||H^ - A||_2 <= ||G|| |1/t^ - 1/tr G^|
+           + ||D|| / t^ + e1 s^2 / tr G^ <= (3 e1 + 5 e2 / 3 + e3) q.
+           That is below 1.01 (3 d_A^2 + 6 d_A + 8 p + 42) u q, and kappa is
+           at least twice the sum, which covers complex GEMM variants and the
+           rounding of s, mu and f. The premise holds whenever f > 0:
+           then nu < mu < 1 / (2 m) and (e1 + e2) q <= nu / 4. Also
+           tr H^ <= 1 + m nu <= 3/2.
+
+        So the mask is exactly the one eigensolving every trial's G^ would
+        give, barring underflow (F is scaled by a power of two, which changes
+        no rounding, so that T cannot overflow). The elimination stops at a
+        pivot that decides rank < m for every trial. When target != m, the
+        method is ``gram_ranks(self.conditioned(v), rank_tol) == target``.
+        """
+        validated_tolerance(rank_tol, "rank_tol")
+        n, m = len(v), self.m
+        if target != m or n * m == 0:
+            return gram_ranks(self.conditioned(v), rank_tol) == target
+        x = v if self._tall else v.conj()
+        coef = (x[:, :, None] * x.conj()[:, None, :]).reshape(n, -1)
+        trace = (coef @ self._traces).real
+        screened = trace > np.finfo(float).tiny
+        trace = np.where(screened, trace, 1.0)
+        mu = self._mu0 + self._kappa_u * (np.abs(v) @ self._norms) ** 2 / trace
+        floor = rank_tol / m - (2 + rank_tol) * mu
+        screened &= floor > 0
+        floor = np.where(screened, floor, 1.0)
+        coef *= np.where(screened, 1.0 / trace, 0.0)[:, None]
+        # (m, m, n): the batch is numpy's inner loop in every elimination step.
+        a = (self._products @ coef.T).reshape(m, m, n)
+        for j in range(m):
+            d = a[j, j].real
+            if np.all((d <= floor) & (d >= -1.0)) and screened.all():
+                return np.zeros(n, dtype=bool)  # this pivot decides rank < m for every trial
+            col = a[j + 1:, j]
+            a[j + 1:, j + 1:] -= (col / np.where(d > floor, d, np.inf))[:, None] * col.conj()
+        pivots = np.diagonal(a).real
+        lower = np.any((pivots >= -1.0) & (pivots <= floor[:, None]), axis=1)
+        full = np.all(pivots > floor[:, None], axis=1) & (
+            np.prod(pivots, axis=1) > (1 + mu) ** (m - 1) * (rank_tol * (1 + mu) + 2 * mu))
+        undecided = np.flatnonzero(~(lower | full) | ~screened)
+        if undecided.size:
+            k = self.conditioned(v[undecided])
+            full[undecided] = _stack_ranks(_gram(k), rank_tol) == target
+        return full

@@ -46,7 +46,7 @@ from lrdistill.errors import (
 from lrdistill.kernels import DEFAULT_RANK_TOL
 from lrdistill.states import bell_state, ghz_state, maximally_mixed
 
-from conftest import numerical_rank
+from conftest import loop_partial_trace, numerical_rank
 
 
 def tilted_state():
@@ -336,28 +336,84 @@ def test_find_one_way_witness_matches_loop_oracle():
             assert np.array_equal(out.phi, want_phi)
 
 
-@pytest.mark.parametrize("haar_trial", [distill._BATCH, distill._BATCH + 1])
+def rank_one_slices_state(d_a, d_b, r, seed, last_column=1.0):
+    """rho = F F^dagger with F[a] = x_a y_a^T, its last column (index r - 1) scaled."""
+    factor = structured_factor(d_a, d_b, r, "rank_one_slices", seed)
+    factor[:, :, -1] *= last_column
+    m = factor.reshape(d_a * d_b, r) / np.linalg.norm(factor)
+    return DensityMatrix((d_a, d_b), m @ m.conj().T)
+
+
+def assert_witness_matches_loop_oracle(rho, budget, seed):
+    target = numerical_rank(rho.matrix)
+    want_phi, want_trials = loop_saturation_search(
+        rho.matrix, rho.dims, target, budget, np.random.default_rng(seed))
+    out = find_one_way_witness(rho, budget=budget, seed=seed)
+    assert out.trials_used == want_trials
+    assert out.found == (want_phi is not None)
+    if out.found:
+        assert np.array_equal(out.phi, want_phi)
+    return target, out
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    r=st.integers(2, 3),
+    extra=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    state_seed=st.integers(0, 2**32 - 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_haar_witness_of_rank_one_slices_matches_loop_oracle(r, extra, state_seed, seed):
+    # d_A > r >= 2 and d_B > r: every basis vector of A conditions B to rank 1,
+    # and the first Haar trial to the generic rank r
+    d_a, d_b = r + extra[0], r + extra[1]
+    target, out = assert_witness_matches_loop_oracle(
+        rank_one_slices_state(d_a, d_b, r, state_seed), 70, seed)
+    assert target == r and out.found and out.trials_used == d_a + 1
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_near_cutoff_haar_trials_take_the_open_path(monkeypatch, seed):
+    # the last column scaled by 3e-5: rho keeps rank 3, but many trials condition B to
+    # lambda_min / lambda_max near rank_tol, which the screen leaves to eigvalsh
+    stacks = []
+    real = np.linalg.eigvalsh
+
+    def recorded(a, *args, **kwargs):
+        if np.ndim(a) == 3:
+            stacks.append(len(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    target, _ = assert_witness_matches_loop_oracle(
+        rank_one_slices_state(4, 4, 3, seed, last_column=3e-5), 60, seed)
+    assert target == 3
+    assert stacks[0] == 4 and len(stacks) >= 2  # the basis batch, then the open Haar trials
+
+
+@pytest.mark.parametrize("haar_trial", [64, 65, 64 + 128, 64 + 128 + 1])
 def test_hit_at_a_batch_boundary(monkeypatch, haar_trial):
-    # the mask function reports saturation only at Haar trial ``haar_trial``:
-    # the last trial of the first batch, then the first trial of the second
+    # batches of 64, 128, 256, ... Haar trials: the mask function reports saturation
+    # only at Haar trial ``haar_trial``, the last or first trial of a batch
     d_a, target, seed = 3, 2, 8
     factor = structured_factor(d_a, 4, 2, "shared_column", seed)
     batch_sizes = []
 
-    def fake_hits(k, target_rank, rank_tol):
+    def fake_hits(grams, v, target_rank, rank_tol):
         first = sum(batch_sizes) + 1
-        batch_sizes.append(len(k))
-        trial = np.arange(first, first + len(k))
+        batch_sizes.append(len(v))
+        trial = np.arange(first, first + len(v))
         return (trial == d_a + haar_trial) & (target_rank == target)
 
-    monkeypatch.setattr(distill, "gram_rank_equals", fake_hits)
-    basis_ranks = np.where(fake_hits(factor, target, DEFAULT_RANK_TOL), target, 0)
+    monkeypatch.setattr(distill.ConditionedGrams, "rank_equals", fake_hits)
+    basis_ranks = np.where(fake_hits(None, factor, target, DEFAULT_RANK_TOL), target, 0)
     phi, trials = distill._saturation_search(
-        factor, basis_ranks, target, 200, np.random.default_rng(seed), DEFAULT_RANK_TOL)
+        factor, basis_ranks, target, 500, np.random.default_rng(seed), DEFAULT_RANK_TOL)
     assert trials == d_a + haar_trial
     want = loop_haar_draws(np.random.default_rng(seed), d_a, haar_trial)[-1]
     assert np.array_equal(phi, want)
-    assert batch_sizes == [d_a] + [distill._BATCH] * (1 if haar_trial == distill._BATCH else 2)
+    want_sizes = {64: [64], 65: [64, 128], 192: [64, 128], 193: [64, 128, 256]}[haar_trial]
+    assert batch_sizes == [d_a] + want_sizes
 
 
 def count_eigensolves(monkeypatch):
@@ -586,6 +642,22 @@ def test_integral_budgets_are_stored_as_int():
     assert find_one_way_witness(tilted_state(), budget=np.uint8(3)).found
 
 
+def test_each_record_names_its_ranks_by_its_parties():
+    dims = (2, 4, 3)
+    rng = np.random.default_rng(1)
+    v = rng.standard_normal(24) + 1j * rng.standard_normal(24)
+    report = classify(TripartitePureState(dims, v / np.linalg.norm(v)))
+    pure = np.outer(v, v.conj()) / np.vdot(v, v).real
+    want = {"".join("ABE"[k] for k in keep): numerical_rank(loop_partial_trace(pure, dims, keep))
+            for keep in ((0, 1), (0,), (1,), (0, 2), (2,))}
+    record_ab = report.reduction_ab.separability.to_json_dict()
+    record_ae = report.reduction_ae.separability.to_json_dict()
+    assert list(record_ab["ranks"].items()) == [(k, want[k]) for k in ("AB", "A", "B", "AE", "E")]
+    assert list(record_ae["ranks"].items()) == [(k, want[k]) for k in ("AE", "A", "E", "AB", "B")]
+    assert ["low_rank_bound_A", "low_rank_bound_E"] == [k for k in record_ae if "bound" in k]
+    assert want == {"AB": 3, "A": 2, "B": 4, "AE": 4, "E": 3}  # the ranks tell the labels apart
+
+
 def test_report_separability_matches_separability_verdict():
     for seed, dims in enumerate([(2, 4, 3), (3, 3, 3), (2, 2, 5), (3, 4, 2)]):
         psi = haar_state(dims, seed)
@@ -593,8 +665,12 @@ def test_report_separability_matches_separability_verdict():
         for reduction, keep in ((report.reduction_ab, (0, 1)), (report.reduction_ae, (0, 2))):
             from_report = reduction.separability.to_json_dict()
             direct = separability_verdict(psi.reduction(keep)).to_json_dict()
+            # the bare bipartite state's parties are A and B, the AE record's A and E
+            names = str.maketrans("BE", "EB") if keep == (0, 2) else {}
+            direct = {key.translate(names): value for key, value in direct.items()}
+            direct["ranks"] = {key.translate(names): r for key, r in direct["ranks"].items()}
             assert from_report.pop("ppt")["is_ppt"] == direct.pop("ppt")["is_ppt"]
-            for key in ("low_rank_bound_A", "low_rank_bound_B"):
+            for key in (f"low_rank_bound_{p}" for p in reduction.label):
                 got, want = from_report.pop(key), direct.pop(key)
                 assert (got is None and want is None) or got == pytest.approx(want, abs=1e-12)
             assert from_report == direct

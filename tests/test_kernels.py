@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from lrdistill import hermitian_eig
 from lrdistill.errors import (NonConvergenceError, NoPositiveEigenvalueError, NotHermitianError,
                               NumericsError)
-from lrdistill.kernels import gram_rank_equals, gram_ranks
+from lrdistill.kernels import ConditionedGrams, gram_ranks
 
 from conftest import gaussian_unit_vector, loop_partial_trace, numerical_rank
 from test_tolerances import EDGE_TOLS
@@ -117,9 +117,17 @@ def smaller_gram(k):
     return k @ k.conj().T if k.shape[0] <= k.shape[1] else k.conj().T @ k
 
 
+def conditioned_on(rng, k):
+    """(grams, v): n Gaussian trial vectors on A = C^n and a factor F with K(v_i) = k[i]."""
+    n = len(k)
+    v = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    factor = np.linalg.solve(v.conj(), k.reshape(n, -1)).reshape(k.shape)
+    return ConditionedGrams(factor), v
+
+
 @st.composite
 def screen_cases(draw):
-    """(stack, target, rank_tol): tall and wide stacks whose Gram spectra the screen must read."""
+    """(grams, v, k, target, rank_tol): tall and wide trials whose Gram spectra the screen reads."""
     p, q = draw(st.integers(1, 7)), draw(st.integers(1, 7))
     m = min(p, q)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -145,17 +153,18 @@ def screen_cases(draw):
             return rng.uniform(0.5, 1.0, m)
     k = gram_stack(rng, (p, q), draw(st.integers(1, 6)), spectrum)
     k *= 10.0 ** draw(st.sampled_from([-150, 0, 150]))
-    return k, m - draw(st.sampled_from([0, 0, 0, 1])), tol
+    return (*conditioned_on(rng, k), k, m - draw(st.sampled_from([0, 0, 0, 1])), tol)
 
 
 @settings(max_examples=300, deadline=None)
 @given(screen_cases())
-def test_gram_rank_equals_matches_an_eigensolve_of_each_gram_matrix(case):
-    k, target, tol = case
+def test_screen_matches_an_eigensolve_of_each_gram_matrix(case):
+    grams, v, k, target, tol = case
     want = [numerical_rank(smaller_gram(x), tol) == target for x in k]
-    got = gram_rank_equals(k, target, tol)
+    got = grams.rank_equals(v, target, tol)
     assert got.dtype == bool and list(got) == want
-    assert np.array_equal(got, gram_ranks(k, tol) == target)
+    # the K formed from the trial vectors, as the witness search forms it
+    assert np.array_equal(got, gram_ranks(grams.conditioned(v), tol) == target)
 
 
 def fail_stacked_eigvalsh(monkeypatch):
@@ -169,23 +178,45 @@ def fail_stacked_eigvalsh(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", failing)
 
 
+def gaussian(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 def test_screen_decides_well_separated_spectra_without_an_eigensolve(monkeypatch):
+    # tall F: K is 10 x 6 of generic rank 6; wide F[a] = X_a Y: K is 6 x 10 of rank 5
     rng = np.random.default_rng(5)
-    full = gram_stack(rng, (6, 10), 64, lambda: rng.uniform(0.2, 1.0, 6))
-    short = gram_stack(rng, (10, 6), 64, lambda: np.r_[rng.uniform(0.2, 1.0, 5), 0.0])
+    full = ConditionedGrams(gaussian(rng, 3, 10, 6))
+    short = ConditionedGrams(np.einsum("abk,kr->abr", gaussian(rng, 3, 6, 5), gaussian(rng, 5, 10)))
+    v = gaussian(rng, 256, 3)
     fail_stacked_eigvalsh(monkeypatch)
-    assert gram_rank_equals(full, 6).all()
-    assert not gram_rank_equals(short, 6).any()
+    assert full.rank_equals(v, 6).all()
+    assert not short.rank_equals(v, 6).any()
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (3, 4)])
+@pytest.mark.parametrize("side", [1 + 1e-3, 1 - 1e-3])
+@pytest.mark.parametrize("tol", EDGE_TOLS)
+def test_the_margin_covers_cancellation_in_the_formed_gram_matrices(shape, side, tol):
+    # trial vectors near one common direction: F = conj(V)^-1 K is far larger than
+    # each K, so the coefficient sums cancel; lambda_min lies a relative 1e-3 from the cutoff
+    rng = np.random.default_rng(7)
+    edge = gram_stack(rng, shape, 8, lambda: np.r_[1.0, 0.5, tol * side])
+    v = np.outer(rng.standard_normal(8), rng.standard_normal(8)) + 1e-5 * gaussian(rng, 8, 8)
+    grams = ConditionedGrams(np.linalg.solve(v.conj(), edge.reshape(8, -1)).reshape(edge.shape))
+    want = [numerical_rank(smaller_gram(x), tol) == 3 for x in edge]
+    assert list(grams.rank_equals(v, 3, tol)) == want
+    assert list(gram_ranks(grams.conditioned(v), tol) == 3) == want
 
 
 def test_a_failing_fallback_eigensolve_is_non_convergence(monkeypatch):
     # lambda_min a relative 1e-3 above the cutoff: the screen leaves it to eigvalsh
     rng = np.random.default_rng(6)
     edge = gram_stack(rng, (4, 6), 8, lambda: np.r_[1.0, 0.5, 0.5, 1e-10 * (1 + 1e-3)])
-    assert gram_rank_equals(edge, 4, 1e-10).all()
+    grams, v = conditioned_on(rng, edge)
+    assert grams.rank_equals(v, 4, 1e-10).all()
     fail_stacked_eigvalsh(monkeypatch)
     with pytest.raises(NonConvergenceError):
-        gram_rank_equals(edge, 4, 1e-10)
+        grams.rank_equals(v, 4, 1e-10)
 
 
 def test_rank_induced_measure_marginal():
