@@ -243,6 +243,13 @@ def _saturation_search(
     once. Trial order, random draws and the returned vector are those of
     trying one vector at a time, so the outcome is deterministic given
     (state, budget, seed).
+
+    When the first Haar batch misses in full and target_rank = m, the
+    smaller side of F's slices, ``ConditionedGrams.ratio_bound`` is checked
+    once. If it is <= rank_tol, it proves that no vector on A reaches rank m
+    (as when K has a kernel linear in phi), so every later trial would miss:
+    the search returns the exhausted result, (None, d_A + budget), without
+    drawing them.
     """
     d_a = factor.shape[0]
     hits = np.flatnonzero(basis_ranks == target_rank)
@@ -261,6 +268,8 @@ def _saturation_search(
             phi = v[hits[0]]
             return phi / np.linalg.norm(phi), d_a + done + int(hits[0]) + 1
         done, size = done + n, min(2 * size, _MAX_BATCH)
+        if done == _BATCH < budget and target_rank == grams.m and grams.ratio_bound() <= rank_tol:
+            break  # the first batch missed, and the bound proves every later trial misses
     return None, d_a + budget
 
 

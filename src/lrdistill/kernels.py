@@ -155,7 +155,8 @@ class ConditionedGrams:
     K^dagger K when d_B > r and K K^dagger otherwise, of size m = min(d_B, r).
     The products T_ab = W[a]^dagger W[b], with W[a] = F[a] or F[a]^dagger, are
     formed once, so a batch of trials needs one GEMM: G = sum_ab c_ab T_ab
-    with c_ab = x_a conj(x_b), x = phi or conj(phi).
+    with c_ab = x_a conj(x_b), x = phi or conj(phi). ``ratio_bound`` proves,
+    once for all trials, when none of them can reach rank m.
     """
 
     def __init__(self, factor: np.ndarray):
@@ -168,6 +169,7 @@ class ConditionedGrams:
         w = w * 2.0 ** -np.frexp(np.max(np.abs(w), initial=0.0))[1]
         x = np.swapaxes(w, 0, 1).reshape(p, d_a * self.m)  # columns (a, j)
         t = (x.conj().T @ x).reshape(d_a, self.m, d_a, self.m)
+        self._w = w
         self._products = t.transpose(1, 3, 0, 2).reshape(self.m * self.m, d_a * d_a)
         self._traces = np.einsum("ajbj->ab", t).reshape(-1)
         self._norms = np.linalg.norm(w.reshape(d_a, -1), axis=1)
@@ -279,3 +281,104 @@ class ConditionedGrams:
             k = self.conditioned(v[undecided])
             full[undecided] = _stack_ranks(_gram(k), rank_tol) == target
         return full
+
+    def ratio_bound(self) -> float:
+        """An upper bound on lambda_min / lambda_max for every trial at once; inf if none is found.
+
+        The eigenvalues are those ``eigvalsh`` returns for ``_gram(self.conditioned(v))``,
+        whatever the batch or row subset v, for every v != 0. So when the bound
+        is <= rank_tol, ``gram_ranks`` gives every trial rank < m: no trial
+        vector reaches rank m. It costs one ``svd`` and one stacked ``eigvalsh``
+        of d_A x d_A matrices, and holds barring underflow, as ``rank_equals`` does.
+
+        Kernel polynomials. Let y = conj(v) when d_B > r and y = v otherwise,
+        so that the trial's K or K^dagger is M(y) = sum_b y_b W[b] (p x m) and
+        G = M^dagger M. A linear polynomial u(y) = sum_b y_b U[b] in C^m has
+        M(y) u(y) = sum_{a<=b} y_a y_b S_ab, where S_aa = W[a] U[a] and S_ab =
+        W[a] U[b] + W[b] U[a]. Let A be the map U -> S, a (p d_A (d_A + 1) / 2)
+        x (d_A m) matrix whose entries are those of W. Take any vectors U_j as
+        the columns of N. Read each U_j as the m x d_A matrix
+        [U_j[0] .. U_j[d_A - 1]], so u_j(y) = U_j y, and let P = sum_j
+        U_j^dagger U_j and T_ab = tr(W[a]^dagger W[b]) (both d_A x d_A). For
+        y != 0 and Z = [u_1(y) .. u_k(y)],
+
+            lambda_min(G) ||Z||_F^2 <= tr(Z^dagger G Z) = sum_j ||M(y) u_j(y)||^2
+                <= (sum_{a<=b} |y_a y_b|^2) ||A N||_F^2 <= ||y||^4 ||A N||_F^2
+
+        by Cauchy-Schwarz, while ||Z||_F^2 = y^dagger P y >= lambda_min(P) ||y||^2
+        and tr G = y^dagger T y >= lambda_min(T) ||y||^2. So lambda_min(G) / tr G
+        <= beta = ||A N||_F^2 / (lambda_min(P) lambda_min(T)), whatever y is.
+        The N used are the k right singular vectors of A of least singular
+        value, for each k; beta is the least of their bounds. When M(y) has a
+        linear kernel polynomial, A has a null space and that beta is tiny.
+
+        Rounding in beta. Take A (copied from W) and N as exact. Let delta =
+        (size(A) + 8) eps, at least twice every gamma_k below, and
+        c = 64 d_A^2 eps + 3 delta.
+        * ||A N||_F <= (||fl(A N)||_F + delta ||A||_F ||N||_F)(1 + 3 delta): an
+          inner product of length d_A m errs by gamma_(d_A m + 2) |a|^T |n|.
+        * The P and T that the one ``eigvalsh`` reads are within delta ||N||_F^2
+          and delta tau, tau = sum_a ||W[a]||_F^2, of the exact ones in the
+          2-norm. (P sums m k products, m k <= size(A). For the T of
+          ``__init__``, see ``rank_equals``'s step 2: gamma_(p+2) + gamma_m.) Its
+          eigenvalues are exact for a matrix within 64 d_A^2 eps times the
+          trace, the mu0 of ``rank_equals``. So lambda_min(P) >=
+          lambda^_P - c ||N||_F^2 and lambda_min(T) >= lambda^_T - c tau.
+
+        From beta to ``eigvalsh``. Write G^ for the Gram matrix ``eigvalsh``
+        sees. Step 1 of ``rank_equals`` bounds ||G^ - G||_2 and |tr G^ - tr G|
+        by e1 s^2, with kappa u >= 6 e1. There s = sum_a |v_a| ||F[a]||_F, and
+        s^2 <= ||v||^2 tau (Cauchy-Schwarz). Together with tr G >=
+        lambda_min(T) ||v||^2, every trial has s^2 / tr G <= Q = tau /
+        lambda_min(T). So with nu = kappa u Q, lambda_min(G^) <= (beta + nu)
+        tr G and tr G^ >= (1 - nu) tr G. With mu0, ``eigvalsh`` returns
+        lambda^_min <= lambda_min(G^) + mu0 tr G^ and lambda^_max >= (1/m - mu0)
+        tr G^. Hence
+
+            lambda^_min / lambda^_max <= ((beta + nu) / (1 - nu) + mu0) / (1/m - mu0),
+
+        the value returned, rounded up by (1 + delta). The result is inf unless
+        the lower bounds on lambda_min(T) and on some k's lambda_min(P) are
+        positive, nu < 1/2 and mu0 < 1/(2m).
+        W's power-of-two scale cancels in every ratio.
+        """
+        w = self._w
+        d_a, p, m = w.shape
+        eps = np.finfo(float).eps
+        first, second = np.triu_indices(d_a)
+        pairs = len(first)
+        # Block (ab, c) of A: W[a] if c = b, plus W[b] if c = a != b.
+        blocks = np.zeros((pairs, d_a, p, m), dtype=w.dtype)
+        blocks[np.arange(pairs), second] = w[first]
+        off = np.flatnonzero(first != second)
+        blocks[off, first[off]] = w[second[off]]
+        a_map = blocks.transpose(0, 2, 1, 3).reshape(pairs * p, d_a * m)
+        try:
+            vh = np.linalg.svd(a_map, full_matrices=False)[2]
+        except np.linalg.LinAlgError as exc:
+            raise NonConvergenceError(f"singular value solver did not converge: {exc}") from exc
+        # Columns U_j, rows (b, i): the right singular vectors, smallest singular value first.
+        vecs = vh[::-1].conj().T
+        slices = vecs.reshape(d_a, m, -1)
+        # P of the first k vectors, for every k, and T: one stacked eigvalsh.
+        stack = np.cumsum(np.einsum("bij,cij->jbc", slices.conj(), slices), axis=0)
+        try:
+            lams = np.linalg.eigvalsh(np.concatenate([stack, self._traces.reshape(1, d_a, d_a)]))
+        except np.linalg.LinAlgError as exc:
+            raise NonConvergenceError(f"eigensolver did not converge: {exc}") from exc
+        delta = (a_map.size + 8) * eps
+        c = 64 * d_a * d_a * eps + 3 * delta
+        tau = self._norms @ self._norms
+        lam_t = lams[-1, 0] - c * tau
+        if lam_t <= 0:
+            return np.inf
+        nu = self._kappa_u * tau / lam_t * (1 + delta)
+        n_sq = np.cumsum(np.sum(np.abs(vecs) ** 2, axis=0))  # ||N||_F^2 of the first k
+        lam_p = lams[:-1, 0] - c * n_sq
+        kept = lam_p > 0
+        if nu >= 0.5 or self._mu0 * m >= 0.5 or not kept.any():
+            return np.inf
+        resid = np.sqrt(np.cumsum(np.sum(np.abs(a_map @ vecs) ** 2, axis=0)))
+        resid = (resid + delta * np.linalg.norm(a_map) * np.sqrt(n_sq)) * (1 + 3 * delta)
+        beta = np.min(resid[kept] ** 2 / lam_p[kept]) / lam_t * (1 + delta)
+        return ((beta + nu) / (1 - nu) + self._mu0) / (1 / m - self._mu0) * (1 + delta)

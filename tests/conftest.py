@@ -8,7 +8,8 @@ Choi plumbing) so that test expectations stay independent of what they check.
 import numpy as np
 import pytest
 
-from lrdistill import DensityMatrix, complement, local_filter, partial_trace, partial_transpose
+from lrdistill import (DensityMatrix, complement, flagged_depolarizing_channel, local_filter,
+                       partial_trace, partial_transpose)
 
 
 def loop_partial_trace(mat, dims, keep):
@@ -99,6 +100,20 @@ def random_choi(d_in, d_out, d_env, seed):
     full = np.outer(psi, psi.conj())
     mat = loop_partial_trace(full, (d_in, d_out, d_env), (0, 1))
     return DensityMatrix((d_in, d_out), mat)
+
+
+def flagged_complement_factor(d, q):
+    """Amplitude factor (d, d^2 + 1, 2d) of the complement of the flagged-depolarizing channel.
+
+    The channel's Choi state on A (x) output is purified in plain numpy; its
+    purifying register E (rank d^2 + 1) carries the complement's output, and
+    the 2d-dimensional channel output purifies the complement's Choi state.
+    """
+    j = flagged_depolarizing_channel(d, q).choi.matrix
+    lams, vecs = np.linalg.eigh(j)
+    keep = lams > 1e-10 * lams[-1]
+    psi = (vecs[:, keep] * np.sqrt(lams[keep])).reshape(d, 2 * d, -1)
+    return psi.transpose(0, 2, 1)
 
 
 def derived_matrices(rho, rank_tol=1e-10):

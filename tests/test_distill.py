@@ -46,7 +46,8 @@ from lrdistill.errors import (
 from lrdistill.kernels import DEFAULT_RANK_TOL
 from lrdistill.states import bell_state, ghz_state, maximally_mixed
 
-from conftest import loop_partial_trace, numerical_rank
+from conftest import flagged_complement_factor, loop_partial_trace, numerical_rank
+from test_kernels import gaussian, quadratic_kernel_factor
 
 
 def tilted_state():
@@ -416,6 +417,68 @@ def test_hit_at_a_batch_boundary(monkeypatch, haar_trial):
     assert batch_sizes == [d_a] + want_sizes
 
 
+def spy_on_search(monkeypatch, certify=True):
+    """Record each ``ratio_bound`` value and each screened batch; ``certify=False`` makes it inf."""
+    bounds, batches = [], []
+    real_bound = distill.ConditionedGrams.ratio_bound
+    real_equals = distill.ConditionedGrams.rank_equals
+
+    def bound(grams):
+        bounds.append(real_bound(grams) if certify else np.inf)
+        return bounds[-1]
+
+    def equals(grams, v, *args):
+        batches.append(len(v))
+        return real_equals(grams, v, *args)
+
+    monkeypatch.setattr(distill.ConditionedGrams, "ratio_bound", bound)
+    monkeypatch.setattr(distill.ConditionedGrams, "rank_equals", equals)
+    return bounds, batches
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("q", [0.2, 0.5, 0.8])
+def test_certified_search_matches_loop_oracle_and_the_screen(d, q):
+    # the flagged-depolarizing complement: the first Haar batch misses, the ratio bound
+    # proves that every later trial misses, and the outcome is the loop oracle's and
+    # that of the screen run to the end with the bound switched off
+    rho = complement_channel(flagged_depolarizing_channel(d, q)).choi
+    budget, seed = 100, d
+    with pytest.MonkeyPatch.context() as mp:
+        bounds, batches = spy_on_search(mp)
+        _, out = assert_witness_matches_loop_oracle(rho, budget, seed)
+    assert not out.found and out.trials_used == d + budget
+    assert batches == [64] and len(bounds) == 1 and bounds[0] <= DEFAULT_RANK_TOL
+    with pytest.MonkeyPatch.context() as mp:
+        bounds, batches = spy_on_search(mp, certify=False)
+        screened = find_one_way_witness(rho, budget=budget, seed=seed)
+    assert batches == [64, 36]
+    assert screened.to_json_dict() == out.to_json_dict()
+
+
+def test_a_quadratic_kernel_declines_the_bound_and_the_screen_runs(monkeypatch):
+    # K(v) has rank 2 < m = 3 for every v, but its kernel is quadratic in v: the
+    # bound proves nothing, and the screen decides all 200 Haar trials
+    bounds, batches = spy_on_search(monkeypatch)
+    factor = quadratic_kernel_factor(np.random.default_rng(3))
+    assert assert_search_matches_loop_oracle(factor, 200, seed=5) == 2 + 200
+    assert len(bounds) == 1 and bounds[0] > DEFAULT_RANK_TOL
+    assert batches == [64, 128, 8]
+
+
+@pytest.mark.parametrize("seed, trials", [(0, 253), (4, 79), (9, 166)])
+def test_a_perturbed_complement_declines_the_bound_and_the_screen_runs(monkeypatch, seed, trials):
+    # the d=3 complement plus a relative 2e-5 Gaussian perturbation: lambda_min /
+    # lambda_max straddles rank_tol over the Haar trials (about 0.3% reach rank m),
+    # so the bound declines and the screen finds the loop oracle's witness, if any
+    factor = flagged_complement_factor(3, 0.5)
+    noise = gaussian(np.random.default_rng(1), *factor.shape)
+    factor = factor + 2e-5 * noise * (np.linalg.norm(factor) / np.linalg.norm(noise))
+    bounds, batches = spy_on_search(monkeypatch)
+    assert assert_search_matches_loop_oracle(factor, 250, seed) == trials
+    assert len(bounds) == 1 and bounds[0] > DEFAULT_RANK_TOL and len(batches) >= 2
+
+
 def count_eigensolves(monkeypatch):
     calls = []
 
@@ -425,7 +488,7 @@ def count_eigensolves(monkeypatch):
             return real(*args, **kwargs)
         return wrapper
 
-    for name in ("eigh", "eigvalsh"):
+    for name in ("eigh", "eigvalsh", "svd"):
         monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
     return calls
 
@@ -436,9 +499,10 @@ def test_exhausted_search_eigensolver_count(monkeypatch):
     out = find_one_way_witness(j_ae, budget=2000, seed=0)
     assert not out.found and out.trials_used == 2003
     # the purification (eigh), the B marginal and the basis batch; the pivot
-    # screen decides all 2000 Haar trials without an eigensolve (34 eigvalsh
-    # with one per Haar batch, 2005 solves with one per trial)
-    assert Counter(calls) == {"eigh": 1, "eigvalsh": 2}
+    # screen decides the first 64 Haar trials without an eigensolve, and the
+    # ratio bound (one svd, one eigvalsh) proves that the other 1936 miss
+    # (34 eigvalsh with one per Haar batch, 2005 solves with one per trial)
+    assert Counter(calls) == {"eigh": 1, "eigvalsh": 3, "svd": 1}
 
 
 def test_search_solver_failure_is_non_convergence(monkeypatch):

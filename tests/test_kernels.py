@@ -8,7 +8,8 @@ from lrdistill.errors import (NonConvergenceError, NoPositiveEigenvalueError, No
                               NumericsError)
 from lrdistill.kernels import ConditionedGrams, gram_ranks
 
-from conftest import gaussian_unit_vector, loop_partial_trace, numerical_rank
+from conftest import (flagged_complement_factor, gaussian_unit_vector, loop_partial_trace,
+                      numerical_rank)
 from test_tolerances import EDGE_TOLS
 
 
@@ -217,6 +218,85 @@ def test_a_failing_fallback_eigensolve_is_non_convergence(monkeypatch):
     fail_stacked_eigvalsh(monkeypatch)
     with pytest.raises(NonConvergenceError):
         grams.rank_equals(v, 4, 1e-10)
+
+
+def trial_ratios(grams, v):
+    """lambda_min / lambda_max of eigvalsh of each trial's smaller Gram matrix, in plain numpy."""
+    k = grams.conditioned(v)
+    kh = np.conj(np.swapaxes(k, 1, 2))
+    lams = np.linalg.eigvalsh(k @ kh if k.shape[1] <= k.shape[2] else kh @ k)
+    return lams[:, 0] / lams[:, -1]
+
+
+def quadratic_kernel_factor(rng):
+    """(2, 5, 3) factor with K(v) = V [L_2(y); 0] R: rank 2, and no linear kernel polynomial.
+
+    L_2(y) = [[y_0, y_1, 0], [0, y_0, y_1]] is a Kronecker block whose kernel,
+    (y_1^2, -y_0 y_1, y_0^2), is quadratic in y.
+    """
+    l2 = np.array([[[1, 0, 0], [0, 1, 0]], [[0, 1, 0], [0, 0, 1]]], dtype=complex)
+    v = np.linalg.qr(gaussian(rng, 5, 5))[0][:, :2]
+    return np.einsum("pi,aij,jr->apr", v, l2, gaussian(rng, 3, 3))
+
+
+def tight_factor(size, rng):
+    """(2, 4, 3) factor whose ratio bound is within a factor 3/2 of trial v = e_0's ratio.
+
+    W[0] = [size h, c, g_0] and W[1] = [-c / alpha, 0, g_1], with h, c, g_0, g_1
+    orthonormal and alpha = 0.1, rotated on both sides: u(y) = y_0 alpha e_1 + y_1 e_2
+    is a kernel polynomial up to S_00 = alpha size h, P = diag(alpha^2, 1) and T =
+    diag(2 + size^2, 1 / alpha^2 + 1) are least along e_0, and at v = e_0 the
+    spectrum is (size^2, 1, 1).
+    """
+    h, c, g0, g1 = np.linalg.qr(gaussian(rng, 4, 4))[0].T
+    w = np.stack([np.stack([size * h, c, g0], axis=1),
+                  np.stack([-c / 0.1, np.zeros(4), g1], axis=1)])
+    return w @ np.linalg.qr(gaussian(rng, 3, 3))[0]
+
+
+PERTURBATIONS = [0.0, 1e-12, 1e-8, 1e-5, 1e-3]
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+@pytest.mark.parametrize("size", PERTURBATIONS)
+@pytest.mark.parametrize("family", ["complement 2", "complement 3", "complement 4", "tight"])
+def test_ratio_bound_covers_every_sampled_trial(family, size, scale):
+    # flagged-depolarizing complements plus a Gaussian perturbation of relative size
+    # ``size``, and a factor whose bound is nearly attained: the bound, the same for
+    # every trial, is at least each sampled trial's eigvalsh lambda_min / lambda_max
+    rng = np.random.default_rng(int(size * 1e5) + 17)
+    if family == "tight":
+        factor = tight_factor(size, rng)
+    else:
+        factor = flagged_complement_factor(int(family[-1]), 0.5)
+        noise = gaussian(rng, *factor.shape)
+        factor = factor + size * noise * (np.linalg.norm(factor) / np.linalg.norm(noise))
+    d_a = factor.shape[0]
+    v = np.concatenate([np.eye(d_a), np.eye(d_a) + 1e-3 * gaussian(rng, d_a, d_a),
+                        gaussian(rng, 500, d_a)])
+    grams = ConditionedGrams(factor * scale)
+    bound, ratios = grams.ratio_bound(), trial_ratios(grams, v)
+    assert np.all(ratios <= bound)
+    if family == "tight" and size >= 1e-5:
+        assert bound <= 2 * ratios.max()  # nearly attained at v = e_0
+    if size == 0.0:  # an exact linear kernel polynomial: no trial reaches rank m
+        assert bound <= 1e-10
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("q", [0.05, 0.3, 0.5, 0.7, 0.95])
+def test_ratio_bound_certifies_flagged_complements(d, q):
+    grams = ConditionedGrams(flagged_complement_factor(d, q))
+    assert grams.ratio_bound() <= 1e-10
+    v = gaussian(np.random.default_rng(d), 20, d)
+    assert all(numerical_rank(k.conj().T @ k) < 2 * d for k in grams.conditioned(v))
+
+
+def test_ratio_bound_declines_a_quadratic_kernel():
+    grams = ConditionedGrams(quadratic_kernel_factor(np.random.default_rng(3)))
+    assert grams.ratio_bound() > 1e-10
+    v = gaussian(np.random.default_rng(4), 20, 2)
+    assert np.all(trial_ratios(grams, v) <= grams.ratio_bound())
 
 
 def test_rank_induced_measure_marginal():
