@@ -47,7 +47,7 @@ from lrdistill.kernels import DEFAULT_RANK_TOL
 from lrdistill.states import bell_state, ghz_state, maximally_mixed
 
 from conftest import flagged_complement_factor, loop_partial_trace, numerical_rank
-from test_kernels import gaussian, quadratic_kernel_factor
+from test_kernels import gaussian
 
 
 def tilted_state():
@@ -454,6 +454,17 @@ def test_certified_search_matches_loop_oracle_and_the_screen(d, q):
         screened = find_one_way_witness(rho, budget=budget, seed=seed)
     assert batches == [64, 36]
     assert screened.to_json_dict() == out.to_json_dict()
+
+
+def quadratic_kernel_factor(rng):
+    """(2, 5, 3) factor with K(v) = V [L_2(y); 0] R: rank 2, and no linear kernel polynomial.
+
+    L_2(y) = [[y_0, y_1, 0], [0, y_0, y_1]] is a Kronecker block whose kernel,
+    (y_1^2, -y_0 y_1, y_0^2), is quadratic in y.
+    """
+    l2 = np.array([[[1, 0, 0], [0, 1, 0]], [[0, 1, 0], [0, 0, 1]]], dtype=complex)
+    v = np.linalg.qr(gaussian(rng, 5, 5))[0][:, :2]
+    return np.einsum("pi,aij,jr->apr", v, l2, gaussian(rng, 3, 3))
 
 
 def test_a_quadratic_kernel_declines_the_bound_and_the_screen_runs(monkeypatch):

@@ -228,17 +228,6 @@ def trial_ratios(grams, v):
     return lams[:, 0] / lams[:, -1]
 
 
-def quadratic_kernel_factor(rng):
-    """(2, 5, 3) factor with K(v) = V [L_2(y); 0] R: rank 2, and no linear kernel polynomial.
-
-    L_2(y) = [[y_0, y_1, 0], [0, y_0, y_1]] is a Kronecker block whose kernel,
-    (y_1^2, -y_0 y_1, y_0^2), is quadratic in y.
-    """
-    l2 = np.array([[[1, 0, 0], [0, 1, 0]], [[0, 1, 0], [0, 0, 1]]], dtype=complex)
-    v = np.linalg.qr(gaussian(rng, 5, 5))[0][:, :2]
-    return np.einsum("pi,aij,jr->apr", v, l2, gaussian(rng, 3, 3))
-
-
 def tight_factor(size, rng):
     """(2, 4, 3) factor whose ratio bound is within a factor 3/2 of trial v = e_0's ratio.
 
@@ -290,13 +279,6 @@ def test_ratio_bound_certifies_flagged_complements(d, q):
     assert grams.ratio_bound() <= 1e-10
     v = gaussian(np.random.default_rng(d), 20, d)
     assert all(numerical_rank(k.conj().T @ k) < 2 * d for k in grams.conditioned(v))
-
-
-def test_ratio_bound_declines_a_quadratic_kernel():
-    grams = ConditionedGrams(quadratic_kernel_factor(np.random.default_rng(3)))
-    assert grams.ratio_bound() > 1e-10
-    v = gaussian(np.random.default_rng(4), 20, 2)
-    assert np.all(trial_ratios(grams, v) <= grams.ratio_bound())
 
 
 def test_rank_induced_measure_marginal():
