@@ -59,6 +59,11 @@ def numerical_rank(m, rank_tol=1e-10):
     return int(np.sum(lams > rank_tol * lam_max)) if lam_max > 0 else 0
 
 
+def gaussian(rng, *shape):
+    """Complex Gaussian array of the given shape."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 def gaussian_unit_vector(rng, n):
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return v / np.linalg.norm(v)

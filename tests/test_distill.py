@@ -46,8 +46,7 @@ from lrdistill.errors import (
 from lrdistill.kernels import DEFAULT_RANK_TOL
 from lrdistill.states import bell_state, ghz_state, maximally_mixed
 
-from conftest import flagged_complement_factor, loop_partial_trace, numerical_rank
-from test_kernels import gaussian
+from conftest import flagged_complement_factor, gaussian, loop_partial_trace, numerical_rank
 
 
 def tilted_state():
@@ -527,6 +526,17 @@ def test_search_solver_failure_is_non_convergence(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", failing)
     with pytest.raises(NonConvergenceError):
         find_one_way_witness(tilted_state(), budget=5)
+
+
+def test_a_failing_ratio_bound_svd_is_non_convergence(monkeypatch):
+    # the d=3 complement: the first Haar batch misses, and the bound's svd fails
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("forced")
+
+    j_ae = complement_channel(flagged_depolarizing_channel(3, 0.5)).choi
+    monkeypatch.setattr(np.linalg, "svd", failing)
+    with pytest.raises(NonConvergenceError):
+        find_one_way_witness(j_ae, budget=2000, seed=0)
 
 
 # --- classifier ------------------------------------------------------------------

@@ -8,8 +8,8 @@ from lrdistill.errors import (NonConvergenceError, NoPositiveEigenvalueError, No
                               NumericsError)
 from lrdistill.kernels import ConditionedGrams, gram_ranks
 
-from conftest import (flagged_complement_factor, gaussian_unit_vector, loop_partial_trace,
-                      numerical_rank)
+from conftest import (flagged_complement_factor, gaussian, gaussian_unit_vector,
+                      loop_partial_trace, numerical_rank)
 from test_tolerances import EDGE_TOLS
 
 
@@ -179,10 +179,6 @@ def fail_stacked_eigvalsh(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", failing)
 
 
-def gaussian(rng, *shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
 def test_screen_decides_well_separated_spectra_without_an_eigensolve(monkeypatch):
     # tall F: K is 10 x 6 of generic rank 6; wide F[a] = X_a Y: K is 6 x 10 of rank 5
     rng = np.random.default_rng(5)
@@ -279,6 +275,14 @@ def test_ratio_bound_certifies_flagged_complements(d, q):
     assert grams.ratio_bound() <= 1e-10
     v = gaussian(np.random.default_rng(d), 20, d)
     assert all(numerical_rank(k.conj().T @ k) < 2 * d for k in grams.conditioned(v))
+
+
+def test_a_failing_ratio_bound_eigensolve_is_non_convergence(monkeypatch):
+    # the bound's one stacked eigvalsh, of P for each k and of T
+    grams = ConditionedGrams(flagged_complement_factor(3, 0.5))
+    fail_stacked_eigvalsh(monkeypatch)
+    with pytest.raises(NonConvergenceError):
+        grams.ratio_bound()
 
 
 def test_rank_induced_measure_marginal():

@@ -1,11 +1,11 @@
 """Exactness grid of the witness search's certificate, ``ConditionedGrams.ratio_bound``.
 
-    python3 tools/witness_certificate_grid.py [--trials 300000] [--seed 0] [--batch 256]
+    python3 tools/witness_certificate_grid.py [--trials 300000]
 
-Each case is an amplitude factor from the grid below and ``--batch``
-Gaussian trial vectors on A, drawn from ``--seed`` and the case's index.
-Cases cycle through the grid, in an order drawn from ``--seed``, until
-``--trials`` trials have been checked, so a run is fixed by its arguments.
+Each case is an amplitude factor from the grid below and ``BATCH`` Gaussian
+trial vectors on A, drawn from ``SEED`` and the case's index. Cases cycle
+through the grid, in an order drawn from ``SEED``, until ``--trials`` trials
+have been checked, so a run is fixed by its trial count.
 The grid:
 
 * the purified complement of the flagged-depolarizing channel, d = 2, 3, 4 and
@@ -40,6 +40,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 from lrdistill import complement_channel, flagged_depolarizing_channel, purify  # noqa: E402
 from lrdistill.kernels import ConditionedGrams, gram_ranks  # noqa: E402
 
+SEED = 0
+BATCH = 256
 TOLS = (1e-12, 1e-10, 1e-8)
 SCALES = (1e-150, 1.0, 1e150)
 COMPLEMENTS = list(itertools.product((2, 3, 4), (0.1, 0.5, 0.9), (0.0, 1e-12, 1e-8, 1e-5, 1e-3),
@@ -71,16 +73,16 @@ def factor_of(case: tuple, rng: np.random.Generator) -> np.ndarray:
     return scale * np.einsum("ac,cbr->abr", change, factor)
 
 
-def run(trials: int, seed: int, batch: int) -> dict:
+def run(trials: int) -> dict:
     per_tol = {tol: {"certified_cases": 0, "declined_cases_with_a_full_rank_trial": 0,
                      "mismatches": 0} for tol in TOLS}
     done = cases = violations = 0
     worst = 0.0  # largest ratio / bound over the cases with a finite bound
-    order = np.random.default_rng(seed).permutation(len(GRID))
+    order = np.random.default_rng(SEED).permutation(len(GRID))
     while done < trials:
-        rng = np.random.default_rng([seed, cases])
+        rng = np.random.default_rng([SEED, cases])
         grams = ConditionedGrams(factor_of(GRID[order[cases % len(GRID)]], rng))
-        k = grams.conditioned(gaussian(rng, batch, grams.shape[0]))
+        k = grams.conditioned(gaussian(rng, BATCH, grams.shape[0]))
         kh = np.conj(np.swapaxes(k, 1, 2))
         lams = np.linalg.eigvalsh(kh @ k if k.shape[1] > k.shape[2] else k @ kh)
         ratios = lams[:, 0] / lams[:, -1]
@@ -95,8 +97,8 @@ def run(trials: int, seed: int, batch: int) -> dict:
                 tally["mismatches"] += int(np.sum(full))
             elif full.any():
                 tally["declined_cases_with_a_full_rank_trial"] += 1
-        done, cases = done + batch, cases + 1
-    return {"tool": "tools/witness_certificate_grid.py", "seed": seed, "batch": batch,
+        done, cases = done + BATCH, cases + 1
+    return {"tool": "tools/witness_certificate_grid.py", "seed": SEED, "batch": BATCH,
             "grid_points": len(GRID), "trials": done, "cases": cases,
             "violations": violations, "largest_ratio_over_bound": worst,
             "rank_tol": {f"{tol:g}": tally for tol, tally in per_tol.items()}}
@@ -105,12 +107,10 @@ def run(trials: int, seed: int, batch: int) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--trials", type=int, default=300_000)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--batch", type=int, default=256)
     args = parser.parse_args(argv)
-    if args.trials < 1 or args.batch < 1:
-        parser.error("--trials and --batch must be positive")
-    result = run(args.trials, args.seed, args.batch)
+    if args.trials < 1:
+        parser.error("--trials must be positive")
+    result = run(args.trials)
     print(json.dumps(result, indent=2))
     mismatches = sum(tally["mismatches"] for tally in result["rank_tol"].values())
     return 1 if mismatches or result["violations"] else 0
