@@ -29,7 +29,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import BadParameterError, RankNotLowError
-from .kernels import (DEFAULT_RANK_TOL, ConditionedGrams, HermitianSpectrum, gram_ranks,
+from .kernels import (DEFAULT_RANK_TOL, HermitianSpectrum, gram_ranks, ratio_bound,
                       solve_hermitian)
 from .states import (
     DEFAULT_PPT_TOL,
@@ -235,27 +235,27 @@ def _saturation_search(
     Tries the d_A computational basis vectors first (they catch structured
     states cheaply), then ``budget`` Haar-random vectors (a budget the caller
     has validated) in batches of ``_BATCH`` trials, doubling up to
-    ``_MAX_BATCH``. ``ConditionedGrams.rank_equals`` decides each batch: it
-    forms the batch's Gram matrices in one GEMM from products of F's slices
-    computed once per search, screens them, and eigensolves only the trials
-    the screen leaves open. ``basis_ranks`` is ``gram_ranks(factor, rank_tol)``,
-    the basis vectors' ranks, which callers that also report them compute
-    once. Trial order, random draws and the returned vector are those of
-    trying one vector at a time, so the outcome is deterministic given
-    (state, budget, seed).
+    ``_MAX_BATCH``. Each batch forms its trials' K in one matrix product and
+    ranks them with one ``gram_ranks`` solve. ``basis_ranks`` is
+    ``gram_ranks(factor, rank_tol)``, the basis vectors' ranks, which callers
+    that also report them compute once. Trial order, random draws and the
+    returned vector are those of trying one vector at a time, so the outcome
+    is deterministic given (state, budget, seed).
 
-    When the first Haar batch misses in full and target_rank = m, the
-    smaller side of F's slices, ``ConditionedGrams.ratio_bound`` is checked
-    once. If it is <= rank_tol, it proves that no vector on A reaches rank m
-    (as when K has a kernel linear in phi), so every later trial would miss:
-    the search returns the exhausted result, (None, d_A + budget), without
-    drawing them.
+    When the basis vectors miss, the budget exceeds ``_BATCH`` and
+    target_rank = m, the smaller side of F's slices, ``ratio_bound`` is
+    checked before any Haar draw. If it is <= rank_tol, it proves that no
+    vector on A reaches rank m (as when K has a kernel linear in phi), so
+    every trial would miss: the search returns the exhausted result,
+    (None, d_A + budget), without drawing from ``rng``.
     """
     d_a = factor.shape[0]
     hits = np.flatnonzero(basis_ranks == target_rank)
     if hits.size:
         return np.eye(d_a, dtype=np.complex128)[hits[0]], int(hits[0]) + 1
-    grams = ConditionedGrams(factor)
+    if budget > _BATCH and target_rank == min(factor.shape[1:]) and ratio_bound(factor) <= rank_tol:
+        return None, d_a + budget
+    flat = factor.reshape(d_a, -1)
     done, size = 0, _BATCH
     while done < budget:
         n = min(size, budget - done)
@@ -263,13 +263,12 @@ def _saturation_search(
         # as drawing each trial's two parts on its own.
         g = rng.standard_normal((n, 2, d_a))
         v = g[:, 0] + 1j * g[:, 1]
-        hits = np.flatnonzero(grams.rank_equals(v, target_rank, rank_tol))
+        k = (v.conj() @ flat).reshape(n, *factor.shape[1:])
+        hits = np.flatnonzero(gram_ranks(k, rank_tol) == target_rank)
         if hits.size:
             phi = v[hits[0]]
             return phi / np.linalg.norm(phi), d_a + done + int(hits[0]) + 1
         done, size = done + n, min(2 * size, _MAX_BATCH)
-        if done == _BATCH < budget and target_rank == grams.m and grams.ratio_bound() <= rank_tol:
-            break  # the first batch missed, and the bound proves every later trial misses
     return None, d_a + budget
 
 
@@ -332,12 +331,13 @@ class ReductionAnalysis:
 
     @property
     def two_way_heuristic(self) -> bool:
-        """Exhausted witness budget on a low-rank state.
+        """The witness search ran and found no vector: its budget ran out or a bound ruled one out.
 
-        Every failed trial had a conditioned-marginal rank strictly below
-        min(rank, rank of second marginal); if that failure were universal it
-        would imply two-way distillability by known results. Heuristic only:
-        a finite budget cannot prove the universal statement.
+        When ``ratio_bound`` certifies at ``rank_tol``, it proves that no
+        one-way witness phi exists at that tolerance. Neither that proof nor
+        an exhausted budget proves the reduction one-way undistillable. The
+        search runs only when r < r_second, and then ``low_rank_bound_second``
+        > 0 already proves the reduction two-way distillable.
         """
         return self.witness.performed and not self.witness.found
 

@@ -129,256 +129,139 @@ def gram_ranks(k: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     eigenvalues strictly above ``rank_tol * lambda_max``, and rank 0 when
     lambda_max <= 0.
     """
-    return _stack_ranks(_gram(k), rank_tol)
-
-
-def _gram(k: np.ndarray) -> np.ndarray:
-    """The smaller Gram matrix of each K of a stack: K K^dagger or K^dagger K."""
     kh = np.conj(np.swapaxes(k, 1, 2))
-    return k @ kh if k.shape[1] <= k.shape[2] else kh @ k
-
-
-def _stack_ranks(gram: np.ndarray, rank_tol: float) -> np.ndarray:
-    """Ranks of a stack of Hermitian matrices at ``rank_tol``: one ``eigvalsh`` solve."""
     try:
-        lams = np.linalg.eigvalsh(gram)
+        lams = np.linalg.eigvalsh(k @ kh if k.shape[1] <= k.shape[2] else kh @ k)
     except np.linalg.LinAlgError as exc:
         raise NonConvergenceError(f"eigensolver did not converge: {exc}") from exc
     return _retained(lams, rank_tol)
 
 
-class ConditionedGrams:
-    """The Gram matrices of an amplitude factor conditioned on trial vectors of A.
+def ratio_bound(factor: np.ndarray) -> float:
+    """An upper bound on lambda_min / lambda_max for every trial at once; inf if none is found.
 
-    ``factor`` F has shape (d_A, d_B, r). A trial phi conditions it to
-    K = sum_a conj(phi_a) F[a] (d_B x r), whose smaller Gram matrix G is
-    K^dagger K when d_B > r and K K^dagger otherwise, of size m = min(d_B, r).
-    The products T_ab = W[a]^dagger W[b], with W[a] = F[a] or F[a]^dagger, are
-    formed once, so a batch of trials needs one GEMM: G = sum_ab c_ab T_ab
-    with c_ab = x_a conj(x_b), x = phi or conj(phi). ``ratio_bound`` proves,
-    once for all trials, when none of them can reach rank m.
+    ``factor`` F has shape (d_A, d_B, r). A trial v != 0 on A conditions it
+    to K = sum_a conj(v_a) F[a] (d_B x r), formed for a batch of trials as
+    ``(conj(v) @ F.reshape(d_A, -1)).reshape(n, d_B, r)``. Its smaller Gram
+    matrix G, K^dagger K when d_B > r and K K^dagger otherwise, has size
+    m = min(d_B, r); let p = max(d_B, r). The eigenvalues bounded are those
+    ``gram_ranks`` gets from ``eigvalsh`` of G for every v, whatever the
+    batch. So when the bound is <= rank_tol, ``gram_ranks`` gives every
+    trial rank < m: no vector on A reaches rank m. It costs one ``svd`` and
+    one stacked ``eigvalsh`` of d_A x d_A matrices, holds barring underflow,
+    and raises NonConvergenceError when either solver fails.
+
+    Kernel polynomials. Let W[a] = F[a] and y = conj(v) when d_B > r, and
+    W[a] = F[a]^dagger and y = v otherwise, so that K or K^dagger is
+    M(y) = sum_b y_b W[b] (p x m) and G = M^dagger M. A linear polynomial
+    u(y) = sum_b y_b U[b] in C^m has M(y) u(y) = sum_{a<=b} y_a y_b S_ab,
+    where S_aa = W[a] U[a] and S_ab = W[a] U[b] + W[b] U[a]. Let A be the map
+    U -> S, a (p d_A (d_A + 1) / 2) x (d_A m) matrix whose entries are those
+    of W. Take any vectors U_j as the columns of N. Read each U_j as the
+    m x d_A matrix [U_j[0] .. U_j[d_A - 1]], so u_j(y) = U_j y, and let
+    P = sum_j U_j^dagger U_j and T_ab = tr(W[a]^dagger W[b]) (both d_A x d_A).
+    For y != 0 and Z = [u_1(y) .. u_k(y)],
+
+        lambda_min(G) ||Z||_F^2 <= tr(Z^dagger G Z) = sum_j ||M(y) u_j(y)||^2
+            <= (sum_{a<=b} |y_a y_b|^2) ||A N||_F^2 <= ||y||^4 ||A N||_F^2
+
+    by Cauchy-Schwarz, while ||Z||_F^2 = y^dagger P y >= lambda_min(P) ||y||^2
+    and tr G = y^dagger T y >= lambda_min(T) ||y||^2. So lambda_min(G) / tr G
+    <= beta = ||A N||_F^2 / (lambda_min(P) lambda_min(T)), whatever y is.
+    The N used are the k right singular vectors of A of least singular
+    value, for each k; beta is the least of their bounds. When M(y) has a
+    linear kernel polynomial, A has a null space and that beta is tiny.
+
+    Rounding. Let u = eps / 2 and gamma_k = k u / (1 - k u). A complex inner
+    product of length k errs by at most gamma_(k+2) |x|^dagger |y| in any
+    summation order (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., sections 3.5 and 3.6); use || |X|^dagger |Y| ||_2 <=
+    ||X||_F ||Y||_F. ``eigvalsh`` of an n x n Hermitian H returns each
+    eigenvalue within f(n) eps ||H||_2 of an exact one, f(n) a modestly
+    growing function of n (LAPACK Users' Guide, 3rd ed., section 4.7). The
+    bound takes f(n) = 64 n^2 and ||H||_2 <= tr H, as for the positive
+    semidefinite matrices here: for the m x m Gram matrices, within mu0
+    times the trace, mu0 = 64 m^2 eps. W is scaled by an exact power of two,
+    which changes no rounding and keeps T clear of overflow; the scale
+    cancels in every ratio below.
+
+    Rounding in beta. Take A (copied from W) and N as exact. Let delta =
+    (size(A) + 8) eps, at least twice every gamma_k below, and
+    c = 64 d_A^2 eps + 3 delta.
+    * ||A N||_F <= (||fl(A N)||_F + delta ||A||_F ||N||_F)(1 + 3 delta): an
+      inner product of length d_A m errs by gamma_(d_A m + 2) |a|^T |n|.
+    * The P and T that the one ``eigvalsh`` reads are within delta ||N||_F^2
+      and delta tau, tau = sum_a ||W[a]||_F^2, of the exact ones in the
+      2-norm. P sums m k products, m k <= size(A). T_ab is the trace over j
+      of the (a, j), (b, j) entry of one GEMM of W's columns: the GEMM errs by
+      gamma_(p+2) |W[a]|^dagger |W[b]| and the trace by gamma_m more. That
+      ``eigvalsh`` (n = d_A) adds at most 64 d_A^2 eps times the trace. So
+      lambda_min(P) >= lambda^_P - c ||N||_F^2 and lambda_min(T) >=
+      lambda^_T - c tau.
+
+    From beta to ``eigvalsh``. Let s = sum_a |v_a| ||F[a]||_F, so that
+    ||K||_F <= s, and write K^ and G^ for the matrices ``gram_ranks`` forms.
+    Each entry of K^ is an inner product of length d_A, so ||K^ - K||_F <=
+    gamma_(d_A+2) s, and forming G^ from K^ adds at most gamma_(p+2)
+    ||K^||_F^2. So ||G^ - G||_2 and |tr G^ - tr G| are at most e1 s^2, e1 ~
+    2 gamma_(d_A+2) + gamma_(p+2), and with kappa = 8 (d_A^2 + 2 d_A + 3 p +
+    12), kappa u >= 6 e1. Also s^2 <= ||v||^2 tau (Cauchy-Schwarz) and
+    tr G >= lambda_min(T) ||v||^2, so every trial has s^2 / tr G <= Q =
+    tau / lambda_min(T). So with nu = kappa u Q, lambda_min(G^) <= (beta + nu)
+    tr G and tr G^ >= (1 - nu) tr G. By mu0, ``eigvalsh`` returns
+    lambda^_min <= lambda_min(G^) + mu0 tr G^ and lambda^_max >= (1/m - mu0)
+    tr G^. Hence
+
+        lambda^_min / lambda^_max <= ((beta + nu) / (1 - nu) + mu0) / (1/m - mu0),
+
+    the value returned, rounded up by (1 + delta). The result is inf unless
+    the lower bounds on lambda_min(T) and on some k's lambda_min(P) are
+    positive, nu < 1/2 and mu0 < 1/(2m).
     """
-
-    def __init__(self, factor: np.ndarray):
-        d_a, d_b, r = factor.shape
-        self.shape, self.m, p = factor.shape, min(d_b, r), max(d_b, r)
-        self._flat = factor.reshape(d_a, -1)
-        self._tall = d_b > r
-        w = factor if self._tall else np.conj(np.swapaxes(factor, 1, 2))  # (d_A, p, m)
-        # An exact power-of-two scale, which leaves H unchanged, keeps T clear of overflow.
-        w = w * 2.0 ** -np.frexp(np.max(np.abs(w), initial=0.0))[1]
-        x = np.swapaxes(w, 0, 1).reshape(p, d_a * self.m)  # columns (a, j)
-        t = (x.conj().T @ x).reshape(d_a, self.m, d_a, self.m)
-        self._w = w
-        self._products = t.transpose(1, 3, 0, 2).reshape(self.m * self.m, d_a * d_a)
-        self._traces = np.einsum("ajbj->ab", t).reshape(-1)
-        self._norms = np.linalg.norm(w.reshape(d_a, -1), axis=1)
-        eps = np.finfo(float).eps
-        self._mu0 = 64 * self.m * self.m * eps
-        self._kappa_u = 4 * (d_a * d_a + 2 * d_a + 3 * p + 12) * eps  # 8 (...) u, u = eps / 2
-
-    def conditioned(self, v: np.ndarray) -> np.ndarray:
-        """K = sum_a conj(v_a) F[a] for each row v_a of ``v`` (n, d_A): shape (n, d_B, r)."""
-        return (v.conj() @ self._flat).reshape(len(v), *self.shape[1:])
-
-    def rank_equals(self, v: np.ndarray, target: int,
-                    rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-        """``gram_ranks(self.conditioned(v), rank_tol) == target``, screening before eigensolving.
-
-        With target = m the question is whether lambda_min > rank_tol *
-        lambda_max. An LDL^dagger elimination of each trial's H = G / tr G,
-        formed from the products T_ab, run on the whole batch at once and
-        reading H's lower triangle as ``eigvalsh`` does, settles it for almost
-        every trial. The rest, and every trial with tr G <= tiny or with a
-        floor f <= 0, go to one ``eigvalsh`` of ``_gram(K)``, K formed as
-        ``conditioned`` forms it: the matrices ``gram_ranks`` solves.
-
-        The margin. With u = eps / 2, mu0 = 64 m^2 eps and p = max(d_B, r),
-        trial phi gets mu = mu0 + nu, nu = kappa u s^2 / tr G, where
-        s = sum_a |phi_a| ||F[a]||_F and kappa = 8 (d_A^2 + 2 d_A + 3 p + 12);
-        its floor is f = rank_tol / m - (2 + rank_tol) mu. Let G^ = ``_gram(K^)``
-        be the matrix ``eigvalsh`` would see, A = G^ / tr G^, and H^ the
-        screen's matrix. ``eigvalsh``'s eigenvalues are those of G^ + E' with
-        ||E'|| <= mu0 tr G^, and the elimination's pivots the exact pivots of
-        H^ + E with ||E|| <= mu0 (Higham, Accuracy and Stability of Numerical
-        Algorithms, 2nd ed., Thm 10.3 and section 10.3; mu0 is over ten times
-        the elimination's bound at unit trace, so it holds while tr H^ <= 3/2).
-        Below, ||H^ - A|| <= nu, so the pivots are exact pivots of A + E''
-        with ||E''|| <= mu. Then
-
-        * rank < m when some pivot d_j lies in [-1, f]: the principal block
-          of A + E'' that ends in d_j has lambda_min <= max(d_j, 0) (its Schur
-          complement), so by interlacing the computed lambda_min is at most
-          (f + 2 mu) tr G^, while the computed lambda_max >= (1/m - mu) tr G^.
-          A pivot below -1 can only come from rounding after a tiny pivot,
-          where the bound on E fails, so it decides nothing;
-        * rank = m when every d_j > f and prod d_j > (1 + mu)^(m-1) (rank_tol
-          (1 + mu) + 2 mu): lambda_min(A + E'') >= det / lambda_max^(m-1) with
-          lambda_max(A + E'') <= 1 + mu, so the computed lambda_min exceeds
-          rank_tol times the computed lambda_max.
-
-        Why ||H^ - A||_2 <= nu. Let K be exact, G its Gram matrix and t = tr G
-        = ||K||_F^2 <= s^2. Write gamma_k = k u / (1 - k u); a complex inner
-        product of length k errs by at most gamma_(k+2) |x|^dagger |y|
-        (Higham, sections 3.5 and 3.6) in any summation order. Use
-        || |X|^dagger |Y| ||_2 <= ||X||_F ||Y||_F and
-        sum_ab |phi_a| |phi_b| ||F[a]||_F ||F[b]||_F = s^2.
-
-        1. The eigensolved matrix: ||K^ - K||_F <= gamma_(d_A+2) s, and ``_gram``
-           adds at most gamma_(p+2) ||K^||_F^2. So ||G^ - G||_2 and
-           |tr G^ - t| are at most e1 s^2, e1 ~ 2 gamma_(d_A+2) + gamma_(p+2).
-        2. The trace: forming T^_ab errs by gamma_(p+2) |W[a]|^dagger |W[b]|,
-           its trace by gamma_m more, the coefficients c_ab = x_a conj(x_b)
-           by sqrt(2) gamma_2 relative, and the d_A^2-term sum by
-           gamma_(d_A^2+2): |t^ - t| <= e2 s^2,
-           e2 ~ gamma_(p+2) + gamma_m + gamma_4 + gamma_(d_A^2+2).
-        3. The matrix: scaling c by fl(1 / t^) adds two roundings, and the
-           GEMM's d_A^2-term sum gamma_(d_A^2+2). So H^ = (G + D) / t^ with
-           ||D||_2 <= e3 s^2, e3 ~ gamma_(p+2) + gamma_6 + gamma_(d_A^2+2).
-        4. Let q = s^2 / t^. If (e1 + e2) q <= 1/4, then t <= 5 t^ / 4 and
-           tr G^ >= 3 t^ / 4, and ||H^ - A||_2 <= ||G|| |1/t^ - 1/tr G^|
-           + ||D|| / t^ + e1 s^2 / tr G^ <= (3 e1 + 5 e2 / 3 + e3) q.
-           That is below 1.01 (3 d_A^2 + 6 d_A + 8 p + 42) u q, and kappa is
-           at least twice the sum, which covers complex GEMM variants and the
-           rounding of s, mu and f. The premise holds whenever f > 0:
-           then nu < mu < 1 / (2 m) and (e1 + e2) q <= nu / 4. Also
-           tr H^ <= 1 + m nu <= 3/2.
-
-        So the mask is exactly the one eigensolving every trial's G^ would
-        give, barring underflow (F is scaled by a power of two, which changes
-        no rounding, so that T cannot overflow). The elimination stops at a
-        pivot that decides rank < m for every trial. When target != m, the
-        method is ``gram_ranks(self.conditioned(v), rank_tol) == target``.
-        """
-        validated_tolerance(rank_tol, "rank_tol")
-        n, m = len(v), self.m
-        if target != m or n * m == 0:
-            return gram_ranks(self.conditioned(v), rank_tol) == target
-        x = v if self._tall else v.conj()
-        coef = (x[:, :, None] * x.conj()[:, None, :]).reshape(n, -1)
-        trace = (coef @ self._traces).real
-        screened = trace > np.finfo(float).tiny
-        trace = np.where(screened, trace, 1.0)
-        mu = self._mu0 + self._kappa_u * (np.abs(v) @ self._norms) ** 2 / trace
-        floor = rank_tol / m - (2 + rank_tol) * mu
-        screened &= floor > 0
-        floor = np.where(screened, floor, 1.0)
-        coef *= np.where(screened, 1.0 / trace, 0.0)[:, None]
-        # (m, m, n): the batch is numpy's inner loop in every elimination step.
-        a = (self._products @ coef.T).reshape(m, m, n)
-        for j in range(m):
-            d = a[j, j].real
-            if np.all((d <= floor) & (d >= -1.0)) and screened.all():
-                return np.zeros(n, dtype=bool)  # this pivot decides rank < m for every trial
-            col = a[j + 1:, j]
-            a[j + 1:, j + 1:] -= (col / np.where(d > floor, d, np.inf))[:, None] * col.conj()
-        pivots = np.diagonal(a).real
-        lower = np.any((pivots >= -1.0) & (pivots <= floor[:, None]), axis=1)
-        full = np.all(pivots > floor[:, None], axis=1) & (
-            np.prod(pivots, axis=1) > (1 + mu) ** (m - 1) * (rank_tol * (1 + mu) + 2 * mu))
-        undecided = np.flatnonzero(~(lower | full) | ~screened)
-        if undecided.size:
-            k = self.conditioned(v[undecided])
-            full[undecided] = _stack_ranks(_gram(k), rank_tol) == target
-        return full
-
-    def ratio_bound(self) -> float:
-        """An upper bound on lambda_min / lambda_max for every trial at once; inf if none is found.
-
-        The eigenvalues are those ``eigvalsh`` returns for ``_gram(self.conditioned(v))``,
-        whatever the batch or row subset v, for every v != 0. So when the bound
-        is <= rank_tol, ``gram_ranks`` gives every trial rank < m: no trial
-        vector reaches rank m. It costs one ``svd`` and one stacked ``eigvalsh``
-        of d_A x d_A matrices, and holds barring underflow, as ``rank_equals`` does.
-
-        Kernel polynomials. Let y = conj(v) when d_B > r and y = v otherwise,
-        so that the trial's K or K^dagger is M(y) = sum_b y_b W[b] (p x m) and
-        G = M^dagger M. A linear polynomial u(y) = sum_b y_b U[b] in C^m has
-        M(y) u(y) = sum_{a<=b} y_a y_b S_ab, where S_aa = W[a] U[a] and S_ab =
-        W[a] U[b] + W[b] U[a]. Let A be the map U -> S, a (p d_A (d_A + 1) / 2)
-        x (d_A m) matrix whose entries are those of W. Take any vectors U_j as
-        the columns of N. Read each U_j as the m x d_A matrix
-        [U_j[0] .. U_j[d_A - 1]], so u_j(y) = U_j y, and let P = sum_j
-        U_j^dagger U_j and T_ab = tr(W[a]^dagger W[b]) (both d_A x d_A). For
-        y != 0 and Z = [u_1(y) .. u_k(y)],
-
-            lambda_min(G) ||Z||_F^2 <= tr(Z^dagger G Z) = sum_j ||M(y) u_j(y)||^2
-                <= (sum_{a<=b} |y_a y_b|^2) ||A N||_F^2 <= ||y||^4 ||A N||_F^2
-
-        by Cauchy-Schwarz, while ||Z||_F^2 = y^dagger P y >= lambda_min(P) ||y||^2
-        and tr G = y^dagger T y >= lambda_min(T) ||y||^2. So lambda_min(G) / tr G
-        <= beta = ||A N||_F^2 / (lambda_min(P) lambda_min(T)), whatever y is.
-        The N used are the k right singular vectors of A of least singular
-        value, for each k; beta is the least of their bounds. When M(y) has a
-        linear kernel polynomial, A has a null space and that beta is tiny.
-
-        Rounding in beta. Take A (copied from W) and N as exact. Let delta =
-        (size(A) + 8) eps, at least twice every gamma_k below, and
-        c = 64 d_A^2 eps + 3 delta.
-        * ||A N||_F <= (||fl(A N)||_F + delta ||A||_F ||N||_F)(1 + 3 delta): an
-          inner product of length d_A m errs by gamma_(d_A m + 2) |a|^T |n|.
-        * The P and T that the one ``eigvalsh`` reads are within delta ||N||_F^2
-          and delta tau, tau = sum_a ||W[a]||_F^2, of the exact ones in the
-          2-norm. (P sums m k products, m k <= size(A). For the T of
-          ``__init__``, see ``rank_equals``'s step 2: gamma_(p+2) + gamma_m.) Its
-          eigenvalues are exact for a matrix within 64 d_A^2 eps times the
-          trace, the mu0 of ``rank_equals``. So lambda_min(P) >=
-          lambda^_P - c ||N||_F^2 and lambda_min(T) >= lambda^_T - c tau.
-
-        From beta to ``eigvalsh``. Write G^ for the Gram matrix ``eigvalsh``
-        sees. Step 1 of ``rank_equals`` bounds ||G^ - G||_2 and |tr G^ - tr G|
-        by e1 s^2, with kappa u >= 6 e1. There s = sum_a |v_a| ||F[a]||_F, and
-        s^2 <= ||v||^2 tau (Cauchy-Schwarz). Together with tr G >=
-        lambda_min(T) ||v||^2, every trial has s^2 / tr G <= Q = tau /
-        lambda_min(T). So with nu = kappa u Q, lambda_min(G^) <= (beta + nu)
-        tr G and tr G^ >= (1 - nu) tr G. With mu0, ``eigvalsh`` returns
-        lambda^_min <= lambda_min(G^) + mu0 tr G^ and lambda^_max >= (1/m - mu0)
-        tr G^. Hence
-
-            lambda^_min / lambda^_max <= ((beta + nu) / (1 - nu) + mu0) / (1/m - mu0),
-
-        the value returned, rounded up by (1 + delta). The result is inf unless
-        the lower bounds on lambda_min(T) and on some k's lambda_min(P) are
-        positive, nu < 1/2 and mu0 < 1/(2m).
-        W's power-of-two scale cancels in every ratio.
-        """
-        w = self._w
-        d_a, p, m = w.shape
-        eps = np.finfo(float).eps
-        first, second = np.triu_indices(d_a)
-        pairs = len(first)
-        # Block (ab, c) of A: W[a] if c = b, plus W[b] if c = a != b.
-        blocks = np.zeros((pairs, d_a, p, m), dtype=w.dtype)
-        blocks[np.arange(pairs), second] = w[first]
-        off = np.flatnonzero(first != second)
-        blocks[off, first[off]] = w[second[off]]
-        a_map = blocks.transpose(0, 2, 1, 3).reshape(pairs * p, d_a * m)
-        try:
-            vh = np.linalg.svd(a_map, full_matrices=False)[2]
-        except np.linalg.LinAlgError as exc:
-            raise NonConvergenceError(f"singular value solver did not converge: {exc}") from exc
-        # Columns U_j, rows (b, i): the right singular vectors, smallest singular value first.
-        vecs = vh[::-1].conj().T
-        slices = vecs.reshape(d_a, m, -1)
-        # P of the first k vectors, for every k, and T: one stacked eigvalsh.
-        stack = np.cumsum(np.einsum("bij,cij->jbc", slices.conj(), slices), axis=0)
-        try:
-            lams = np.linalg.eigvalsh(np.concatenate([stack, self._traces.reshape(1, d_a, d_a)]))
-        except np.linalg.LinAlgError as exc:
-            raise NonConvergenceError(f"eigensolver did not converge: {exc}") from exc
-        delta = (a_map.size + 8) * eps
-        c = 64 * d_a * d_a * eps + 3 * delta
-        tau = self._norms @ self._norms
-        lam_t = lams[-1, 0] - c * tau
-        if lam_t <= 0:
-            return np.inf
-        nu = self._kappa_u * tau / lam_t * (1 + delta)
-        n_sq = np.cumsum(np.sum(np.abs(vecs) ** 2, axis=0))  # ||N||_F^2 of the first k
-        lam_p = lams[:-1, 0] - c * n_sq
-        kept = lam_p > 0
-        if nu >= 0.5 or self._mu0 * m >= 0.5 or not kept.any():
-            return np.inf
-        resid = np.sqrt(np.cumsum(np.sum(np.abs(a_map @ vecs) ** 2, axis=0)))
-        resid = (resid + delta * np.linalg.norm(a_map) * np.sqrt(n_sq)) * (1 + 3 * delta)
-        beta = np.min(resid[kept] ** 2 / lam_p[kept]) / lam_t * (1 + delta)
-        return ((beta + nu) / (1 - nu) + self._mu0) / (1 / m - self._mu0) * (1 + delta)
+    d_a, d_b, r = factor.shape
+    m, p = min(d_b, r), max(d_b, r)
+    eps = np.finfo(float).eps
+    w = factor if d_b > r else np.conj(np.swapaxes(factor, 1, 2))  # (d_A, p, m)
+    w = w * 2.0 ** -np.frexp(np.max(np.abs(w), initial=0.0))[1]
+    x = np.swapaxes(w, 0, 1).reshape(p, d_a * m)  # columns (a, j)
+    traces = np.einsum("ajbj->ab", (x.conj().T @ x).reshape(d_a, m, d_a, m))
+    norms = np.linalg.norm(w.reshape(d_a, -1), axis=1)
+    mu0 = 64 * m * m * eps
+    kappa_u = 4 * (d_a * d_a + 2 * d_a + 3 * p + 12) * eps  # 8 (...) u, u = eps / 2
+    first, second = np.triu_indices(d_a)
+    pairs = len(first)
+    # Block (ab, c) of A: W[a] if c = b, plus W[b] if c = a != b.
+    blocks = np.zeros((pairs, d_a, p, m), dtype=w.dtype)
+    blocks[np.arange(pairs), second] = w[first]
+    off = np.flatnonzero(first != second)
+    blocks[off, first[off]] = w[second[off]]
+    a_map = blocks.transpose(0, 2, 1, 3).reshape(pairs * p, d_a * m)
+    try:
+        vh = np.linalg.svd(a_map, full_matrices=False)[2]
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergenceError(f"singular value solver did not converge: {exc}") from exc
+    # Columns U_j, rows (b, i): the right singular vectors, smallest singular value first.
+    vecs = vh[::-1].conj().T
+    slices = vecs.reshape(d_a, m, -1)
+    # P of the first k vectors, for every k, and T: one stacked eigvalsh.
+    stack = np.cumsum(np.einsum("bij,cij->jbc", slices.conj(), slices), axis=0)
+    try:
+        lams = np.linalg.eigvalsh(np.concatenate([stack, traces[None]]))
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergenceError(f"eigensolver did not converge: {exc}") from exc
+    delta = (a_map.size + 8) * eps
+    c = 64 * d_a * d_a * eps + 3 * delta
+    tau = norms @ norms
+    lam_t = lams[-1, 0] - c * tau
+    if lam_t <= 0:
+        return np.inf
+    nu = kappa_u * tau / lam_t * (1 + delta)
+    n_sq = np.cumsum(np.sum(np.abs(vecs) ** 2, axis=0))  # ||N||_F^2 of the first k
+    lam_p = lams[:-1, 0] - c * n_sq
+    kept = lam_p > 0
+    if nu >= 0.5 or mu0 * m >= 0.5 or not kept.any():
+        return np.inf
+    resid = np.sqrt(np.cumsum(np.sum(np.abs(a_map @ vecs) ** 2, axis=0)))
+    resid = (resid + delta * np.linalg.norm(a_map) * np.sqrt(n_sq)) * (1 + 3 * delta)
+    beta = np.min(resid[kept] ** 2 / lam_p[kept]) / lam_t * (1 + delta)
+    return ((beta + nu) / (1 - nu) + mu0) / (1 / m - mu0) * (1 + delta)

@@ -375,7 +375,7 @@ def test_haar_witness_of_rank_one_slices_matches_loop_oracle(r, extra, state_see
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_near_cutoff_haar_trials_take_the_open_path(monkeypatch, seed):
     # the last column scaled by 3e-5: rho keeps rank 3, but many trials condition B to
-    # lambda_min / lambda_max near rank_tol, which the screen leaves to eigvalsh
+    # lambda_min / lambda_max near rank_tol, which each batch's one eigvalsh decides
     stacks = []
     real = np.linalg.eigvalsh
 
@@ -393,20 +393,20 @@ def test_near_cutoff_haar_trials_take_the_open_path(monkeypatch, seed):
 
 @pytest.mark.parametrize("haar_trial", [64, 65, 64 + 128, 64 + 128 + 1])
 def test_hit_at_a_batch_boundary(monkeypatch, haar_trial):
-    # batches of 64, 128, 256, ... Haar trials: the mask function reports saturation
+    # batches of 64, 128, 256, ... Haar trials: the rank function reports saturation
     # only at Haar trial ``haar_trial``, the last or first trial of a batch
     d_a, target, seed = 3, 2, 8
     factor = structured_factor(d_a, 4, 2, "shared_column", seed)
     batch_sizes = []
 
-    def fake_hits(grams, v, target_rank, rank_tol):
+    def fake_ranks(k, rank_tol):
         first = sum(batch_sizes) + 1
-        batch_sizes.append(len(v))
-        trial = np.arange(first, first + len(v))
-        return (trial == d_a + haar_trial) & (target_rank == target)
+        batch_sizes.append(len(k))
+        trial = np.arange(first, first + len(k))
+        return np.where(trial == d_a + haar_trial, target, 0)
 
-    monkeypatch.setattr(distill.ConditionedGrams, "rank_equals", fake_hits)
-    basis_ranks = np.where(fake_hits(None, factor, target, DEFAULT_RANK_TOL), target, 0)
+    monkeypatch.setattr(distill, "gram_ranks", fake_ranks)
+    basis_ranks = fake_ranks(factor, DEFAULT_RANK_TOL)
     phi, trials = distill._saturation_search(
         factor, basis_ranks, target, 500, np.random.default_rng(seed), DEFAULT_RANK_TOL)
     assert trials == d_a + haar_trial
@@ -417,42 +417,56 @@ def test_hit_at_a_batch_boundary(monkeypatch, haar_trial):
 
 
 def spy_on_search(monkeypatch, certify=True):
-    """Record each ``ratio_bound`` value and each screened batch; ``certify=False`` makes it inf."""
-    bounds, batches = [], []
-    real_bound = distill.ConditionedGrams.ratio_bound
-    real_equals = distill.ConditionedGrams.rank_equals
+    """Record each ``ratio_bound`` value and each ranked batch; ``certify=False`` makes it inf.
 
-    def bound(grams):
-        bounds.append(real_bound(grams) if certify else np.inf)
+    The batches are the basis batch, then the Haar batches.
+    """
+    bounds, batches = [], []
+    real_bound, real_ranks = distill.ratio_bound, distill.gram_ranks
+
+    def bound(factor):
+        bounds.append(real_bound(factor) if certify else np.inf)
         return bounds[-1]
 
-    def equals(grams, v, *args):
-        batches.append(len(v))
-        return real_equals(grams, v, *args)
+    def ranks(k, *args):
+        batches.append(len(k))
+        return real_ranks(k, *args)
 
-    monkeypatch.setattr(distill.ConditionedGrams, "ratio_bound", bound)
-    monkeypatch.setattr(distill.ConditionedGrams, "rank_equals", equals)
+    monkeypatch.setattr(distill, "ratio_bound", bound)
+    monkeypatch.setattr(distill, "gram_ranks", ranks)
     return bounds, batches
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 @pytest.mark.parametrize("q", [0.2, 0.5, 0.8])
-def test_certified_search_matches_loop_oracle_and_the_screen(d, q):
-    # the flagged-depolarizing complement: the first Haar batch misses, the ratio bound
-    # proves that every later trial misses, and the outcome is the loop oracle's and
-    # that of the screen run to the end with the bound switched off
+def test_certified_search_matches_loop_oracle_and_the_haar_loop(d, q):
+    # the flagged-depolarizing complement: the basis vectors miss, the ratio bound proves
+    # that every Haar trial misses before any is drawn, and the outcome is the loop
+    # oracle's and that of the Haar loop run to the end with the bound switched off
     rho = complement_channel(flagged_depolarizing_channel(d, q)).choi
     budget, seed = 100, d
     with pytest.MonkeyPatch.context() as mp:
         bounds, batches = spy_on_search(mp)
         _, out = assert_witness_matches_loop_oracle(rho, budget, seed)
     assert not out.found and out.trials_used == d + budget
-    assert batches == [64] and len(bounds) == 1 and bounds[0] <= DEFAULT_RANK_TOL
+    assert batches == [d] and len(bounds) == 1 and bounds[0] <= DEFAULT_RANK_TOL
     with pytest.MonkeyPatch.context() as mp:
         bounds, batches = spy_on_search(mp, certify=False)
-        screened = find_one_way_witness(rho, budget=budget, seed=seed)
-    assert batches == [64, 36]
-    assert screened.to_json_dict() == out.to_json_dict()
+        looped = find_one_way_witness(rho, budget=budget, seed=seed)
+    assert batches == [d, 64, 36]
+    assert looped.to_json_dict() == out.to_json_dict()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_a_certified_search_draws_nothing(d):
+    factor = flagged_complement_factor(d, 0.5)
+    rng = np.random.default_rng(d)
+    before = rng.bit_generator.state
+    phi, trials = distill._saturation_search(
+        factor, distill.gram_ranks(factor, DEFAULT_RANK_TOL), factor.shape[2], 2000, rng,
+        DEFAULT_RANK_TOL)
+    assert phi is None and trials == d + 2000
+    assert rng.bit_generator.state == before
 
 
 def quadratic_kernel_factor(rng):
@@ -466,27 +480,28 @@ def quadratic_kernel_factor(rng):
     return np.einsum("pi,aij,jr->apr", v, l2, gaussian(rng, 3, 3))
 
 
-def test_a_quadratic_kernel_declines_the_bound_and_the_screen_runs(monkeypatch):
+def test_a_quadratic_kernel_declines_the_bound_and_the_haar_loop_runs(monkeypatch):
     # K(v) has rank 2 < m = 3 for every v, but its kernel is quadratic in v: the
-    # bound proves nothing, and the screen decides all 200 Haar trials
+    # bound proves nothing, and the Haar loop ranks all 200 trials
     bounds, batches = spy_on_search(monkeypatch)
     factor = quadratic_kernel_factor(np.random.default_rng(3))
     assert assert_search_matches_loop_oracle(factor, 200, seed=5) == 2 + 200
     assert len(bounds) == 1 and bounds[0] > DEFAULT_RANK_TOL
-    assert batches == [64, 128, 8]
+    assert batches == [2, 64, 128, 8]
 
 
 @pytest.mark.parametrize("seed, trials", [(0, 253), (4, 79), (9, 166)])
-def test_a_perturbed_complement_declines_the_bound_and_the_screen_runs(monkeypatch, seed, trials):
+def test_a_perturbed_complement_declines_the_bound_and_the_haar_loop_runs(monkeypatch, seed,
+                                                                        trials):
     # the d=3 complement plus a relative 2e-5 Gaussian perturbation: lambda_min /
     # lambda_max straddles rank_tol over the Haar trials (about 0.3% reach rank m),
-    # so the bound declines and the screen finds the loop oracle's witness, if any
+    # so the bound declines and the Haar loop finds the loop oracle's witness, if any
     factor = flagged_complement_factor(3, 0.5)
     noise = gaussian(np.random.default_rng(1), *factor.shape)
     factor = factor + 2e-5 * noise * (np.linalg.norm(factor) / np.linalg.norm(noise))
     bounds, batches = spy_on_search(monkeypatch)
     assert assert_search_matches_loop_oracle(factor, 250, seed) == trials
-    assert len(bounds) == 1 and bounds[0] > DEFAULT_RANK_TOL and len(batches) >= 2
+    assert len(bounds) == 1 and bounds[0] > DEFAULT_RANK_TOL and len(batches) >= 3
 
 
 def count_eigensolves(monkeypatch):
@@ -508,11 +523,19 @@ def test_exhausted_search_eigensolver_count(monkeypatch):
     calls = count_eigensolves(monkeypatch)
     out = find_one_way_witness(j_ae, budget=2000, seed=0)
     assert not out.found and out.trials_used == 2003
-    # the purification (eigh), the B marginal and the basis batch; the pivot
-    # screen decides the first 64 Haar trials without an eigensolve, and the
-    # ratio bound (one svd, one eigvalsh) proves that the other 1936 miss
-    # (34 eigvalsh with one per Haar batch, 2005 solves with one per trial)
+    # the purification (eigh), the B marginal and the basis batch; the ratio
+    # bound (one svd, one eigvalsh) proves before any draw that all 2000 Haar
+    # trials miss (34 eigvalsh with one per Haar batch, 2005 solves with one per trial)
     assert Counter(calls) == {"eigh": 1, "eigvalsh": 3, "svd": 1}
+
+
+def test_short_search_eigensolver_count(monkeypatch):
+    # a budget of one batch: no bound, and the 50 Haar trials are one stacked eigvalsh
+    j_ae = complement_channel(flagged_depolarizing_channel(3, 0.5)).choi
+    calls = count_eigensolves(monkeypatch)
+    out = find_one_way_witness(j_ae, budget=50, seed=0)
+    assert not out.found and out.trials_used == 53
+    assert Counter(calls) == {"eigh": 1, "eigvalsh": 3}
 
 
 def test_search_solver_failure_is_non_convergence(monkeypatch):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from lrdistill import hermitian_eig
 from lrdistill.errors import (NonConvergenceError, NoPositiveEigenvalueError, NotHermitianError,
                               NumericsError)
-from lrdistill.kernels import ConditionedGrams, gram_ranks
+from lrdistill.kernels import gram_ranks, ratio_bound
 
 from conftest import (flagged_complement_factor, gaussian, gaussian_unit_vector,
                       loop_partial_trace, numerical_rank)
@@ -118,17 +118,21 @@ def smaller_gram(k):
     return k @ k.conj().T if k.shape[0] <= k.shape[1] else k.conj().T @ k
 
 
+def conditioned(factor, v):
+    """K = sum_a conj(v_a) F[a] for each row v_a of v, formed as the witness search forms it."""
+    return (v.conj() @ factor.reshape(len(factor), -1)).reshape(len(v), *factor.shape[1:])
+
+
 def conditioned_on(rng, k):
-    """(grams, v): n Gaussian trial vectors on A = C^n and a factor F with K(v_i) = k[i]."""
+    """(factor, v): n Gaussian trial vectors on A = C^n and a factor F with K(v_i) = k[i]."""
     n = len(k)
     v = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    factor = np.linalg.solve(v.conj(), k.reshape(n, -1)).reshape(k.shape)
-    return ConditionedGrams(factor), v
+    return np.linalg.solve(v.conj(), k.reshape(n, -1)).reshape(k.shape), v
 
 
 @st.composite
-def screen_cases(draw):
-    """(grams, v, k, target, rank_tol): tall and wide trials whose Gram spectra the screen reads."""
+def conditioned_cases(draw):
+    """(factor, v, k, target, rank_tol): tall and wide trials with chosen Gram spectra."""
     p, q = draw(st.integers(1, 7)), draw(st.integers(1, 7))
     m = min(p, q)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -147,7 +151,7 @@ def screen_cases(draw):
 
         def spectrum():
             return np.concatenate([[1.0], rng.uniform(0.2, 1.0, max(m - 2, 0)), [edge]])[-m:]
-    else:  # a tolerance too small for the screen: the mask is gram_ranks' itself
+    else:  # a tolerance far below the defaults
         tol = 1e-15
 
         def spectrum():
@@ -158,14 +162,12 @@ def screen_cases(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(screen_cases())
-def test_screen_matches_an_eigensolve_of_each_gram_matrix(case):
-    grams, v, k, target, tol = case
-    want = [numerical_rank(smaller_gram(x), tol) == target for x in k]
-    got = grams.rank_equals(v, target, tol)
-    assert got.dtype == bool and list(got) == want
+@given(conditioned_cases())
+def test_conditioned_ranks_match_an_eigensolve_of_each_gram_matrix(case):
     # the K formed from the trial vectors, as the witness search forms it
-    assert np.array_equal(got, gram_ranks(grams.conditioned(v), tol) == target)
+    factor, v, k, target, tol = case
+    want = [numerical_rank(smaller_gram(x), tol) == target for x in k]
+    assert list(gram_ranks(conditioned(factor, v), tol) == target) == want
 
 
 def fail_stacked_eigvalsh(monkeypatch):
@@ -179,46 +181,23 @@ def fail_stacked_eigvalsh(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", failing)
 
 
-def test_screen_decides_well_separated_spectra_without_an_eigensolve(monkeypatch):
-    # tall F: K is 10 x 6 of generic rank 6; wide F[a] = X_a Y: K is 6 x 10 of rank 5
-    rng = np.random.default_rng(5)
-    full = ConditionedGrams(gaussian(rng, 3, 10, 6))
-    short = ConditionedGrams(np.einsum("abk,kr->abr", gaussian(rng, 3, 6, 5), gaussian(rng, 5, 10)))
-    v = gaussian(rng, 256, 3)
-    fail_stacked_eigvalsh(monkeypatch)
-    assert full.rank_equals(v, 6).all()
-    assert not short.rank_equals(v, 6).any()
-
-
 @pytest.mark.parametrize("shape", [(4, 3), (3, 4)])
 @pytest.mark.parametrize("side", [1 + 1e-3, 1 - 1e-3])
 @pytest.mark.parametrize("tol", EDGE_TOLS)
-def test_the_margin_covers_cancellation_in_the_formed_gram_matrices(shape, side, tol):
+def test_ranks_survive_cancellation_in_the_conditioned_factor(shape, side, tol):
     # trial vectors near one common direction: F = conj(V)^-1 K is far larger than
-    # each K, so the coefficient sums cancel; lambda_min lies a relative 1e-3 from the cutoff
+    # each K, so the sums forming K cancel; lambda_min lies a relative 1e-3 from the cutoff
     rng = np.random.default_rng(7)
     edge = gram_stack(rng, shape, 8, lambda: np.r_[1.0, 0.5, tol * side])
     v = np.outer(rng.standard_normal(8), rng.standard_normal(8)) + 1e-5 * gaussian(rng, 8, 8)
-    grams = ConditionedGrams(np.linalg.solve(v.conj(), edge.reshape(8, -1)).reshape(edge.shape))
+    factor = np.linalg.solve(v.conj(), edge.reshape(8, -1)).reshape(edge.shape)
     want = [numerical_rank(smaller_gram(x), tol) == 3 for x in edge]
-    assert list(grams.rank_equals(v, 3, tol)) == want
-    assert list(gram_ranks(grams.conditioned(v), tol) == 3) == want
+    assert list(gram_ranks(conditioned(factor, v), tol) == 3) == want
 
 
-def test_a_failing_fallback_eigensolve_is_non_convergence(monkeypatch):
-    # lambda_min a relative 1e-3 above the cutoff: the screen leaves it to eigvalsh
-    rng = np.random.default_rng(6)
-    edge = gram_stack(rng, (4, 6), 8, lambda: np.r_[1.0, 0.5, 0.5, 1e-10 * (1 + 1e-3)])
-    grams, v = conditioned_on(rng, edge)
-    assert grams.rank_equals(v, 4, 1e-10).all()
-    fail_stacked_eigvalsh(monkeypatch)
-    with pytest.raises(NonConvergenceError):
-        grams.rank_equals(v, 4, 1e-10)
-
-
-def trial_ratios(grams, v):
+def trial_ratios(factor, v):
     """lambda_min / lambda_max of eigvalsh of each trial's smaller Gram matrix, in plain numpy."""
-    k = grams.conditioned(v)
+    k = conditioned(factor, v)
     kh = np.conj(np.swapaxes(k, 1, 2))
     lams = np.linalg.eigvalsh(k @ kh if k.shape[1] <= k.shape[2] else kh @ k)
     return lams[:, 0] / lams[:, -1]
@@ -259,8 +238,7 @@ def test_ratio_bound_covers_every_sampled_trial(family, size, scale):
     d_a = factor.shape[0]
     v = np.concatenate([np.eye(d_a), np.eye(d_a) + 1e-3 * gaussian(rng, d_a, d_a),
                         gaussian(rng, 500, d_a)])
-    grams = ConditionedGrams(factor * scale)
-    bound, ratios = grams.ratio_bound(), trial_ratios(grams, v)
+    bound, ratios = ratio_bound(factor * scale), trial_ratios(factor * scale, v)
     assert np.all(ratios <= bound)
     if family == "tight" and size >= 1e-5:
         assert bound <= 2 * ratios.max()  # nearly attained at v = e_0
@@ -271,18 +249,18 @@ def test_ratio_bound_covers_every_sampled_trial(family, size, scale):
 @pytest.mark.parametrize("d", [2, 3, 4])
 @pytest.mark.parametrize("q", [0.05, 0.3, 0.5, 0.7, 0.95])
 def test_ratio_bound_certifies_flagged_complements(d, q):
-    grams = ConditionedGrams(flagged_complement_factor(d, q))
-    assert grams.ratio_bound() <= 1e-10
+    factor = flagged_complement_factor(d, q)
+    assert ratio_bound(factor) <= 1e-10
     v = gaussian(np.random.default_rng(d), 20, d)
-    assert all(numerical_rank(k.conj().T @ k) < 2 * d for k in grams.conditioned(v))
+    assert all(numerical_rank(k.conj().T @ k) < 2 * d for k in conditioned(factor, v))
 
 
 def test_a_failing_ratio_bound_eigensolve_is_non_convergence(monkeypatch):
     # the bound's one stacked eigvalsh, of P for each k and of T
-    grams = ConditionedGrams(flagged_complement_factor(3, 0.5))
+    factor = flagged_complement_factor(3, 0.5)
     fail_stacked_eigvalsh(monkeypatch)
     with pytest.raises(NonConvergenceError):
-        grams.ratio_bound()
+        ratio_bound(factor)
 
 
 def test_rank_induced_measure_marginal():

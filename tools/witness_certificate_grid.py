@@ -1,4 +1,4 @@
-"""Exactness grid of the witness search's certificate, ``ConditionedGrams.ratio_bound``.
+"""Exactness grid of the witness search's certificate, ``kernels.ratio_bound``.
 
     python3 tools/witness_certificate_grid.py [--trials 300000]
 
@@ -13,10 +13,19 @@ The grid:
   1e-8, 1e-5 or 1e-3, with A's basis either kept or changed by a matrix of
   condition number 30, at scales 1e-150, 1 and 1e150;
 * a factor whose kernel is quadratic in the trial vector (a Kronecker L_2
-  block), at the same scales.
+  block, d_A = 2), at the same scales;
+* the block L_2(A y) with A a Gaussian 2 x 3 matrix (d_A = 3): every K has
+  rank 2 < m = 3, and K = 0 on A's null space, so the bound's trace form T
+  is singular to rounding (lambda_min / lambda_max about 1e-17), at the
+  same scales;
+* slices W[0] = [c, 0, x_0], W[1] = [0, c, x_1] and W[2] = [0, 0, x_2],
+  rotated on both sides and with A's basis changed (d_A = 3): every K has
+  rank 2 < m = 3 and a linear kernel polynomial, (y_1, -y_0, 0) before the
+  changes, whose P is singular to rounding, at the same scales.
 
-For each case and rank_tol in 1e-12, 1e-10 and 1e-8, a *mismatch* is a trial
-with ``gram_ranks(conditioned(v), rank_tol) == m`` although ``ratio_bound() <=
+Each trial's K = sum_a conj(v_a) F[a] is formed as the witness search forms
+it. For each case and rank_tol in 1e-12, 1e-10 and 1e-8, a *mismatch* is a
+trial with ``gram_ranks(K, rank_tol) == m`` although ``ratio_bound(F) <=
 rank_tol`` certified that none has; a *violation* is a trial whose
 ``eigvalsh`` lambda_min / lambda_max of its Gram matrix exceeds the bound.
 Prints one JSON summary and exits 1 if either count is nonzero.
@@ -38,7 +47,7 @@ import numpy as np  # noqa: E402
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "src"))
 from lrdistill import complement_channel, flagged_depolarizing_channel, purify  # noqa: E402
-from lrdistill.kernels import ConditionedGrams, gram_ranks  # noqa: E402
+from lrdistill.kernels import gram_ranks, ratio_bound  # noqa: E402
 
 SEED = 0
 BATCH = 256
@@ -47,7 +56,8 @@ SCALES = (1e-150, 1.0, 1e150)
 COMPLEMENTS = list(itertools.product((2, 3, 4), (0.1, 0.5, 0.9), (0.0, 1e-12, 1e-8, 1e-5, 1e-3),
                                      (1.0, 30.0), SCALES))
 GRID = [("complement", *case) for case in COMPLEMENTS] + [
-    ("quadratic", 2, None, None, None, scale) for scale in SCALES]
+    (family, None, None, None, None, scale) for family in ("L2", "L2(Ay)", "singular P")
+    for scale in SCALES]
 
 
 def gaussian(rng: np.random.Generator, *shape: int) -> np.ndarray:
@@ -62,8 +72,17 @@ def complement_factor(d: int, q: float) -> np.ndarray:
 
 def factor_of(case: tuple, rng: np.random.Generator) -> np.ndarray:
     family, d, q, size, cond, scale = case
-    if family == "quadratic":  # K(v) = V [L_2(y); 0] R, kernel (y_1^2, -y_0 y_1, y_0^2)
+    if family == "singular P":
+        w = np.zeros((3, 4, 3), dtype=complex)
+        w[0, :, 0] = w[1, :, 1] = gaussian(rng, 4)
+        w[:, :, 2] = gaussian(rng, 3, 4)
+        rot = np.linalg.qr(gaussian(rng, 4, 4))[0]
+        return scale * np.einsum("ac,pq,cqm,mr->apr", gaussian(rng, 3, 3), rot, w,
+                                 gaussian(rng, 3, 3))
+    if family in ("L2", "L2(Ay)"):  # K(v) = V [L_2(z); 0] R, kernel (z_1^2, -z_0 z_1, z_0^2)
         l2 = np.array([[[1, 0, 0], [0, 1, 0]], [[0, 1, 0], [0, 0, 1]]], dtype=complex)
+        if family == "L2(Ay)":  # z = A y: slice a is sum_c A[c, a] L_2[c]
+            l2 = np.einsum("ca,cij->aij", gaussian(rng, 2, 3), l2)
         iso = np.linalg.qr(gaussian(rng, 5, 5))[0][:, :2]
         return scale * np.einsum("pi,aij,jr->apr", iso, l2, gaussian(rng, 3, 3))
     factor = complement_factor(d, q)
@@ -81,17 +100,19 @@ def run(trials: int) -> dict:
     order = np.random.default_rng(SEED).permutation(len(GRID))
     while done < trials:
         rng = np.random.default_rng([SEED, cases])
-        grams = ConditionedGrams(factor_of(GRID[order[cases % len(GRID)]], rng))
-        k = grams.conditioned(gaussian(rng, BATCH, grams.shape[0]))
+        factor = factor_of(GRID[order[cases % len(GRID)]], rng)
+        d_a, d_b, r = factor.shape
+        v = gaussian(rng, BATCH, d_a)
+        k = (v.conj() @ factor.reshape(d_a, -1)).reshape(BATCH, d_b, r)
         kh = np.conj(np.swapaxes(k, 1, 2))
-        lams = np.linalg.eigvalsh(kh @ k if k.shape[1] > k.shape[2] else k @ kh)
+        lams = np.linalg.eigvalsh(kh @ k if d_b > r else k @ kh)
         ratios = lams[:, 0] / lams[:, -1]
-        bound = grams.ratio_bound()
+        bound = ratio_bound(factor)
         violations += int(np.sum(ratios > bound))
         if np.isfinite(bound):
             worst = max(worst, float(np.max(ratios)) / bound)
         for tol, tally in per_tol.items():
-            full = gram_ranks(k, tol) == grams.m
+            full = gram_ranks(k, tol) == min(d_b, r)
             if bound <= tol:
                 tally["certified_cases"] += 1
                 tally["mismatches"] += int(np.sum(full))
