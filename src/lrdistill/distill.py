@@ -28,7 +28,7 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import BadParameterError, RankNotLowError
+from .errors import BadParameterError, RankNotLowError, SubsystemError
 from .kernels import (DEFAULT_RANK_TOL, HermitianSpectrum, gram_ranks, ratio_bound,
                       solve_hermitian)
 from .states import (
@@ -318,16 +318,16 @@ def _witness_search(
 
 @dataclass(frozen=True, eq=False)
 class ReductionAnalysis:
-    """Distillability data for one reduction (AB or AE) of a tripartite state.
+    """Distillability data for one reduction (AB or AE) of a tripartite state."""
 
-    ``separability`` is the reduction's rank-regime record, whose parties
-    are ``label``.
-    """
-
-    label: str
     separability: SeparabilityRecord
     hashing_rate: float
     witness: WitnessSearchOutcome
+
+    @property
+    def label(self) -> str:
+        """The reduction's parties, "AB" or "AE": those of its rank-regime record."""
+        return self.separability.parties
 
     @property
     def two_way_heuristic(self) -> bool:
@@ -419,7 +419,6 @@ def _analyze_reduction(
         note = f"rank(state) = {r} >= {second.rank} = rank(marginal): search does not apply"
         witness = WitnessSearchOutcome(False, False, None, 0, note=note)
     return ReductionAnalysis(
-        label=label,
         separability=_separability_record(rho, r, first, second, ppt_tol, label),
         hashing_rate=second.entropy() - third.entropy(),
         witness=witness,
@@ -448,6 +447,9 @@ def classify(
     rho_E's nonzero spectrum and rho_AE rho_B's, so the AE hashing rate
     S(E) - S(B) is exactly minus the AB one.
     """
+    if not isinstance(psi, TripartitePureState):
+        raise SubsystemError("classify needs a TripartitePureState, got "
+                             f"{type(psi).__name__}; use purify(rho) for a bipartite rho")
     witness_budget = validated_budget(witness_budget)
     seed = validated_seed(seed)
     marginals = [solve_hermitian(psi.reduction((k,)).matrix, rank_tol, vectors=False)
@@ -518,8 +520,9 @@ class SeparabilityRecord:
 
     @property
     def rank_pattern_holds(self) -> bool:
-        """rank(AB) = rank(E) <= rank(AE) = rank(B), i.e. rank(AB) <= rank(B)."""
-        return self.rank == self.rank_e <= self.rank_ae == self.rank_b
+        """rank(AB) = rank(E) <= rank(AE) = rank(B), i.e. rank(AB) <= rank(B): the
+        equalities hold for any purification (``rank_e``, ``rank_ae``)."""
+        return self.rank <= self.rank_b
 
     @property
     def regime_applies(self) -> bool:

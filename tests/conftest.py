@@ -1,15 +1,23 @@
-"""Shared helpers: independent oracles and random-state generators.
+"""Shared helpers: independent oracles, random-state generators, the in-process CLI
+runner, and the one spy on the ``numpy.linalg`` solvers.
 
 The oracle implementations here deliberately avoid the library's code paths
 (explicit index loops instead of einsum, isometry construction instead of
 Choi plumbing) so that test expectations stay independent of what they check.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from lrdistill import (DensityMatrix, complement, flagged_depolarizing_channel, local_filter,
                        partial_trace, partial_transpose)
+from lrdistill.cli import main
+from lrdistill.kernels import DEFAULT_RANK_TOL
+
+#: The ``numpy.linalg`` solvers that only ``lrdistill.kernels`` may call.
+SOLVERS = ("eigh", "eigvalsh", "eig", "svd")
 
 
 def loop_partial_trace(mat, dims, keep):
@@ -48,6 +56,20 @@ def loop_partial_transpose(mat, dims, subsystem):
     return out
 
 
+def loop_conditioned_rank(matrix, dims, phi, rank_tol=DEFAULT_RANK_TOL):
+    """rank Tr_A[(|phi><phi| (x) 1) rho], the marginal summed entry by entry."""
+    d_a, d_b = dims
+    t = np.asarray(matrix).reshape(d_a, d_b, d_a, d_b)
+    marginal = np.zeros((d_b, d_b), dtype=complex)
+    for b in range(d_b):
+        for d in range(d_b):
+            for a in range(d_a):
+                for c in range(d_a):
+                    marginal[b, d] += np.conj(phi[a]) * t[a, b, c, d] * phi[c]
+    lams = np.linalg.eigvalsh(marginal)
+    return 0 if lams[-1] <= 0 else int(np.sum(lams > rank_tol * lams[-1]))
+
+
 def numerical_rank(m, rank_tol=1e-10):
     """Count of eigenvalues of the Hermitian part above rank_tol * lambda_max.
 
@@ -67,6 +89,23 @@ def gaussian(rng, *shape):
 def gaussian_unit_vector(rng, n):
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return v / np.linalg.norm(v)
+
+
+def random_psd(rng, d, r):
+    """Unit-trace d x d Gram matrix of a complex Gaussian d x r matrix: rank r almost surely."""
+    g = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
+    m = g @ g.conj().T
+    return m / m.trace()
+
+
+def antisymmetric_choi():
+    """(1 - SWAP) / 6 on C^3 (x) C^3, built entrywise, independent of the channels module."""
+    d = 3
+    swap = np.zeros((9, 9), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            swap[i * d + j, j * d + i] = 1.0
+    return (np.eye(9) - swap) / 6.0
 
 
 def random_density(d_a, d_b, d_e, seed):
@@ -132,6 +171,45 @@ def derived_matrices(rho, rank_tol=1e-10):
     return out
 
 
+def run_cli(capsys, *args):
+    """``lrdistill.cli.main(args)`` in process: its exit code, stdout and stderr."""
+    code = main(list(args))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """Counts, by name, of the ``SOLVERS`` calls made since the test started.
+
+    Calls made while a test builds its input count too: a test that counts only
+    the call under test clears the counter after building its input.
+    """
+    calls = Counter()
+
+    def spy(name, real):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    for name in SOLVERS:
+        monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
+    return calls
+
+
+def fail_solver(monkeypatch, name, stacked_only=False):
+    """Make ``np.linalg.<name>`` raise LinAlgError; with ``stacked_only``, only on a stack."""
+    real = getattr(np.linalg, name)
+
+    def fail(a, *args, **kwargs):
+        if stacked_only and np.ndim(a) != 3:
+            return real(a, *args, **kwargs)
+        raise np.linalg.LinAlgError("forced")
+
+    monkeypatch.setattr(np.linalg, name, fail)

@@ -28,22 +28,15 @@ from lrdistill import (
     sample_state,
     werner_holevo_channel,
 )
-from lrdistill.cli import main
 from lrdistill.states import bell_state, ghz_state
 
-from conftest import numerical_rank
+from conftest import numerical_rank, run_cli
 
 
 def _done(number, description, t0, limit):
     elapsed = time.perf_counter() - t0
     assert elapsed < limit, f"criterion {number} took {elapsed:.1f}s (limit {limit}s)"
     print(f"CRITERION {number} PASS ({elapsed:.2f}s): {description}")
-
-
-def run_cli(capsys, *args):
-    code = main(list(args))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
 
 
 def test_criterion_1_bell_suite():

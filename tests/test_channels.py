@@ -21,16 +21,7 @@ from lrdistill.errors import (
     StateFormatError,
 )
 
-from conftest import numerical_rank, random_choi
-
-
-def antisymmetric_choi():
-    d = 3
-    swap = np.zeros((9, 9), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            swap[i * d + j, j * d + i] = 1.0
-    return (np.eye(9) - swap) / 6.0
+from conftest import antisymmetric_choi, numerical_rank, random_choi
 
 
 def identity_channel(d):

@@ -2,7 +2,6 @@ import argparse
 import json
 import subprocess
 import sys
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,15 +10,9 @@ from lrdistill import cli
 from lrdistill.cli import build_parser, main
 from lrdistill.states import DensityMatrix, TripartitePureState, bell_state, ghz_state
 
-from conftest import gaussian_unit_vector
+from conftest import fail_solver, gaussian_unit_vector, run_cli
 
 ALL_EXAMPLES = ["bell", "ghz", "maximally-mixed", "werner-holevo", "wh-choi", "flagged-depolarizing"]
-
-
-def run_cli(capsys, *args):
-    code = main(list(args))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
 
 
 def write_state(tmp_path, name, doc):
@@ -380,18 +373,11 @@ def test_states_are_validated_only_at_the_input_boundary(tmp_path, capsys, monke
 
 
 def test_witness_solver_failure_exits_3(tmp_path, capsys, monkeypatch):
-    real = np.linalg.eigvalsh
-
-    def failing(a, *args, **kwargs):
-        if np.ndim(a) == 3:  # only the witness search's batched rank solve
-            raise np.linalg.LinAlgError("forced")
-        return real(a, *args, **kwargs)
-
     v = np.zeros(8)
     v[0] = v[6] = 1 / np.sqrt(2)  # Bell on AB, |0> on E: the AB witness search runs
     doc = {"dims": [2, 2, 2], "vector": [[x, 0.0] for x in v]}
     path = write_state(tmp_path, "bellenv.json", doc)
-    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    fail_solver(monkeypatch, "eigvalsh", stacked_only=True)  # the witness search's batch solve
     code, out, err = run_cli(capsys, "analyze", path)
     assert code == 3 and out == ""
     assert "did not converge" in err
@@ -399,30 +385,10 @@ def test_witness_solver_failure_exits_3(tmp_path, capsys, monkeypatch):
 
 def test_a_failed_validation_solve_exits_3(tmp_path, capsys, monkeypatch):
     path = write_state(tmp_path, "bell.json", bell_state().to_json_dict())
-
-    def failing(a, *args, **kwargs):
-        raise np.linalg.LinAlgError("forced")
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    fail_solver(monkeypatch, "eigvalsh")
     code, out, err = run_cli(capsys, "analyze", path)
     assert code == 3 and out == ""
     assert err.startswith("internal error: eigensolver did not converge")
-
-
-@pytest.fixture
-def solver_calls(monkeypatch):
-    """Counts of the ``np.linalg`` eigen and singular-value solves made while the test runs."""
-    calls = Counter()
-
-    def counted(name, real):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
-        return wrapper
-
-    for name in ("eigh", "eigvalsh", "svd"):
-        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
-    return calls
 
 
 def test_eigensolver_calls_per_command(tmp_path, capsys, solver_calls):
@@ -445,7 +411,7 @@ def test_eigensolver_calls_per_command(tmp_path, capsys, solver_calls):
     ):
         solver_calls.clear()
         assert run_cli(capsys, *args)[0] == 0
-        assert dict(solver_calls) == want, args
+        assert solver_calls == want, args
 
 
 @pytest.mark.parametrize("args, message", [

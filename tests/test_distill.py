@@ -1,4 +1,3 @@
-from collections import Counter
 from functools import partial
 
 import numpy as np
@@ -16,7 +15,6 @@ from lrdistill import (
     filtered_hashing_rate,
     find_one_way_witness,
     flagged_depolarizing_channel,
-    hermitian_eig,
     is_ppt,
     local_filter,
     low_rank_rate_bound,
@@ -46,7 +44,8 @@ from lrdistill.errors import (
 from lrdistill.kernels import DEFAULT_RANK_TOL
 from lrdistill.states import bell_state, ghz_state, maximally_mixed
 
-from conftest import flagged_complement_factor, gaussian, loop_partial_trace, numerical_rank
+from conftest import (fail_solver, flagged_complement_factor, gaussian, gaussian_unit_vector,
+                      loop_conditioned_rank, loop_partial_trace, numerical_rank)
 
 
 def tilted_state():
@@ -178,7 +177,7 @@ def test_witness_found_on_random_low_rank_state():
     out = find_one_way_witness(rho, budget=50, seed=1)
     assert out.found
     # soundness recheck, independent of the search's own bookkeeping
-    assert numerical_rank(conditional_marginal(rho, out.phi)) == numerical_rank(rho.matrix)
+    assert loop_conditioned_rank(rho.matrix, rho.dims, out.phi) == numerical_rank(rho.matrix)
 
 
 def test_witness_precondition():
@@ -212,20 +211,6 @@ def test_witness_deterministic():
 
 
 # --- witness search against a one-trial-at-a-time loop oracle ----------------------
-
-
-def loop_conditioned_rank(matrix, dims, phi, rank_tol=DEFAULT_RANK_TOL):
-    """rank Tr_A[(|phi><phi| (x) 1) rho], the marginal summed entry by entry."""
-    d_a, d_b = dims
-    t = np.asarray(matrix).reshape(d_a, d_b, d_a, d_b)
-    marginal = np.zeros((d_b, d_b), dtype=complex)
-    for b in range(d_b):
-        for d in range(d_b):
-            for a in range(d_a):
-                for c in range(d_a):
-                    marginal[b, d] += np.conj(phi[a]) * t[a, b, c, d] * phi[c]
-    lams = np.linalg.eigvalsh(marginal)
-    return 0 if lams[-1] <= 0 else int(np.sum(lams > rank_tol * lams[-1]))
 
 
 def loop_haar_draws(rng, d, n):
@@ -504,60 +489,36 @@ def test_a_perturbed_complement_declines_the_bound_and_the_haar_loop_runs(monkey
     assert len(bounds) == 1 and bounds[0] > DEFAULT_RANK_TOL and len(batches) >= 3
 
 
-def count_eigensolves(monkeypatch):
-    calls = []
-
-    def counted(real):
-        def wrapper(*args, **kwargs):
-            calls.append(real.__name__)
-            return real(*args, **kwargs)
-        return wrapper
-
-    for name in ("eigh", "eigvalsh", "svd"):
-        monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
-    return calls
-
-
-def test_exhausted_search_eigensolver_count(monkeypatch):
+def test_exhausted_search_eigensolver_count(solver_calls):
     j_ae = complement_channel(flagged_depolarizing_channel(3, 0.5)).choi
-    calls = count_eigensolves(monkeypatch)
+    solver_calls.clear()
     out = find_one_way_witness(j_ae, budget=2000, seed=0)
     assert not out.found and out.trials_used == 2003
     # the purification (eigh), the B marginal and the basis batch; the ratio
     # bound (one svd, one eigvalsh) proves before any draw that all 2000 Haar
     # trials miss (34 eigvalsh with one per Haar batch, 2005 solves with one per trial)
-    assert Counter(calls) == {"eigh": 1, "eigvalsh": 3, "svd": 1}
+    assert solver_calls == {"eigh": 1, "eigvalsh": 3, "svd": 1}
 
 
-def test_short_search_eigensolver_count(monkeypatch):
+def test_short_search_eigensolver_count(solver_calls):
     # a budget of one batch: no bound, and the 50 Haar trials are one stacked eigvalsh
     j_ae = complement_channel(flagged_depolarizing_channel(3, 0.5)).choi
-    calls = count_eigensolves(monkeypatch)
+    solver_calls.clear()
     out = find_one_way_witness(j_ae, budget=50, seed=0)
     assert not out.found and out.trials_used == 53
-    assert Counter(calls) == {"eigh": 1, "eigvalsh": 3}
+    assert solver_calls == {"eigh": 1, "eigvalsh": 3}
 
 
 def test_search_solver_failure_is_non_convergence(monkeypatch):
-    real = np.linalg.eigvalsh
-
-    def failing(a, *args, **kwargs):
-        if np.ndim(a) == 3:
-            raise np.linalg.LinAlgError("forced")
-        return real(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    fail_solver(monkeypatch, "eigvalsh", stacked_only=True)
     with pytest.raises(NonConvergenceError):
         find_one_way_witness(tilted_state(), budget=5)
 
 
 def test_a_failing_ratio_bound_svd_is_non_convergence(monkeypatch):
     # the d=3 complement: the first Haar batch misses, and the bound's svd fails
-    def failing(*args, **kwargs):
-        raise np.linalg.LinAlgError("forced")
-
     j_ae = complement_channel(flagged_depolarizing_channel(3, 0.5)).choi
-    monkeypatch.setattr(np.linalg, "svd", failing)
+    fail_solver(monkeypatch, "svd")
     with pytest.raises(NonConvergenceError):
         find_one_way_witness(j_ae, budget=2000, seed=0)
 
@@ -597,22 +558,27 @@ def test_classify_werner_holevo_purification():
     assert abs(report.reduction_ab.hashing_rate) <= 1e-9
     assert abs(report.reduction_ae.hashing_rate) <= 1e-9
     # both reductions share the antisymmetric-projector spectrum
-    full = psi.density_matrix()
+    full = np.outer(psi.amplitudes, psi.amplitudes.conj())
     for keep in ((0, 1), (0, 2)):
-        spec = hermitian_eig(partial_trace(full, keep).matrix).eigenvalues
+        spec = np.linalg.eigvalsh(loop_partial_trace(full, psi.dims, keep))[::-1]
         assert np.allclose(spec, [1 / 3] * 3 + [0.0] * 6, atol=1e-9)
 
 
 def test_classify_soundness_random_ensemble():
     for seed in range(60):
-        rng = np.random.default_rng(seed)
-        v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        psi = TripartitePureState((2, 2, 2), v / np.linalg.norm(v))
-        report = classify(psi, witness_budget=8, seed=seed)
+        report = classify(haar_state((2, 2, 2), seed), witness_budget=8, seed=seed)
         both_ppt = all(red.separability.ppt.is_ppt
                        for red in (report.reduction_ab, report.reduction_ae))
         expected = CLASS_FULLY_UNDISTILLABLE if both_ppt else CLASS_SOME_2WAY
         assert report.classification == expected
+
+
+@pytest.mark.parametrize("rho", [bell_state(), maximally_mixed((2, 2, 2))])
+def test_classify_rejects_a_density_matrix_before_any_solve(rho, solver_calls):
+    solver_calls.clear()
+    with pytest.raises(SubsystemError, match="purify"):
+        classify(rho)
+    assert solver_calls == {}
 
 
 def test_classify_report_json_shape():
@@ -661,15 +627,13 @@ def test_verdict_maximally_mixed_out_of_regime():
 
 def haar_state(dims, seed):
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal(int(np.prod(dims))) + 1j * rng.standard_normal(int(np.prod(dims)))
-    return TripartitePureState(dims, v / np.linalg.norm(v))
+    return TripartitePureState(dims, gaussian_unit_vector(rng, int(np.prod(dims))))
 
 
-def test_classify_eigensolver_count(monkeypatch):
-    calls = count_eigensolves(monkeypatch)
+def test_classify_eigensolver_count(solver_calls):
     classify(haar_state((2, 4, 3), 0))
     # rho_A, rho_B, rho_E, two partial transposes and the AB witness search's basis batch
-    assert calls == ["eigvalsh"] * 6
+    assert solver_calls == {"eigvalsh": 6}
 
 
 def test_only_the_one_party_marginals_are_diagonalized(monkeypatch):
@@ -687,7 +651,7 @@ def test_only_the_one_party_marginals_are_diagonalized(monkeypatch):
     assert shapes == [(2, 2), (4, 4), (3, 3)]
 
 
-def test_separability_verdict_builds_no_purification(monkeypatch):
+def test_separability_verdict_builds_no_purification(monkeypatch, solver_calls):
     rho = haar_state((8, 8, 16), 0).reduction((0, 1))
 
     def forbidden(*args, **kwargs):
@@ -695,10 +659,10 @@ def test_separability_verdict_builds_no_purification(monkeypatch):
 
     monkeypatch.setattr(distill, "purify", forbidden)
     monkeypatch.setattr(TripartitePureState, "reduction", forbidden)
-    calls = count_eigensolves(monkeypatch)
+    solver_calls.clear()
     record = separability_verdict(rho)
     # rho, rho_A, rho_B and the partial transpose
-    assert calls == ["eigvalsh"] * 4
+    assert solver_calls == {"eigvalsh": 4}
     assert (record.rank, record.rank_a, record.rank_b) == (16, 8, 8)
     assert (record.rank_e, record.rank_ae) == (16, 8)
 

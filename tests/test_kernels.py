@@ -8,19 +8,9 @@ from lrdistill.errors import (NonConvergenceError, NoPositiveEigenvalueError, No
                               NumericsError)
 from lrdistill.kernels import gram_ranks, ratio_bound
 
-from conftest import (flagged_complement_factor, gaussian, gaussian_unit_vector,
-                      loop_partial_trace, numerical_rank)
+from conftest import (antisymmetric_choi, fail_solver, flagged_complement_factor, gaussian,
+                      gaussian_unit_vector, loop_partial_trace, numerical_rank, random_psd)
 from test_tolerances import EDGE_TOLS
-
-
-def antisymmetric_choi():
-    # (1 - SWAP)/6 built entrywise, independent of the channels module
-    d = 3
-    swap = np.zeros((9, 9), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            swap[i * d + j, j * d + i] = 1.0
-    return (np.eye(9) - swap) / 6.0
 
 
 def reconstruct(spec):
@@ -29,12 +19,6 @@ def reconstruct(spec):
 
 def rank(m):
     return hermitian_eig(m, vectors=False).rank
-
-
-def random_psd(rng, d, r):
-    g = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
-    m = g @ g.conj().T
-    return m / m.trace()
 
 
 def test_eig_identity():
@@ -170,17 +154,6 @@ def test_conditioned_ranks_match_an_eigensolve_of_each_gram_matrix(case):
     assert list(gram_ranks(conditioned(factor, v), tol) == target) == want
 
 
-def fail_stacked_eigvalsh(monkeypatch):
-    real = np.linalg.eigvalsh
-
-    def failing(a, *args, **kwargs):
-        if np.ndim(a) == 3:
-            raise np.linalg.LinAlgError("forced")
-        return real(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
-
-
 @pytest.mark.parametrize("shape", [(4, 3), (3, 4)])
 @pytest.mark.parametrize("side", [1 + 1e-3, 1 - 1e-3])
 @pytest.mark.parametrize("tol", EDGE_TOLS)
@@ -258,9 +231,34 @@ def test_ratio_bound_certifies_flagged_complements(d, q):
 def test_a_failing_ratio_bound_eigensolve_is_non_convergence(monkeypatch):
     # the bound's one stacked eigvalsh, of P for each k and of T
     factor = flagged_complement_factor(3, 0.5)
-    fail_stacked_eigvalsh(monkeypatch)
+    fail_solver(monkeypatch, "eigvalsh", stacked_only=True)
     with pytest.raises(NonConvergenceError):
         ratio_bound(factor)
+
+
+@pytest.mark.parametrize("t_over, p_over", [(1 - 1e-6, 2.0), (2.0, 1 - 1e-6), (2.0, 1 + 1e-6)])
+def test_ratio_bound_subtracts_the_eigensolves_rounding(monkeypatch, t_over, p_over):
+    # the stacked eigvalsh faked to give lambda_min(T) = t_over c tau and each k's
+    # lambda_min(P) = p_over c ||N||_F^2, the docstring's allowances: below either, no
+    # lower bound is positive and the bound is inf. T's "above" is twice its allowance,
+    # since a lambda_min(T) barely above it leaves nu >= 1/2
+    factor = flagged_complement_factor(3, 0.5)
+    d_a, p, m = factor.shape  # d_B = 10 > r = 6, so W = F
+    w = factor * 2.0 ** -np.frexp(np.abs(factor).max())[1]  # max |W| in [1/2, 1)
+    eps = np.finfo(float).eps
+    size_a = (p * d_a * (d_a + 1) // 2) * (d_a * m)
+    c = 64 * d_a**2 * eps + 3 * (size_a + 8) * eps
+    tau = np.sum(np.abs(w) ** 2)
+    n_sq = np.arange(1, d_a * m + 1)  # N: the k unit right singular vectors of least value
+    real = np.linalg.eigvalsh
+
+    def faked(a):
+        lams = real(a)
+        lams[:-1, 0], lams[-1, 0] = p_over * c * n_sq, t_over * c * tau
+        return lams
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", faked)
+    assert np.isinf(ratio_bound(factor)) == (min(t_over, p_over) < 1)
 
 
 def test_rank_induced_measure_marginal():

@@ -35,23 +35,19 @@ from lrdistill.states import (
 
 from conftest import (
     derived_matrices,
+    fail_solver,
     gaussian_unit_vector,
     loop_partial_trace,
     loop_partial_transpose,
     numerical_rank,
     random_density,
+    random_psd,
 )
 
 
-def random_dm(rng, d):
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    m = g @ g.conj().T
-    return m / m.trace()
-
-
 def product_state(rng, d_a, d_b):
-    sigma = random_dm(rng, d_a)
-    gamma = random_dm(rng, d_b)
+    sigma = random_psd(rng, d_a, d_a)
+    gamma = random_psd(rng, d_b, d_b)
     return sigma, gamma, DensityMatrix((d_a, d_b), np.kron(sigma, gamma))
 
 
@@ -70,10 +66,7 @@ def test_density_matrix_rejects_bad_inputs():
 
 
 def test_a_failed_validation_solve_is_a_nonconvergence_error(monkeypatch):
-    def failing(a, *args, **kwargs):
-        raise np.linalg.LinAlgError("forced")
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    fail_solver(monkeypatch, "eigvalsh")
     with pytest.raises(NonConvergenceError, match="did not converge"):
         DensityMatrix((2, 2), np.eye(4) / 4)
 
@@ -101,7 +94,7 @@ def test_every_derived_matrix_is_exactly_hermitian(dims, seed):
 @given(d=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
 def test_asymmetry_within_the_tolerance_is_stored_as_the_exact_hermitian_part(d, seed):
     rng = np.random.default_rng(seed)
-    m = random_dm(rng, d)
+    m = random_psd(rng, d, d)
     m = (m + m.conj().T) / 2
     m[0, 1] += 1e-12
     rho = DensityMatrix((d,), m)
@@ -114,7 +107,7 @@ def test_asymmetry_within_the_tolerance_is_stored_as_the_exact_hermitian_part(d,
        asymmetry=st.floats(2e-10, 1e-3))
 def test_asymmetry_above_the_tolerance_is_rejected(d, seed, asymmetry):
     rng = np.random.default_rng(seed)
-    m = random_dm(rng, d)
+    m = random_psd(rng, d, d)
     m = (m + m.conj().T) / 2
     m[0, 1] += asymmetry
     with pytest.raises(StateFormatError, match="Hermitian"):

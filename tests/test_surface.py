@@ -8,9 +8,10 @@ import re
 
 import lrdistill
 
+from conftest import SOLVERS
+
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 PACKAGE = os.path.dirname(lrdistill.__file__)
-EIGENSOLVERS = {"eigh", "eigvalsh", "eig", "svd"}
 
 
 def test_readme_library_section_lists_the_public_names():
@@ -29,12 +30,12 @@ def _eigensolver_uses(path: str) -> list[str]:
         tree = ast.parse(fh.read(), path)
     uses = []
     for node in ast.walk(tree):
-        if (isinstance(node, ast.Attribute) and node.attr in EIGENSOLVERS
+        if (isinstance(node, ast.Attribute) and node.attr in SOLVERS
                 and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"):
             uses.append(f"line {node.lineno}: linalg.{node.attr}")
         if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
             uses += [f"line {node.lineno}: import {a.name}" for a in node.names
-                     if a.name in EIGENSOLVERS]
+                     if a.name in SOLVERS]
     return uses
 
 
