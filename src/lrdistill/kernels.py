@@ -56,6 +56,16 @@ def _retained(lams: np.ndarray, rank_tol: float) -> np.ndarray:
     return np.sum(lams > rank_tol * lam_max, axis=-1)
 
 
+def _solve(solver, *args, what: str = "eigensolver", **kwargs):
+    """``solver(*args, **kwargs)``, its LinAlgError raised as NonConvergenceError naming ``what``.
+
+    Callers pass ``np.linalg.<fn>`` as read at the call, so a patched one sees every call."""
+    try:
+        return solver(*args, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergenceError(f"{what} did not converge: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class HermitianSpectrum:
     """Eigendecomposition with eigenvalues sorted in descending order.
@@ -111,10 +121,7 @@ def solve_hermitian(
     entropy, bound and PPT witness. Raises BadParameterError unless
     ``rank_tol`` lies in (0, 1), NonConvergenceError when the solver fails.
     """
-    try:
-        evals, evecs = np.linalg.eigh(h) if vectors else (np.linalg.eigvalsh(h), None)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergenceError(f"eigensolver did not converge: {exc}") from exc
+    evals, evecs = _solve(np.linalg.eigh, h) if vectors else (_solve(np.linalg.eigvalsh, h), None)
     evals = evals[::-1].copy()
     evecs = evecs[:, ::-1].copy() if vectors else None
     return HermitianSpectrum(evals, evecs, int(_retained(evals, rank_tol)))
@@ -130,11 +137,8 @@ def gram_ranks(k: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     lambda_max <= 0.
     """
     kh = np.conj(np.swapaxes(k, 1, 2))
-    try:
-        lams = np.linalg.eigvalsh(k @ kh if k.shape[1] <= k.shape[2] else kh @ k)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergenceError(f"eigensolver did not converge: {exc}") from exc
-    return _retained(lams, rank_tol)
+    return _retained(_solve(np.linalg.eigvalsh, k @ kh if k.shape[1] <= k.shape[2] else kh @ k),
+                     rank_tol)
 
 
 def ratio_bound(factor: np.ndarray) -> float:
@@ -236,19 +240,13 @@ def ratio_bound(factor: np.ndarray) -> float:
     off = np.flatnonzero(first != second)
     blocks[off, first[off]] = w[second[off]]
     a_map = blocks.transpose(0, 2, 1, 3).reshape(pairs * p, d_a * m)
-    try:
-        vh = np.linalg.svd(a_map, full_matrices=False)[2]
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergenceError(f"singular value solver did not converge: {exc}") from exc
+    vh = _solve(np.linalg.svd, a_map, full_matrices=False, what="singular value solver")[2]
     # Columns U_j, rows (b, i): the right singular vectors, smallest singular value first.
     vecs = vh[::-1].conj().T
     slices = vecs.reshape(d_a, m, -1)
     # P of the first k vectors, for every k, and T: one stacked eigvalsh.
     stack = np.cumsum(np.einsum("bij,cij->jbc", slices.conj(), slices), axis=0)
-    try:
-        lams = np.linalg.eigvalsh(np.concatenate([stack, traces[None]]))
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergenceError(f"eigensolver did not converge: {exc}") from exc
+    lams = _solve(np.linalg.eigvalsh, np.concatenate([stack, traces[None]]))
     delta = (a_map.size + 8) * eps
     c = 64 * d_a * d_a * eps + 3 * delta
     tau = norms @ norms

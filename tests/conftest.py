@@ -1,5 +1,6 @@
-"""Shared helpers: independent oracles, random-state generators, the in-process CLI
-runner, and the one spy on the ``numpy.linalg`` solvers.
+"""Shared helpers: independent oracles, random-state generators, the witness
+certificate's factor families (which ``tools/witness_certificate_grid.py`` also
+samples), the in-process CLI runner, and the one spy on the ``numpy.linalg`` solvers.
 
 The oracle implementations here deliberately avoid the library's code paths
 (explicit index loops instead of einsum, isometry construction instead of
@@ -7,6 +8,7 @@ Choi plumbing) so that test expectations stay independent of what they check.
 """
 
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -87,13 +89,13 @@ def gaussian(rng, *shape):
 
 
 def gaussian_unit_vector(rng, n):
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v = gaussian(rng, n)
     return v / np.linalg.norm(v)
 
 
 def random_psd(rng, d, r):
     """Unit-trace d x d Gram matrix of a complex Gaussian d x r matrix: rank r almost surely."""
-    g = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
+    g = gaussian(rng, d, r)
     m = g @ g.conj().T
     return m / m.trace()
 
@@ -129,8 +131,7 @@ def random_separable(rng, d_a, d_b, r):
 
 def random_isometry(rng, d_in, d_out):
     """Isometry from a QR decomposition of a Gaussian matrix (d_out >= d_in)."""
-    g = rng.standard_normal((d_out, d_in)) + 1j * rng.standard_normal((d_out, d_in))
-    q, r = np.linalg.qr(g)
+    q, r = np.linalg.qr(gaussian(rng, d_out, d_in))
     # fix the QR phase ambiguity for determinism
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
@@ -158,6 +159,60 @@ def flagged_complement_factor(d, q):
     keep = lams > 1e-10 * lams[-1]
     psi = (vecs[:, keep] * np.sqrt(lams[keep])).reshape(d, 2 * d, -1)
     return psi.transpose(0, 2, 1)
+
+
+def perturbed(factor, size, rng):
+    """``factor`` plus Gaussian noise of relative Frobenius size ``size``, the noise drawn first."""
+    noise = gaussian(rng, *factor.shape)
+    return factor + size * noise * (np.linalg.norm(factor) / np.linalg.norm(noise))
+
+
+def kronecker_l2_factor(rng, ay=False):
+    """(2, 5, 3) factor with K(v) = V [L_2(y); 0] R: rank 2, and no linear kernel polynomial.
+
+    L_2(y) = [[y_0, y_1, 0], [0, y_0, y_1]] is a Kronecker block whose kernel,
+    (y_1^2, -y_0 y_1, y_0^2), is quadratic in y. With ``ay``, the (3, 5, 3)
+    factor of L_2(A y), A a Gaussian 2 x 3 matrix drawn first: every K has
+    rank 2 < m = 3 and K = 0 on A's null space, so the ratio bound's trace
+    form T is singular to rounding (lambda_min / lambda_max about 1e-17).
+    """
+    l2 = np.array([[[1, 0, 0], [0, 1, 0]], [[0, 1, 0], [0, 0, 1]]], dtype=complex)
+    if ay:  # slice a is sum_c A[c, a] L_2[c]
+        l2 = np.einsum("ca,cij->aij", gaussian(rng, 2, 3), l2)
+    iso = np.linalg.qr(gaussian(rng, 5, 5))[0][:, :2]
+    return np.einsum("pi,aij,jr->apr", iso, l2, gaussian(rng, 3, 3))
+
+
+def singular_p_factor(rng):
+    """(3, 4, 3) factor whose one linear kernel polynomial has a P singular to rounding.
+
+    Slices W[0] = [c, 0, x_0], W[1] = [0, c, x_1] and W[2] = [0, 0, x_2], rotated
+    on both sides and with A's basis changed: every K has rank 2 < m = 3 and
+    the kernel polynomial (y_1, -y_0, 0) before the changes.
+    """
+    w = np.zeros((3, 4, 3), dtype=complex)
+    w[0, :, 0] = w[1, :, 1] = gaussian(rng, 4)
+    w[:, :, 2] = gaussian(rng, 3, 4)
+    rot = np.linalg.qr(gaussian(rng, 4, 4))[0]
+    return np.einsum("ac,pq,cqm,mr->apr", gaussian(rng, 3, 3), rot, w, gaussian(rng, 3, 3))
+
+
+#: The factor families that no trial brings to rank m but whose ratio bound declines.
+DECLINING_FACTORS = {"L2": kronecker_l2_factor, "L2(Ay)": partial(kronecker_l2_factor, ay=True),
+                     "singular P": singular_p_factor}
+
+
+def conditioned(factor, v):
+    """K = sum_a conj(v_a) F[a] for each row v_a of v, formed as the witness search forms it."""
+    return (v.conj() @ factor.reshape(len(factor), -1)).reshape(len(v), *factor.shape[1:])
+
+
+def trial_ratios(factor, v):
+    """lambda_min / lambda_max of eigvalsh of each trial's smaller Gram matrix, in plain numpy."""
+    k = conditioned(factor, v)
+    kh = np.conj(np.swapaxes(k, 1, 2))
+    lams = np.linalg.eigvalsh(k @ kh if k.shape[1] <= k.shape[2] else kh @ k)
+    return lams[:, 0] / lams[:, -1]
 
 
 def derived_matrices(rho, rank_tol=1e-10):

@@ -44,8 +44,9 @@ from lrdistill.errors import (
 from lrdistill.kernels import DEFAULT_RANK_TOL
 from lrdistill.states import bell_state, ghz_state, maximally_mixed
 
-from conftest import (fail_solver, flagged_complement_factor, gaussian, gaussian_unit_vector,
-                      loop_conditioned_rank, loop_partial_trace, numerical_rank)
+from conftest import (DECLINING_FACTORS, fail_solver, flagged_complement_factor, gaussian,
+                      gaussian_unit_vector, loop_conditioned_rank, loop_partial_trace,
+                      numerical_rank, perturbed)
 
 
 def tilted_state():
@@ -217,7 +218,7 @@ def loop_haar_draws(rng, d, n):
     """The first n Haar trials, each drawn as d real parts then d imaginary parts."""
     draws = []
     for _ in range(n):
-        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        v = gaussian(rng, d)
         draws.append(v / np.linalg.norm(v))
     return draws
 
@@ -245,16 +246,12 @@ def structured_factor(d_a, d_b, r, shape, seed):
     <= 1 while rank(rho) = min(d_A, r).
     """
     rng = np.random.default_rng(seed)
-
-    def gauss(*size):
-        return rng.standard_normal(size) + 1j * rng.standard_normal(size)
-
     if shape == "haar":
-        f = gauss(d_a, d_b, r)
+        f = gaussian(rng, d_a, d_b, r)
     elif shape == "rank_one_slices":
-        f = np.einsum("ab,ae->abe", gauss(d_a, d_b), gauss(d_a, r))
+        f = np.einsum("ab,ae->abe", gaussian(rng, d_a, d_b), gaussian(rng, d_a, r))
     else:
-        f = np.einsum("b,ae->abe", gauss(d_b), gauss(d_a, r))
+        f = np.einsum("b,ae->abe", gaussian(rng, d_b), gaussian(rng, d_a, r))
     return f / np.linalg.norm(f)
 
 
@@ -305,20 +302,10 @@ def test_witness_on_a_haar_trial_matches_loop_oracle():
 
 
 def test_find_one_way_witness_matches_loop_oracle():
-    cases = [
-        (complement_channel(flagged_depolarizing_channel(2, 0.5)).choi, 130, 4),
-        (sample_state(2, 4, 3, seed=5), 50, 1),
-        (tilted_state(), 10, 0),
-    ]
-    for rho, budget, seed in cases:
-        target = numerical_rank(rho.matrix)
-        want_phi, want_trials = loop_saturation_search(
-            rho.matrix, rho.dims, target, budget, np.random.default_rng(seed))
-        out = find_one_way_witness(rho, budget=budget, seed=seed)
-        assert out.trials_used == want_trials
-        assert out.found == (want_phi is not None)
-        if out.found:
-            assert np.array_equal(out.phi, want_phi)
+    assert_witness_matches_loop_oracle(
+        complement_channel(flagged_depolarizing_channel(2, 0.5)).choi, 130, 4)
+    assert_witness_matches_loop_oracle(sample_state(2, 4, 3, seed=5), 50, 1)
+    assert_witness_matches_loop_oracle(tilted_state(), 10, 0)
 
 
 def rank_one_slices_state(d_a, d_b, r, seed, last_column=1.0):
@@ -360,20 +347,13 @@ def test_haar_witness_of_rank_one_slices_matches_loop_oracle(r, extra, state_see
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_near_cutoff_haar_trials_take_the_open_path(monkeypatch, seed):
     # the last column scaled by 3e-5: rho keeps rank 3, but many trials condition B to
-    # lambda_min / lambda_max near rank_tol, which each batch's one eigvalsh decides
-    stacks = []
-    real = np.linalg.eigvalsh
-
-    def recorded(a, *args, **kwargs):
-        if np.ndim(a) == 3:
-            stacks.append(len(a))
-        return real(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    # lambda_min / lambda_max near rank_tol, which each batch's one eigvalsh decides;
+    # a budget of one batch checks no bound
+    bounds, batches = spy_on_search(monkeypatch)
     target, _ = assert_witness_matches_loop_oracle(
         rank_one_slices_state(4, 4, 3, seed, last_column=3e-5), 60, seed)
-    assert target == 3
-    assert stacks[0] == 4 and len(stacks) >= 2  # the basis batch, then the open Haar trials
+    assert target == 3 and bounds == []
+    assert batches[0] == 4 and len(batches) >= 2  # the basis batch, then the open Haar trials
 
 
 @pytest.mark.parametrize("haar_trial", [64, 65, 64 + 128, 64 + 128 + 1])
@@ -454,25 +434,17 @@ def test_a_certified_search_draws_nothing(d):
     assert rng.bit_generator.state == before
 
 
-def quadratic_kernel_factor(rng):
-    """(2, 5, 3) factor with K(v) = V [L_2(y); 0] R: rank 2, and no linear kernel polynomial.
-
-    L_2(y) = [[y_0, y_1, 0], [0, y_0, y_1]] is a Kronecker block whose kernel,
-    (y_1^2, -y_0 y_1, y_0^2), is quadratic in y.
-    """
-    l2 = np.array([[[1, 0, 0], [0, 1, 0]], [[0, 1, 0], [0, 0, 1]]], dtype=complex)
-    v = np.linalg.qr(gaussian(rng, 5, 5))[0][:, :2]
-    return np.einsum("pi,aij,jr->apr", v, l2, gaussian(rng, 3, 3))
-
-
-def test_a_quadratic_kernel_declines_the_bound_and_the_haar_loop_runs(monkeypatch):
-    # K(v) has rank 2 < m = 3 for every v, but its kernel is quadratic in v: the
-    # bound proves nothing, and the Haar loop ranks all 200 trials
+@pytest.mark.parametrize("family", DECLINING_FACTORS)
+def test_a_quadratic_kernel_declines_the_bound_and_the_haar_loop_runs(monkeypatch, family):
+    # K(v) has rank 2 < m = 3 for every v, but its kernel is quadratic in v (L2, L2(Ay))
+    # or has a P singular to rounding (singular P): the bound proves nothing, and the
+    # Haar loop ranks all 200 trials
     bounds, batches = spy_on_search(monkeypatch)
-    factor = quadratic_kernel_factor(np.random.default_rng(3))
-    assert assert_search_matches_loop_oracle(factor, 200, seed=5) == 2 + 200
+    factor = DECLINING_FACTORS[family](np.random.default_rng(3))
+    d_a = factor.shape[0]
+    assert assert_search_matches_loop_oracle(factor, 200, seed=5) == d_a + 200
     assert len(bounds) == 1 and bounds[0] > DEFAULT_RANK_TOL
-    assert batches == [2, 64, 128, 8]
+    assert batches == [d_a, 64, 128, 8]
 
 
 @pytest.mark.parametrize("seed, trials", [(0, 253), (4, 79), (9, 166)])
@@ -481,32 +453,26 @@ def test_a_perturbed_complement_declines_the_bound_and_the_haar_loop_runs(monkey
     # the d=3 complement plus a relative 2e-5 Gaussian perturbation: lambda_min /
     # lambda_max straddles rank_tol over the Haar trials (about 0.3% reach rank m),
     # so the bound declines and the Haar loop finds the loop oracle's witness, if any
-    factor = flagged_complement_factor(3, 0.5)
-    noise = gaussian(np.random.default_rng(1), *factor.shape)
-    factor = factor + 2e-5 * noise * (np.linalg.norm(factor) / np.linalg.norm(noise))
+    factor = perturbed(flagged_complement_factor(3, 0.5), 2e-5, np.random.default_rng(1))
     bounds, batches = spy_on_search(monkeypatch)
     assert assert_search_matches_loop_oracle(factor, 250, seed) == trials
     assert len(bounds) == 1 and bounds[0] > DEFAULT_RANK_TOL and len(batches) >= 3
 
 
-def test_exhausted_search_eigensolver_count(solver_calls):
-    j_ae = complement_channel(flagged_depolarizing_channel(3, 0.5)).choi
-    solver_calls.clear()
-    out = find_one_way_witness(j_ae, budget=2000, seed=0)
-    assert not out.found and out.trials_used == 2003
+@pytest.mark.parametrize("budget, trials, counts", [
     # the purification (eigh), the B marginal and the basis batch; the ratio
     # bound (one svd, one eigvalsh) proves before any draw that all 2000 Haar
     # trials miss (34 eigvalsh with one per Haar batch, 2005 solves with one per trial)
-    assert solver_calls == {"eigh": 1, "eigvalsh": 3, "svd": 1}
-
-
-def test_short_search_eigensolver_count(solver_calls):
+    (2000, 2003, {"eigh": 1, "eigvalsh": 3, "svd": 1}),
     # a budget of one batch: no bound, and the 50 Haar trials are one stacked eigvalsh
+    (50, 53, {"eigh": 1, "eigvalsh": 3}),
+], ids=["exhausted", "short"])
+def test_search_eigensolver_count(solver_calls, budget, trials, counts):
     j_ae = complement_channel(flagged_depolarizing_channel(3, 0.5)).choi
     solver_calls.clear()
-    out = find_one_way_witness(j_ae, budget=50, seed=0)
-    assert not out.found and out.trials_used == 53
-    assert solver_calls == {"eigh": 1, "eigvalsh": 3}
+    out = find_one_way_witness(j_ae, budget=budget, seed=0)
+    assert not out.found and out.trials_used == trials
+    assert solver_calls == counts
 
 
 def test_search_solver_failure_is_non_convergence(monkeypatch):
@@ -519,7 +485,7 @@ def test_a_failing_ratio_bound_svd_is_non_convergence(monkeypatch):
     # the d=3 complement: the first Haar batch misses, and the bound's svd fails
     j_ae = complement_channel(flagged_depolarizing_channel(3, 0.5)).choi
     fail_solver(monkeypatch, "svd")
-    with pytest.raises(NonConvergenceError):
+    with pytest.raises(NonConvergenceError, match="^singular value solver did not converge"):
         find_one_way_witness(j_ae, budget=2000, seed=0)
 
 

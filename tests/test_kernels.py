@@ -8,8 +8,9 @@ from lrdistill.errors import (NonConvergenceError, NoPositiveEigenvalueError, No
                               NumericsError)
 from lrdistill.kernels import gram_ranks, ratio_bound
 
-from conftest import (antisymmetric_choi, fail_solver, flagged_complement_factor, gaussian,
-                      gaussian_unit_vector, loop_partial_trace, numerical_rank, random_psd)
+from conftest import (antisymmetric_choi, conditioned, fail_solver, flagged_complement_factor,
+                      gaussian, gaussian_unit_vector, loop_partial_trace, numerical_rank,
+                      perturbed, random_psd, trial_ratios)
 from test_tolerances import EDGE_TOLS
 
 
@@ -76,9 +77,7 @@ def test_gram_ranks_match_rank_of_each_marginal(rng, shape):
     p, q = shape
     stack = [np.zeros(shape, dtype=complex)]
     for r in range(1, min(p, q) + 1):
-        a = rng.standard_normal((p, r)) + 1j * rng.standard_normal((p, r))
-        b = rng.standard_normal((r, q)) + 1j * rng.standard_normal((r, q))
-        stack.append(a @ b)
+        stack.append(gaussian(rng, p, r) @ gaussian(rng, r, q))
     got = gram_ranks(np.array(stack))
     assert list(got) == [numerical_rank(k @ k.conj().T) for k in stack]
     assert list(got) == list(range(min(p, q) + 1))
@@ -86,8 +85,7 @@ def test_gram_ranks_match_rank_of_each_marginal(rng, shape):
 
 def isometry(rng, d, m):
     """d x m with orthonormal columns, from the QR of a complex Gaussian."""
-    g = rng.standard_normal((d, m)) + 1j * rng.standard_normal((d, m))
-    return np.linalg.qr(g)[0]
+    return np.linalg.qr(gaussian(rng, d, m))[0]
 
 
 def gram_stack(rng, shape, n, spectrum):
@@ -102,15 +100,10 @@ def smaller_gram(k):
     return k @ k.conj().T if k.shape[0] <= k.shape[1] else k.conj().T @ k
 
 
-def conditioned(factor, v):
-    """K = sum_a conj(v_a) F[a] for each row v_a of v, formed as the witness search forms it."""
-    return (v.conj() @ factor.reshape(len(factor), -1)).reshape(len(v), *factor.shape[1:])
-
-
 def conditioned_on(rng, k):
     """(factor, v): n Gaussian trial vectors on A = C^n and a factor F with K(v_i) = k[i]."""
     n = len(k)
-    v = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    v = gaussian(rng, n, n)
     return np.linalg.solve(v.conj(), k.reshape(n, -1)).reshape(k.shape), v
 
 
@@ -168,14 +161,6 @@ def test_ranks_survive_cancellation_in_the_conditioned_factor(shape, side, tol):
     assert list(gram_ranks(conditioned(factor, v), tol) == 3) == want
 
 
-def trial_ratios(factor, v):
-    """lambda_min / lambda_max of eigvalsh of each trial's smaller Gram matrix, in plain numpy."""
-    k = conditioned(factor, v)
-    kh = np.conj(np.swapaxes(k, 1, 2))
-    lams = np.linalg.eigvalsh(k @ kh if k.shape[1] <= k.shape[2] else kh @ k)
-    return lams[:, 0] / lams[:, -1]
-
-
 def tight_factor(size, rng):
     """(2, 4, 3) factor whose ratio bound is within a factor 3/2 of trial v = e_0's ratio.
 
@@ -205,9 +190,7 @@ def test_ratio_bound_covers_every_sampled_trial(family, size, scale):
     if family == "tight":
         factor = tight_factor(size, rng)
     else:
-        factor = flagged_complement_factor(int(family[-1]), 0.5)
-        noise = gaussian(rng, *factor.shape)
-        factor = factor + size * noise * (np.linalg.norm(factor) / np.linalg.norm(noise))
+        factor = perturbed(flagged_complement_factor(int(family[-1]), 0.5), size, rng)
     d_a = factor.shape[0]
     v = np.concatenate([np.eye(d_a), np.eye(d_a) + 1e-3 * gaussian(rng, d_a, d_a),
                         gaussian(rng, 500, d_a)])
@@ -232,7 +215,7 @@ def test_a_failing_ratio_bound_eigensolve_is_non_convergence(monkeypatch):
     # the bound's one stacked eigvalsh, of P for each k and of T
     factor = flagged_complement_factor(3, 0.5)
     fail_solver(monkeypatch, "eigvalsh", stacked_only=True)
-    with pytest.raises(NonConvergenceError):
+    with pytest.raises(NonConvergenceError, match="^eigensolver did not converge"):
         ratio_bound(factor)
 
 
