@@ -97,10 +97,7 @@ def werner_holevo_channel() -> ChoiChannel:
     subspace, (1_9 - SWAP)/6, with spectrum (1/3, 1/3, 1/3, 0, ..., 0).
     """
     d = 3
-    swap = np.zeros((d * d, d * d), dtype=np.complex128)
-    for i in range(d):
-        for j in range(d):
-            swap[i * d + j, j * d + i] = 1.0
+    swap = np.eye(d * d).reshape(d, d, d, d).swapaxes(0, 1).reshape(d * d, d * d)
     choi = DensityMatrix((d, d), (np.eye(d * d) - swap) / (d * (d - 1)))
     return ChoiChannel(d, d, choi)
 

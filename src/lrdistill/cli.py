@@ -24,7 +24,7 @@ from .errors import (
     RankNotLowError,
     StateFormatError,
 )
-from .kernels import DEFAULT_RANK_TOL
+from .kernels import DEFAULT_RANK_TOL, validated_tolerance
 from .sampling import EnsembleSpec, run_experiment
 from .states import (
     DEFAULT_PPT_TOL,
@@ -188,9 +188,6 @@ def _float_array(rows: list, nl: str) -> str | None:
 
 
 def _cmd_analyze(args) -> str:
-    # Checked before the input is loaded, so a bad flag costs no eigensolve.
-    validated_budget(args.witness_budget)
-    validated_seed(args.seed)
     kind, state = _load_state(args.state_file)
     psi = state if isinstance(state, TripartitePureState) else purify(state, args.rank_tol)
     report = classify(psi, rank_tol=args.rank_tol, ppt_tol=args.ppt_tol,
@@ -302,6 +299,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # usage errors (2), --help and --version (0)
         return exc.code
     try:
+        # Every setting is checked before any input is read, so a bad one costs no eigensolve.
+        validated_tolerance(args.rank_tol, "rank_tol")
+        validated_tolerance(args.ppt_tol, "ppt_tol")
+        validated_seed(args.seed)
+        validated_budget(args.witness_budget)
         text = _COMMANDS[args.command](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

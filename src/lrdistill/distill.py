@@ -394,37 +394,6 @@ class DistillabilityReport:
         }
 
 
-def _analyze_reduction(
-    label: str,
-    rho: DensityMatrix,
-    factor: np.ndarray,
-    first: HermitianSpectrum,
-    second: HermitianSpectrum,
-    third: HermitianSpectrum,
-    rank_tol: float,
-    ppt_tol: float,
-    witness_budget: int,
-    seedseq: np.random.SeedSequence,
-) -> ReductionAnalysis:
-    """Analysis of the reduction ``rho`` of the parties in ``label``, from one-party spectra.
-
-    ``first`` and ``second`` are rho's marginals; ``third``, the remaining
-    party, has rho's nonzero spectrum (Schmidt duality), so rho is never
-    diagonalized. ``factor`` is the amplitude tensor with rho = F F^dagger.
-    """
-    r = third.rank
-    if r < second.rank:
-        witness = _witness_search(factor, r, witness_budget, seedseq, rank_tol)
-    else:
-        note = f"rank(state) = {r} >= {second.rank} = rank(marginal): search does not apply"
-        witness = WitnessSearchOutcome(False, False, None, 0, note=note)
-    return ReductionAnalysis(
-        separability=_separability_record(rho, r, first, second, ppt_tol, label),
-        hashing_rate=second.entropy() - third.entropy(),
-        witness=witness,
-    )
-
-
 def classify(
     psi: TripartitePureState,
     *,
@@ -455,14 +424,25 @@ def classify(
     marginals = [solve_hermitian(psi.reduction((k,)).matrix, rank_tol, vectors=False)
                  for k in range(3)]
     amps = psi.amplitudes.reshape(psi.dims)
-    red_ab, red_ae = (
-        _analyze_reduction(
-            label, psi.reduction((0, k)), factor, marginals[0], marginals[k], marginals[3 - k],
-            rank_tol, ppt_tol, witness_budget,
-            np.random.SeedSequence(entropy=seed, spawn_key=(k - 1,)),
-        )
-        for k, label, factor in ((1, "AB", amps), (2, "AE", amps.swapaxes(1, 2)))
-    )
+    reductions = []
+    # rho_0k = F F^dagger has the marginals A and k; the remaining party has its
+    # nonzero spectrum (Schmidt duality), so no two-party reduction is diagonalized.
+    for k, label, factor in ((1, "AB", amps), (2, "AE", amps.swapaxes(1, 2))):
+        second, third = marginals[k], marginals[3 - k]
+        r = third.rank
+        if r < second.rank:
+            seedseq = np.random.SeedSequence(entropy=seed, spawn_key=(k - 1,))
+            witness = _witness_search(factor, r, witness_budget, seedseq, rank_tol)
+        else:
+            note = f"rank(state) = {r} >= {second.rank} = rank(marginal): search does not apply"
+            witness = WitnessSearchOutcome(False, False, None, 0, note=note)
+        reductions.append(ReductionAnalysis(
+            separability=_separability_record(psi.reduction((0, k)), r, marginals[0], second,
+                                              ppt_tol, label),
+            hashing_rate=second.entropy() - third.entropy(),
+            witness=witness,
+        ))
+    red_ab, red_ae = reductions
     npt = tuple(red.label for red in (red_ab, red_ae) if not red.separability.ppt.is_ppt)
     keys = ("both_two_way", "ab_two_way_ae_one_way", "ab_one_way_ae_two_way", "both_one_way")
     if not npt:

@@ -13,8 +13,8 @@ from functools import partial
 import numpy as np
 import pytest
 
-from lrdistill import (DensityMatrix, complement, flagged_depolarizing_channel, local_filter,
-                       partial_trace, partial_transpose)
+from lrdistill import (DensityMatrix, TripartitePureState, complement,
+                       flagged_depolarizing_channel, local_filter, partial_trace, partial_transpose)
 from lrdistill.cli import main
 from lrdistill.kernels import DEFAULT_RANK_TOL
 
@@ -108,6 +108,12 @@ def antisymmetric_choi():
         for j in range(d):
             swap[i * d + j, j * d + i] = 1.0
     return (np.eye(9) - swap) / 6.0
+
+
+def bell_with_trivial_env():
+    v = np.zeros(8, dtype=complex)
+    v[0] = v[6] = 1 / np.sqrt(2)  # |000> + |110>: Bell on AB, |0> on E
+    return TripartitePureState((2, 2, 2), v)
 
 
 def random_density(d_a, d_b, d_e, seed):

@@ -29,7 +29,7 @@ from lrdistill import (
 )
 from lrdistill.states import bell_state, ghz_state
 
-from conftest import numerical_rank, run_cli
+from conftest import bell_with_trivial_env, numerical_rank, run_cli
 
 
 def _done(number, description, t0, limit):
@@ -133,11 +133,8 @@ def test_criterion_6_classifier_end_to_end(tmp_path, capsys):
     assert code == 0
     assert json.loads(out)["report"]["classification"] == "FULLY_UNDISTILLABLE_SEPARABLE"
 
-    v = np.zeros(8)
-    v[0] = v[6] = 1 / np.sqrt(2)
-    bell_env = {"dims": [2, 2, 2], "vector": [[x, 0.0] for x in v]}
     bell_path = tmp_path / "bellenv.json"
-    bell_path.write_text(json.dumps(bell_env))
+    bell_path.write_text(json.dumps(bell_with_trivial_env().to_json_dict()))
     code, out, _ = run_cli(capsys, "analyze", str(bell_path))
     assert code == 0
     assert json.loads(out)["report"]["classification"] == "SOME_REDUCTION_2WAY_DISTILLABLE"

@@ -10,7 +10,7 @@ from lrdistill import cli
 from lrdistill.cli import build_parser, main
 from lrdistill.states import DensityMatrix, TripartitePureState, bell_state, ghz_state
 
-from conftest import fail_solver, gaussian_unit_vector, run_cli
+from conftest import bell_with_trivial_env, fail_solver, gaussian_unit_vector, run_cli
 
 ALL_EXAMPLES = ["bell", "ghz", "maximally-mixed", "werner-holevo", "wh-choi", "flagged-depolarizing"]
 
@@ -43,10 +43,7 @@ def test_analyze_ghz(tmp_path, capsys):
 
 
 def test_analyze_bell_with_env(tmp_path, capsys):
-    v = np.zeros(8)
-    v[0] = v[6] = 1 / np.sqrt(2)
-    doc = {"dims": [2, 2, 2], "vector": [[x, 0.0] for x in v]}
-    path = write_state(tmp_path, "bellenv.json", doc)
+    path = write_state(tmp_path, "bellenv.json", bell_with_trivial_env().to_json_dict())
     code, out, _ = run_cli(capsys, "analyze", path)
     assert code == 0
     report = json.loads(out)["report"]
@@ -126,6 +123,12 @@ MALFORMED_DOCS = {
     "vector-short": {**GHZ_DOC, "vector": GHZ_DOC["vector"][:-1]},
     "vector-empty": {**GHZ_DOC, "vector": []},
     "choi-list": {"d_in": 2, "d_out": 2, "choi": ROWS},
+    "matrix-nan": {**BELL_DOC, "matrix": [[[float("nan"), 0.0], *ROWS[0][1:]], *ROWS[1:]]},
+    "vector-nan": {**GHZ_DOC, "vector": [[float("nan"), 0.0], *GHZ_DOC["vector"][1:]]},
+    "vector-without-dims": {"vector": GHZ_DOC["vector"]},
+    "vector-nested": {**GHZ_DOC, "vector": [GHZ_DOC["vector"][:4], GHZ_DOC["vector"][4:]]},
+    "top-level-array": [BELL_DOC],
+    "top-level-number": 3,
     # files that json.load itself rejects, as raw bytes
     "bytes-not-utf8": b'{"dims": [2, 2], "matrix": "\xff"}',
     "bytes-nested-200000-deep": b"[" * 200000 + b"]" * 200000,
@@ -142,7 +145,7 @@ BAD_TOLERANCE_ARGS = {
        for v in ("nan", "2")},
 }
 
-#: A negative seed or budget, which the library rejects where it consumes the value.
+#: A negative seed or budget, which ``cli.main`` rejects before the command runs.
 BAD_SEED_AND_BUDGET_ARGS = {
     f"{cmd[0]}-{flag[2:]}-negative": (*cmd, flag, "-1")
     for cmd in (("analyze", "DOC"), ("sample", "2", "4", "3", "2"))
@@ -256,6 +259,13 @@ def test_output_flag(tmp_path, capsys):
     assert json.loads(target.read_text())["dims"] == [2, 2]
 
 
+def test_an_unwritable_output_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, "example", "bell", "--output", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {target}")
+
+
 def test_commands_take_only_the_flags_they_read(tmp_path, capsys):
     path = write_state(tmp_path, "bell.json", bell_state().to_json_dict())
     for args in (
@@ -339,7 +349,7 @@ def test_repeat_invocations_byte_identical(tmp_path, capsys):
 
 
 def test_subprocess_entry_point(tmp_path):
-    # end-to-end through the installed console script, twice for determinism
+    # end-to-end through ``python -m lrdistill.cli`` in a child process, twice for determinism
     cmd = [sys.executable, "-m", "lrdistill.cli", "sample", "2", "3", "2", "5", "--seed", "1"]
     a = subprocess.run(cmd, capture_output=True)
     b = subprocess.run(cmd, capture_output=True)
@@ -373,10 +383,8 @@ def test_states_are_validated_only_at_the_input_boundary(tmp_path, capsys, monke
 
 
 def test_witness_solver_failure_exits_3(tmp_path, capsys, monkeypatch):
-    v = np.zeros(8)
-    v[0] = v[6] = 1 / np.sqrt(2)  # Bell on AB, |0> on E: the AB witness search runs
-    doc = {"dims": [2, 2, 2], "vector": [[x, 0.0] for x in v]}
-    path = write_state(tmp_path, "bellenv.json", doc)
+    # Bell on AB, |0> on E: the AB witness search runs
+    path = write_state(tmp_path, "bellenv.json", bell_with_trivial_env().to_json_dict())
     fail_solver(monkeypatch, "eigvalsh", stacked_only=True)  # the witness search's batch solve
     code, out, err = run_cli(capsys, "analyze", path)
     assert code == 3 and out == ""
@@ -419,9 +427,13 @@ def test_eigensolver_calls_per_command(tmp_path, capsys, solver_calls):
     (("sample", "4", "8", "6", "20", "--seed", "-1"), "seed must be an integer >= 0"),
     (("analyze", "RHO", "--budget", "-1"), "budget must be >= 0, got -1"),
     (("analyze", "RHO", "--seed", "-1"), "seed must be an integer >= 0, got -1"),
+    (("sample", "4", "8", "6", "20", "--rank-tol", "2"), "rank_tol must lie in (0, 1), got 2.0"),
+    (("analyze", "RHO", "--rank-tol", "2"), "rank_tol must lie in (0, 1), got 2.0"),
+    (("analyze", "RHO", "--ppt-tol", "0"), "ppt_tol must lie in (0, 1), got 0.0"),
+    (("filter", "RHO", "--side", "A", "--rank-tol", "1.5"),
+     "rank_tol must lie in (0, 1), got 1.5"),
 ])
-def test_a_negative_budget_or_seed_exits_2_before_any_solve(tmp_path, capsys, solver_calls,
-                                                            args, message):
+def test_a_bad_setting_exits_2_before_any_solve(tmp_path, capsys, solver_calls, args, message):
     rho = write_state(tmp_path, "bell.json", bell_state().to_json_dict())
     solver_calls.clear()
     code, out, err = run_cli(capsys, *(rho if a == "RHO" else a for a in args))

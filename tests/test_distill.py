@@ -44,9 +44,9 @@ from lrdistill.errors import (
 from lrdistill.kernels import DEFAULT_RANK_TOL
 from lrdistill.states import bell_state, ghz_state, maximally_mixed
 
-from conftest import (DECLINING_FACTORS, fail_solver, flagged_complement_factor, gaussian,
-                      gaussian_unit_vector, loop_conditioned_rank, loop_partial_trace,
-                      numerical_rank, perturbed)
+from conftest import (DECLINING_FACTORS, bell_with_trivial_env, fail_solver,
+                      flagged_complement_factor, gaussian, gaussian_unit_vector,
+                      loop_conditioned_rank, loop_partial_trace, numerical_rank, perturbed)
 
 
 def tilted_state():
@@ -55,12 +55,6 @@ def tilted_state():
     v[0] = np.sqrt(0.9)
     v[3] = np.sqrt(0.1)
     return DensityMatrix((2, 2), np.outer(v, v.conj()))
-
-
-def bell_with_trivial_env():
-    v = np.zeros(8, dtype=complex)
-    v[0] = v[6] = 1 / np.sqrt(2)  # |000> + |110>: Bell on AB, |0> on E
-    return TripartitePureState((2, 2, 2), v)
 
 
 # --- local filter ------------------------------------------------------------

@@ -360,6 +360,11 @@ def test_conditional_marginal_requires_unit_vector():
         conditional_marginal(bell_state(), [1.0, 1.0])
 
 
+def test_conditional_marginal_requires_a_vector_of_length_d_a():
+    with pytest.raises(SubsystemError, match="expected d_A = 2"):
+        conditional_marginal(bell_state(), [1.0, 0.0, 0.0])
+
+
 def test_conditional_marginal_rank_bound():
     rng = np.random.default_rng(99)
     for seed in range(25):
@@ -416,6 +421,11 @@ def test_schmidt_rank_requires_normalization():
         schmidt_rank([np.nan, 0.0, 0.0, 0.0], (2, 2))
     with pytest.raises(StateFormatError):
         schmidt_rank(np.eye(6)[0], (2.9, 2.1))
+
+
+def test_schmidt_rank_requires_a_vector_of_the_bipartition_length():
+    with pytest.raises(SubsystemError, match="does not match bipartition 2x3"):
+        schmidt_rank(np.eye(4)[0], (2, 3))
 
 
 @pytest.mark.parametrize("dims", [(8,), (2, 2, 2)])

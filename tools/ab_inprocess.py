@@ -45,7 +45,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-COUNTED = ("eigh", "eigvalsh", "svd")
+COUNTED = ("eigh", "eigvalsh", "eig", "svd")
 
 
 def _git(*args: str, cwd: str = ROOT) -> str:
