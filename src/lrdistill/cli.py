@@ -31,10 +31,11 @@ from .states import (
     DensityMatrix,
     TripartitePureState,
     bell_state,
+    density_matrix_from_dict,
     ghz_state,
     maximally_mixed,
+    pure_state_from_dict,
     purify,
-    state_from_dict,
     validated_seed,
 )
 
@@ -121,7 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_state(path: str) -> tuple[str, DensityMatrix | TripartitePureState]:
-    """Load a state document; channel documents contribute their Choi state."""
+    """Load a document, whose first key of "choi", "matrix", "vector" picks its schema.
+
+    A channel document contributes its Choi state."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -129,12 +132,14 @@ def _load_state(path: str) -> tuple[str, DensityMatrix | TripartitePureState]:
         raise StateFormatError(f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too deep, too many digits
         raise StateFormatError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise StateFormatError(f"{path}: top-level JSON value must be an object")
-    if "choi" in doc:
-        return "channel", channel_from_dict(doc).choi
-    state = state_from_dict(doc)
-    return ("tripartite" if isinstance(state, TripartitePureState) else "bipartite"), state
+    if isinstance(doc, dict):
+        if "choi" in doc:
+            return "channel", channel_from_dict(doc).choi
+        if "matrix" in doc:
+            return "bipartite", density_matrix_from_dict(doc)
+        if "vector" in doc:
+            return "tripartite", pure_state_from_dict(doc)
+    raise StateFormatError(f'{path}: expected an object with a "choi", "matrix" or "vector" key')
 
 
 def _dump_json(payload: dict) -> str:

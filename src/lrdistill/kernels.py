@@ -34,9 +34,12 @@ def hermitian_part(m, error: type[LrdistillError] = NotHermitianError) -> np.nda
         raise error(f"expected a square matrix, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise error("matrix contains non-finite entries")
-    if arr.size and np.max(np.abs(arr - arr.conj().T)) > HERMITICITY_TOL:
-        raise error(f"matrix deviates from Hermitian symmetry by more than {HERMITICITY_TOL:g}")
-    return (arr + arr.conj().T) / 2.0
+    with np.errstate(over="ignore"):  # an overflowed difference is inf, which fails the check
+        if not np.max(np.abs(arr - arr.conj().T), initial=0.0) <= HERMITICITY_TOL:
+            raise error(f"matrix deviates from Hermitian symmetry by more than {HERMITICITY_TOL:g}")
+    half = arr / 2.0  # halved before the sum, so a finite matrix has a finite Hermitian part
+    half += half.conj().T
+    return half
 
 
 def validated_tolerance(value, field: str, error: type[InputError] = BadParameterError) -> float:

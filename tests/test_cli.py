@@ -2,13 +2,18 @@ import argparse
 import json
 import subprocess
 import sys
+from math import prod
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lrdistill import cli
 from lrdistill.cli import build_parser, main
-from lrdistill.states import DensityMatrix, TripartitePureState, bell_state, ghz_state
+from lrdistill.errors import InputError
+from lrdistill.states import (DensityMatrix, TripartitePureState, bell_state, complex_pairs,
+                              ghz_state)
 
 from conftest import bell_with_trivial_env, fail_solver, gaussian_unit_vector, run_cli
 
@@ -129,6 +134,18 @@ MALFORMED_DOCS = {
     "vector-nested": {**GHZ_DOC, "vector": [GHZ_DOC["vector"][:4], GHZ_DOC["vector"][4:]]},
     "top-level-array": [BELL_DOC],
     "top-level-number": 3,
+    "no-state-key": {"dims": [2, 2]},
+    "matrix-not-pairs": {"dims": [2, 2], "matrix": [[1.0, 0.0], [0.0, 1.0]]},
+    # numbers at the edge of float range: an int json.load accepts but float() cannot hold,
+    # and finite entries whose Hermitian part, trace or norm would overflow
+    "matrix-int-beyond-float": {**BELL_DOC, "matrix": [[[10**400, 0], *ROWS[0][1:]], *ROWS[1:]]},
+    "vector-int-beyond-float": {**GHZ_DOC, "vector": [[10**400, 0], *GHZ_DOC["vector"][1:]]},
+    "matrix-diagonal-pm-1e308": {"dims": [2, 2],
+                                 "matrix": complex_pairs(np.diag([1e308, -1e308, 0.5, 0.5]))},
+    "matrix-offdiagonal-1e308": {"dims": [2, 2], "matrix": complex_pairs(
+        np.diag([0.5, 0.0, 0.0, 0.5]) + np.diag([0.0, 1e308, 0.0], 1)
+        + np.diag([0.0, 1e308, 0.0], -1))},
+    "vector-1e308": {**GHZ_DOC, "vector": [[1e308, 0.0], *GHZ_DOC["vector"][1:]]},
     # files that json.load itself rejects, as raw bytes
     "bytes-not-utf8": b'{"dims": [2, 2], "matrix": "\xff"}',
     "bytes-nested-200000-deep": b"[" * 200000 + b"]" * 200000,
@@ -169,6 +186,64 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
     assert code == 2, err
     assert out == ""
     assert err.startswith("error: ")
+
+
+#: Numbers at and beyond the edges of float range, and plain ones.
+_NUMBERS = st.one_of(
+    st.integers(-10**400, 10**400),
+    st.sampled_from([1.7e308, -1.7e308, float("nan"), float("inf"), float("-inf"), 5e-324, 1.0]),
+    st.floats(),
+)
+#: Any JSON value: those numbers, values of the wrong type, and lists of them.
+_VALUES = st.recursive(_NUMBERS | st.booleans() | st.none() | st.text(max_size=3),
+                       lambda inner: st.lists(inner, max_size=4), max_leaves=16)
+_DIMS = st.lists(st.integers(1, 2), min_size=1, max_size=3)
+
+
+def _pairs(*shape):
+    """Lists nested to ``shape`` whose leaves are [re, im] pairs of ``_NUMBERS``."""
+    lists = st.lists(_NUMBERS, min_size=2, max_size=2)
+    for n in reversed(shape):
+        lists = st.lists(lists, min_size=n, max_size=n)
+    return lists
+
+
+#: Documents of each schema whose arrays fit their dims, so that the constructors see the
+#: numbers; then any object of the schema keys, and any JSON value.
+_MATRIX_DOCS = _DIMS.flatmap(lambda dims: st.fixed_dictionaries(
+    {"dims": st.just(dims), "matrix": _pairs(prod(dims), prod(dims))}))
+_DOCS = st.one_of(
+    _MATRIX_DOCS,
+    _DIMS.flatmap(lambda dims: st.fixed_dictionaries(
+        {"dims": st.just(dims), "vector": _pairs(prod(dims))})),
+    st.fixed_dictionaries({"d_in": st.integers(1, 2), "d_out": st.integers(1, 2),
+                           "choi": _MATRIX_DOCS}),
+    st.fixed_dictionaries({}, optional=dict.fromkeys(
+        ("dims", "matrix", "vector", "choi", "d_in", "d_out"), _VALUES)),
+    _VALUES,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_DOCS)
+def test_the_reader_returns_a_state_or_raises_an_input_error(tmp_path, doc):
+    # Any other exception, or any warning (an error under pytest), fails the example.
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    try:
+        _, state = cli._load_state(str(path))
+    except InputError:
+        return
+    assert isinstance(state, (DensityMatrix, TripartitePureState))
+
+
+def test_an_unexpected_exception_exits_3(capsys, monkeypatch):
+    def boom(args):
+        raise TypeError("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "example", boom)
+    assert run_cli(capsys, "example", "bell") == (3, "", "internal error: TypeError: boom\n")
 
 
 def test_integral_float_dimensions_are_accepted(tmp_path, capsys):
@@ -349,11 +424,14 @@ def test_repeat_invocations_byte_identical(tmp_path, capsys):
 
 
 def test_subprocess_entry_point(tmp_path):
-    # end-to-end through ``python -m lrdistill.cli`` in a child process, twice for determinism
-    cmd = [sys.executable, "-m", "lrdistill.cli", "sample", "2", "3", "2", "5", "--seed", "1"]
+    # end-to-end through ``python -m lrdistill.cli`` in a child process, twice for determinism;
+    # -W error makes any warning fail the child, which pytest's filterwarnings does not reach
+    cmd = [sys.executable, "-W", "error", "-m", "lrdistill.cli",
+           "sample", "2", "3", "2", "5", "--seed", "1"]
     a = subprocess.run(cmd, capture_output=True)
     b = subprocess.run(cmd, capture_output=True)
     assert a.returncode == 0
+    assert a.stderr == b""
     assert a.stdout == b.stdout
     assert json.loads(a.stdout)["frequencies"]["witness_found"] == 1.0
 

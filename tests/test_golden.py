@@ -14,9 +14,7 @@ import pytest
 
 from golden.build_corpus import HERE, run_case
 from lrdistill import ChoiChannel, TripartitePureState
-from lrdistill.channels import channel_from_dict
-from lrdistill.cli import _EXAMPLES, build_parser
-from lrdistill.states import state_from_dict
+from lrdistill.cli import _EXAMPLES, _load_state, build_parser
 
 FLOAT_TOL = 1e-12
 
@@ -102,20 +100,23 @@ def test_json_output_round_trips_byte_for_byte(name):
     assert json.dumps(doc, indent=2) + "\n" == text
 
 
-def _arrays(obj):
-    """The dimensions and the bytes of the arrays that define a state or channel."""
-    if isinstance(obj, ChoiChannel):
-        return (obj.d_in, obj.d_out, *_arrays(obj.choi))
-    if isinstance(obj, TripartitePureState):
-        return obj.dims, obj.amplitudes.tobytes()
-    return obj.dims, obj.matrix.tobytes()
+def _arrays(state):
+    """The dimensions and the bytes of the array that defines a state."""
+    if isinstance(state, TripartitePureState):
+        return state.dims, state.amplitudes.tobytes()
+    return state.dims, state.matrix.tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(_EXAMPLES))
-def test_every_example_reloads_to_bit_equal_arrays(name):
+def test_every_example_reloads_to_bit_equal_arrays(tmp_path, name):
     argv = ["example", name]
     code, text = run_case(argv)
     assert code == 0
-    doc = json.loads(text)
-    loaded = channel_from_dict(doc) if "choi" in doc else state_from_dict(doc)
-    assert _arrays(loaded) == _arrays(_EXAMPLES[name](build_parser().parse_args(argv)))
+    path = tmp_path / "example.json"
+    path.write_text(text, encoding="utf-8")
+    _, loaded = _load_state(str(path))
+    want = _EXAMPLES[name](build_parser().parse_args(argv))
+    if isinstance(want, ChoiChannel):  # a channel reloads as its Choi state on (d_in, d_out)
+        assert loaded.dims == (want.d_in, want.d_out)
+        want = want.choi
+    assert _arrays(loaded) == _arrays(want)

@@ -30,7 +30,6 @@ from lrdistill.states import (
     ghz_state,
     maximally_mixed,
     pure_state_from_dict,
-    state_from_dict,
 )
 
 from conftest import (
@@ -450,17 +449,6 @@ def test_pure_state_json_roundtrip():
     back = pure_state_from_dict(psi.to_json_dict())
     assert back.dims == psi.dims
     assert np.array_equal(back.amplitudes, psi.amplitudes)
-
-
-def test_state_from_dict_discrimination():
-    assert isinstance(state_from_dict(bell_state().to_json_dict()), DensityMatrix)
-    assert isinstance(state_from_dict(ghz_state().to_json_dict()), TripartitePureState)
-    with pytest.raises(StateFormatError):
-        state_from_dict({"dims": [2, 2]})
-    with pytest.raises(StateFormatError):
-        state_from_dict({"dims": [2, 2], "matrix": [[1.0, 0.0], [0.0, 1.0]]})  # not pairs
-    with pytest.raises(StateFormatError):
-        state_from_dict([1, 2, 3])
 
 
 # --- pure-state reductions and trusted construction ---------------------------

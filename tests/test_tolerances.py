@@ -33,7 +33,7 @@ from lrdistill import (
 from lrdistill.cli import main
 from lrdistill.errors import BadParameterError
 from lrdistill.kernels import gram_ranks
-from lrdistill.states import ghz_state, state_from_dict
+from lrdistill.states import density_matrix_from_dict, ghz_state
 
 from conftest import derived_matrices, random_density, random_isometry
 
@@ -173,7 +173,7 @@ def test_the_filter_report_reloads_to_the_bit_equal_filtered_state(tmp_path, cap
     path.write_text(json.dumps(rho.to_json_dict()))
     assert main(["filter", str(path), "--side", side, "--rank-tol", repr(tol)]) == 0
     doc = json.loads(capsys.readouterr().out)
-    loaded = state_from_dict(doc["filter"]["filtered_state"])
+    loaded = density_matrix_from_dict(doc["filter"]["filtered_state"])
     want = local_filter(rho, side, tol).filtered_state
     assert loaded.dims == want.dims
     assert loaded.matrix.tobytes() == want.matrix.tobytes()
