@@ -14,8 +14,8 @@ from .errors import (
     StateFormatError,
 )
 from .kernels import DEFAULT_RANK_TOL, validated_tolerance
-from .states import (DensityMatrix, complement, density_matrix_from_dict, partial_trace,
-                     validated_dimension)
+from .states import (DensityMatrix, _require_bipartite, complement, density_matrix_from_dict,
+                     partial_trace, validated_dimension)
 
 #: Max deviation of the Choi input marginal from 1/d_in accepted on load.
 TRACE_PRESERVATION_TOL = 1e-6
@@ -24,6 +24,8 @@ TRACE_PRESERVATION_TOL = 1e-6
 def maximally_entangled(d: int) -> np.ndarray:
     """Unit vector (1/sqrt(d)) sum_i |ii> on C^d (x) C^d."""
     d = validated_dimension(d, "dimension", BadParameterError)
+    if d * d > np.iinfo(np.intp).max:
+        raise BadParameterError(f"dimension {d}: d^2 = {d * d} exceeds the largest array size")
     v = np.zeros(d * d, dtype=np.complex128)
     v[:: d + 1] = 1.0 / np.sqrt(d)
     return v
@@ -34,25 +36,30 @@ class ChoiChannel:
     """Completely positive trace-preserving map stored as its Choi state.
 
     The Choi state is the channel applied to half of a maximally entangled
-    pair, a ``(d_in * d_out)``-dimensional density matrix whose input marginal
-    must equal 1/d_in.
+    pair, a bipartite density matrix with dims ``(d_in, d_out)`` whose input
+    marginal must equal 1/d_in.
     """
 
-    d_in: int
-    d_out: int
     choi: DensityMatrix
 
     def __post_init__(self):
-        if self.choi.dims != (self.d_in, self.d_out):
-            raise DimensionMismatchError(
-                f"Choi dims {self.choi.dims} do not match ({self.d_in}, {self.d_out})"
-            )
+        if not isinstance(self.choi, DensityMatrix):
+            raise StateFormatError(f"Choi state {type(self.choi).__name__} is not a DensityMatrix")
+        _require_bipartite(self.choi, "Choi channel")
         marginal = partial_trace(self.choi, (0,)).matrix
         dev = np.max(np.abs(marginal - np.eye(self.d_in) / self.d_in))
         if dev > TRACE_PRESERVATION_TOL:
             raise NotTracePreservingError(
                 f"Choi input marginal deviates from 1/d_in by {dev:.3e}"
             )
+
+    @property
+    def d_in(self) -> int:
+        return self.choi.dims[0]
+
+    @property
+    def d_out(self) -> int:
+        return self.choi.dims[1]
 
     def apply(self, x) -> np.ndarray:
         """Channel action d_in * Tr_in[(x^T (x) 1) J] on a d_in x d_in matrix."""
@@ -71,11 +78,11 @@ class ChoiChannel:
 def channel_from_dict(doc: dict) -> ChoiChannel:
     if not isinstance(doc, dict) or not {"d_in", "d_out", "choi"} <= set(doc):
         raise StateFormatError('channel document needs "d_in", "d_out" and "choi" keys')
-    return ChoiChannel(
-        validated_dimension(doc["d_in"], "d_in"),
-        validated_dimension(doc["d_out"], "d_out"),
-        density_matrix_from_dict(doc["choi"]),
-    )
+    dims = tuple(validated_dimension(doc[key], key) for key in ("d_in", "d_out"))
+    choi = density_matrix_from_dict(doc["choi"])
+    if choi.dims != dims:
+        raise DimensionMismatchError(f"Choi dims {choi.dims} do not match {dims}")
+    return ChoiChannel(choi)
 
 
 def complement_channel(channel: ChoiChannel, rank_tol: float = DEFAULT_RANK_TOL) -> ChoiChannel:
@@ -87,7 +94,7 @@ def complement_channel(channel: ChoiChannel, rank_tol: float = DEFAULT_RANK_TOL)
     rank, spectrum, entropy and PPT data do not depend on that freedom.
     """
     comp = complement(channel.choi, rank_tol)
-    return ChoiChannel(channel.d_in, comp.dims[1], comp)
+    return ChoiChannel(comp)
 
 
 def werner_holevo_channel() -> ChoiChannel:
@@ -99,14 +106,7 @@ def werner_holevo_channel() -> ChoiChannel:
     d = 3
     swap = np.eye(d * d).reshape(d, d, d, d).swapaxes(0, 1).reshape(d * d, d * d)
     choi = DensityMatrix((d, d), (np.eye(d * d) - swap) / (d * (d - 1)))
-    return ChoiChannel(d, d, choi)
-
-
-def depolarizing_choi(d: int, q: float) -> DensityMatrix:
-    """Choi state of the depolarizing channel (1-q) X + q Tr(X) 1/d; full rank for q in (0, 1)."""
-    omega = maximally_entangled(d)
-    j = (1.0 - q) * np.outer(omega, omega.conj()) + q * np.eye(d * d) / (d * d)
-    return DensityMatrix((d, d), j)
+    return ChoiChannel(choi)
 
 
 def flagged_depolarizing_channel(d: int, q: float = 0.5) -> ChoiChannel:
@@ -124,12 +124,15 @@ def flagged_depolarizing_channel(d: int, q: float = 0.5) -> ChoiChannel:
     if d < 2:
         raise BadParameterError(f"input dimension must be >= 2, got {d}")
     validated_tolerance(q, "depolarizing strength q", BadParameterError)
+    if (2 * d * d) ** 2 > np.iinfo(np.intp).max:
+        raise BadParameterError(f"input dimension {d}: Choi matrix exceeds the largest array size")
     omega = maximally_entangled(d)
     j_identity = np.outer(omega, omega.conj())
-    j_depol = depolarizing_choi(d, q).matrix
+    # Choi state of the depolarizing channel (1-q) X + q Tr(X) 1/d, full rank for q in (0, 1).
+    j_depol = (1.0 - q) * j_identity + q * np.eye(d * d) / (d * d)
     # Embed both Choi blocks into output blocks [0, d) and [d, 2d).
     j = np.zeros((2 * d * d, 2 * d * d), dtype=np.complex128)
     j4 = j.reshape(d, 2 * d, d, 2 * d)
     j4[:, :d, :, :d] = 0.5 * j_identity.reshape(d, d, d, d)
     j4[:, d:, :, d:] = 0.5 * j_depol.reshape(d, d, d, d)
-    return ChoiChannel(d, 2 * d, DensityMatrix((d, 2 * d), j))
+    return ChoiChannel(DensityMatrix((d, 2 * d), j))

@@ -197,16 +197,19 @@ def filtered_hashing_rate(
 class WitnessSearchOutcome:
     """Result of the one-way witness search.
 
-    ``found = False`` means no certificate within the budget; it never proves
-    one-way undistillability, although it is the expected outcome for states
-    that are one-way undistillable.
+    ``found = False`` (no ``phi``) means no certificate within the budget; it
+    never proves one-way undistillability, although it is the expected
+    outcome for states that are one-way undistillable.
     """
 
     performed: bool
-    found: bool
     phi: np.ndarray | None
     trials_used: int
     note: str | None = None
+
+    @property
+    def found(self) -> bool:
+        return self.phi is not None
 
     def to_json_dict(self) -> dict:
         return {
@@ -313,7 +316,7 @@ def _witness_search(
         factor, gram_ranks(factor, rank_tol), r, budget, np.random.default_rng(seed), rank_tol
     )
     note = None if phi is not None else "budget exhausted without certificate"
-    return WitnessSearchOutcome(True, phi is not None, phi, trials, note)
+    return WitnessSearchOutcome(True, phi, trials, note)
 
 
 @dataclass(frozen=True, eq=False)
@@ -363,18 +366,40 @@ class ReductionAnalysis:
 class DistillabilityReport:
     """Classification of a tripartite pure state plus all supporting numerics.
 
-    ``rates`` carries a three-valued status (zero / positive / unknown) for
-    the best achievable rate under each configuration of classical
-    communication links: keys name the AB link first and the AE link second.
+    ``dims``, ``npt_reductions``, ``classification`` and ``rates`` are read
+    off the two reductions, by the rule that ``classify`` states. ``rates``
+    carries a three-valued status (zero / positive / unknown) for the best
+    achievable rate under each configuration of classical communication
+    links: keys name the AB link first and the AE link second.
     """
 
-    dims: tuple[int, int, int]
     reduction_ab: ReductionAnalysis
     reduction_ae: ReductionAnalysis
-    classification: str
-    npt_reductions: tuple[str, ...]
-    rates: dict[str, str]
     params: dict
+
+    @property
+    def dims(self) -> tuple[int, int, int]:
+        return (*self.reduction_ab.separability.dims, self.reduction_ae.separability.dims[1])
+
+    @property
+    def npt_reductions(self) -> tuple[str, ...]:
+        return tuple(red.label for red in (self.reduction_ab, self.reduction_ae)
+                     if not red.separability.ppt.is_ppt)
+
+    @property
+    def classification(self) -> str:
+        return CLASS_SOME_2WAY if self.npt_reductions else CLASS_FULLY_UNDISTILLABLE
+
+    @property
+    def rates(self) -> dict[str, str]:
+        keys = ("both_two_way", "ab_two_way_ae_one_way", "ab_one_way_ae_two_way", "both_one_way")
+        if not self.npt_reductions:
+            return dict.fromkeys(keys, RATE_ZERO)
+        rates = dict.fromkeys(keys, RATE_POSITIVE)
+        if not any(red.witness.found or red.hashing_rate > POSITIVE_RATE_TOL
+                   for red in (self.reduction_ab, self.reduction_ae)):
+            rates["both_one_way"] = RATE_UNKNOWN
+        return rates
 
     def to_json_dict(self) -> dict:
         red_ab, ab = self.reduction_ab, self.reduction_ab.separability
@@ -435,35 +460,12 @@ def classify(
             witness = _witness_search(factor, r, witness_budget, seedseq, rank_tol)
         else:
             note = f"rank(state) = {r} >= {second.rank} = rank(marginal): search does not apply"
-            witness = WitnessSearchOutcome(False, False, None, 0, note=note)
-        reductions.append(ReductionAnalysis(
-            separability=_separability_record(psi.reduction((0, k)), r, marginals[0], second,
-                                              ppt_tol, label),
-            hashing_rate=second.entropy() - third.entropy(),
-            witness=witness,
-        ))
-    red_ab, red_ae = reductions
-    npt = tuple(red.label for red in (red_ab, red_ae) if not red.separability.ppt.is_ppt)
-    keys = ("both_two_way", "ab_two_way_ae_one_way", "ab_one_way_ae_two_way", "both_one_way")
-    if not npt:
-        rates = dict.fromkeys(keys, RATE_ZERO)
-        classification = CLASS_FULLY_UNDISTILLABLE
-    else:
-        rates = dict.fromkeys(keys, RATE_POSITIVE)
-        if not any(red.witness.found or red.hashing_rate > POSITIVE_RATE_TOL
-                   for red in (red_ab, red_ae)):
-            rates["both_one_way"] = RATE_UNKNOWN
-        classification = CLASS_SOME_2WAY
-    return DistillabilityReport(
-        dims=psi.dims,
-        reduction_ab=red_ab,
-        reduction_ae=red_ae,
-        classification=classification,
-        npt_reductions=npt,
-        rates=rates,
-        params={"rank_tol": rank_tol, "ppt_tol": ppt_tol,
-                "witness_budget": witness_budget, "seed": seed},
-    )
+            witness = WitnessSearchOutcome(False, None, 0, note)
+        record = _separability_record(psi.reduction((0, k)), r, marginals[0], second, ppt_tol,
+                                      label)
+        reductions.append(ReductionAnalysis(record, second.entropy() - third.entropy(), witness))
+    return DistillabilityReport(*reductions, {"rank_tol": rank_tol, "ppt_tol": ppt_tol,
+                                              "witness_budget": witness_budget, "seed": seed})
 
 
 @dataclass(frozen=True, eq=False)

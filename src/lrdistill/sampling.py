@@ -103,12 +103,22 @@ class SampleRecord:
 
 @dataclass(frozen=True)
 class EnsembleReport:
-    """Per-sample records (in sample-index order) and aggregate frequencies."""
+    """Per-sample records (in sample-index order) and their aggregate frequencies."""
 
     spec: EnsembleSpec
     witness_budget: int
     samples: tuple[SampleRecord, ...] = field(repr=False)
-    frequencies: dict[str, float]
+
+    @property
+    def frequencies(self) -> dict[str, float]:
+        """The share of samples that pass each check."""
+        n = float(len(self.samples))
+        return {
+            "rank_state": sum(r.rank_state_ok for r in self.samples) / n,
+            "rank_marginal": sum(r.rank_marginal_ok for r in self.samples) / n,
+            "schmidt_full": sum(r.schmidt_ok for r in self.samples) / n,
+            "witness_found": sum(r.witness_found for r in self.samples) / n,
+        }
 
     def to_json_dict(self) -> dict:
         return {
@@ -195,16 +205,4 @@ def run_experiment(
                 largest_discarded=largest_discarded,
             )
         )
-    n = float(spec.n_samples)
-    frequencies = {
-        "rank_state": sum(r.rank_state_ok for r in records) / n,
-        "rank_marginal": sum(r.rank_marginal_ok for r in records) / n,
-        "schmidt_full": sum(r.schmidt_ok for r in records) / n,
-        "witness_found": sum(r.witness_found for r in records) / n,
-    }
-    return EnsembleReport(
-        spec=spec,
-        witness_budget=witness_budget,
-        samples=tuple(records),
-        frequencies=frequencies,
-    )
+    return EnsembleReport(spec=spec, witness_budget=witness_budget, samples=tuple(records))

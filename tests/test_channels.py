@@ -12,12 +12,13 @@ from lrdistill import (
     von_neumann_entropy,
     werner_holevo_channel,
 )
-from lrdistill.channels import channel_from_dict, depolarizing_choi
+from lrdistill.channels import channel_from_dict
 from lrdistill.errors import (
     BadParameterError,
     DimensionMismatchError,
     NotTracePreservingError,
     StateFormatError,
+    SubsystemError,
 )
 
 from conftest import antisymmetric_choi, numerical_rank, random_choi
@@ -25,7 +26,7 @@ from conftest import antisymmetric_choi, numerical_rank, random_choi
 
 def identity_channel(d):
     omega = maximally_entangled(d)
-    return ChoiChannel(d, d, DensityMatrix((d, d), np.outer(omega, omega.conj())))
+    return ChoiChannel(DensityMatrix((d, d), np.outer(omega, omega.conj())))
 
 
 def rebuild_choi(channel):
@@ -106,7 +107,7 @@ def test_werner_holevo_self_complementary_invariants():
 
 def test_double_complement_spectrum():
     for seed, (d_in, d_out, d_env) in enumerate([(2, 2, 2), (2, 3, 2), (3, 2, 3)]):
-        ch = ChoiChannel(d_in, d_out, random_choi(d_in, d_out, d_env, seed))
+        ch = ChoiChannel(random_choi(d_in, d_out, d_env, seed))
         cc = complement_channel(complement_channel(ch))
         spec = np.linalg.eigvalsh(ch.choi.matrix)[::-1]
         spec_cc = np.linalg.eigvalsh(cc.choi.matrix)[::-1]
@@ -117,7 +118,7 @@ def test_double_complement_spectrum():
 
 def test_complement_entropy_duality():
     for seed in range(4):
-        ch = ChoiChannel(2, 3, random_choi(2, 3, 2, seed + 10))
+        ch = ChoiChannel(random_choi(2, 3, 2, seed + 10))
         comp = complement_channel(ch)
         s_comp = von_neumann_entropy(comp.choi)
         s_out = von_neumann_entropy(partial_trace(ch.choi, (1,)))
@@ -130,16 +131,11 @@ def test_choi_marginal_invariant():
         werner_holevo_channel(),
         flagged_depolarizing_channel(2, 0.5),
         flagged_depolarizing_channel(3, 0.25),
-        ChoiChannel(3, 2, random_choi(3, 2, 2, 42)),
+        ChoiChannel(random_choi(3, 2, 2, 42)),
     ]
     for ch in channels:
         marginal = partial_trace(ch.choi, (0,)).matrix
         assert np.max(np.abs(marginal - np.eye(ch.d_in) / ch.d_in)) <= 1e-9
-
-
-def test_depolarizing_choi_full_rank():
-    assert numerical_rank(depolarizing_choi(2, 0.5).matrix) == 4
-    assert numerical_rank(depolarizing_choi(3, 0.5).matrix) == 9
 
 
 def test_flagged_depolarizing_ranks():
@@ -166,19 +162,26 @@ def test_flagged_depolarizing_parameter_checks():
         flagged_depolarizing_channel(2.9)
     with pytest.raises(BadParameterError):
         maximally_entangled(2.7)
+    with pytest.raises(BadParameterError, match="exceeds the largest array size"):
+        maximally_entangled(10**10)
 
 
 def test_choi_channel_rejects_wrong_marginal_or_dims():
     rho = DensityMatrix((2, 2), np.diag([1.0, 0.0, 0.0, 0.0]))
     with pytest.raises(NotTracePreservingError):
-        ChoiChannel(2, 2, rho)
+        ChoiChannel(rho)
+    with pytest.raises(SubsystemError):
+        ChoiChannel(DensityMatrix((2, 2, 1), np.eye(4) / 4))
+    with pytest.raises(StateFormatError):
+        ChoiChannel(np.eye(4) / 4)
+    doc = werner_holevo_channel().to_json_dict()
     with pytest.raises(DimensionMismatchError):
-        ChoiChannel(2, 3, werner_holevo_channel().choi)
+        channel_from_dict({**doc, "d_out": 2})
 
 
 def test_choi_channel_identity():
     omega = maximally_entangled(2)
-    ch = ChoiChannel(2, 2, DensityMatrix((2, 2), np.outer(omega, omega.conj())))
+    ch = ChoiChannel(DensityMatrix((2, 2), np.outer(omega, omega.conj())))
     x = np.array([[0.6, 0.2j], [-0.2j, 0.4]])
     assert np.allclose(ch.apply(x), x, atol=1e-12)
 

@@ -128,6 +128,7 @@ MALFORMED_DOCS = {
     "vector-short": {**GHZ_DOC, "vector": GHZ_DOC["vector"][:-1]},
     "vector-empty": {**GHZ_DOC, "vector": []},
     "choi-list": {"d_in": 2, "d_out": 2, "choi": ROWS},
+    "choi-dims-not-d_in-d_out": {"d_in": 2, "d_out": 3, "choi": BELL_DOC},
     "matrix-nan": {**BELL_DOC, "matrix": [[[float("nan"), 0.0], *ROWS[0][1:]], *ROWS[1:]]},
     "vector-nan": {**GHZ_DOC, "vector": [[float("nan"), 0.0], *GHZ_DOC["vector"][1:]]},
     "vector-without-dims": {"vector": GHZ_DOC["vector"]},
@@ -315,6 +316,13 @@ def test_sample_bad_spec(capsys):
 
 def test_sample_with_an_unallocatable_size_exits_2(capsys):
     code, out, err = run_cli(capsys, "sample", "2", "1" + "0" * 30, "1", "1")
+    assert code == 2 and out == ""
+    assert "exceeds the largest array size" in err
+
+
+def test_example_with_an_unallocatable_dimension_exits_2(capsys):
+    # d^2 alone overflows an array size, so no placement of the check can allocate
+    code, out, err = run_cli(capsys, "example", "flagged-depolarizing", "--d", str(10**10))
     assert code == 2 and out == ""
     assert "exceeds the largest array size" in err
 

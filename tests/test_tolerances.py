@@ -1,10 +1,12 @@
-"""Tolerances: every entry point rejects one outside (0, 1), and rank decisions
-near the cutoff follow the documented rule.
+"""Tolerances: every entry point rejects one outside (0, 1), and decisions near
+each cutoff follow the documented rule.
 
-The rule: an eigenvalue is kept when it is strictly above
+The rank rule: an eigenvalue is kept when it is strictly above
 ``rank_tol * lambda_max``. The edge cases place eigenvalues a relative 1e-3
 above and below that cutoff in a random basis, so the expected ranks come
 from the construction, with a margin far above the eigensolver's rounding.
+The PPT, validation and positive-rate cutoffs are pinned the same way, each
+by a state whose deciding quantity has a closed form.
 """
 
 import json
@@ -14,6 +16,7 @@ import pytest
 
 from lrdistill import (
     DensityMatrix,
+    TripartitePureState,
     classify,
     coherent_information,
     complement,
@@ -35,7 +38,8 @@ from lrdistill.errors import BadParameterError
 from lrdistill.kernels import gram_ranks
 from lrdistill.states import density_matrix_from_dict, ghz_state
 
-from conftest import derived_matrices, random_density, random_isometry
+from conftest import (derived_matrices, gaussian_unit_vector, random_density, random_isometry,
+                      run_cli)
 
 BAD_TOLERANCES = [float("nan"), float("inf"), 0.0, 1.0, -1.0]
 
@@ -107,10 +111,13 @@ def test_hermitian_eig_rank_at_the_cutoff_edge(tol):
         assert spectrum.min_positive() == pytest.approx(lams[2], rel=1e-4)
 
 
-def test_an_eigenvalue_equal_to_the_cutoff_is_discarded():
+def test_an_eigenvalue_equal_to_the_cutoff_is_discarded(monkeypatch):
     # 0.25 * 1.0 is exact, so the comparison sees the cutoff itself
     assert hermitian_eig(np.diag([1.0, 0.25]), 0.25).rank == 1
     assert hermitian_eig(np.diag([1.0, 0.25]), 0.25 - 1e-12).rank == 2
+    # the same with a solver faked to return the cutoff, whatever LAPACK would round to
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.array([0.25, 1.0]))
+    assert hermitian_eig(np.eye(2), 0.25, vectors=False).rank == 1
 
 
 @pytest.mark.parametrize("shape", [(5, 7), (7, 5)])
@@ -178,3 +185,127 @@ def test_the_filter_report_reloads_to_the_bit_equal_filtered_state(tmp_path, cap
     assert loaded.dims == want.dims
     assert loaded.matrix.tobytes() == want.matrix.tobytes()
     assert np.linalg.eigvalsh(loaded.matrix)[0] >= -1e-15
+
+
+# --- the PPT cutoff at its edge --------------------------------------------
+
+PPT_EDGE_TOLS = [1e-9, 1e-6]
+
+#: t / ppt_tol for a partial-transpose eigenvalue -t: a relative 1e-3 either side
+#: of the PPT cutoff (t = ppt_tol) and of the marginal flag's (t = 10 ppt_tol).
+PPT_EDGE_DEPTHS = [1 - 1e-3, 1 + 1e-3, 10 * (1 - 1e-3), 10 * (1 + 1e-3)]
+
+
+def _isotropic_state(t):
+    """p |Phi><Phi| + (1 - p) 1/4 with p = (1 + 4t)/3, under random local unitaries.
+
+    Its partial transpose has eigenvalues (1 + p)/4, three times, and
+    (1 - 3p)/4 = -t; local unitaries leave that spectrum as it is.
+    """
+    p = (1 + 4 * t) / 3
+    phi = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
+    rho = p * np.outer(phi, phi) + (1 - p) * np.eye(4) / 4
+    rng = np.random.default_rng(8)
+    u = np.kron(random_isometry(rng, 2, 2), random_isometry(rng, 2, 2))
+    return DensityMatrix((2, 2), u @ rho @ u.conj().T)
+
+
+@pytest.mark.parametrize("depth", PPT_EDGE_DEPTHS)
+@pytest.mark.parametrize("tol", PPT_EDGE_TOLS)
+def test_ppt_verdict_at_the_cutoff_edge(tmp_path, capsys, tol, depth):
+    t = depth * tol
+    rho = _isotropic_state(t)
+    want = (t < tol, t < 10 * tol)  # (is_ppt, marginal)
+    verdict = is_ppt(rho, tol)
+    assert (verdict.is_ppt, verdict.marginal) == want
+    assert verdict.witness == pytest.approx(-t, rel=1e-6)
+    for got in (separability_verdict(rho, ppt_tol=tol).ppt,
+                classify(purify(rho), ppt_tol=tol).reduction_ab.separability.ppt):
+        assert (got.is_ppt, got.marginal) == want
+    path = tmp_path / "rho.json"
+    path.write_text(json.dumps(rho.to_json_dict()))
+    code, out, err = run_cli(capsys, "analyze", str(path), "--ppt-tol", repr(tol))
+    assert code == 0, err
+    got = json.loads(out)["report"]["reductions"]["AB"]["ppt"]
+    assert (got["is_ppt"], got["marginal"]) == want
+
+
+@pytest.mark.parametrize("tol", PPT_EDGE_TOLS)
+def test_a_witness_equal_to_the_ppt_cutoff_is_ppt(monkeypatch, tol):
+    rho = _isotropic_state(tol)
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.array([-tol, 0.3, 0.3, 0.4]))
+    assert is_ppt(rho, tol) == (True, -tol, True)
+
+
+# --- the validation cutoffs at their edge ----------------------------------
+
+
+def _pairs(a):
+    return np.stack((a.real, a.imag), axis=-1).tolist()
+
+
+def _trace_doc(trace):
+    return {"dims": [2, 2], "matrix": _pairs(np.diag([0.4, 0.3, 0.2, 0.1]) * trace + 0j)}
+
+
+def _floor_doc(lam_min):
+    """A unit-trace matrix with smallest eigenvalue ``lam_min``, in a random basis."""
+    u = random_isometry(np.random.default_rng(9), 4, 4)
+    lams = np.array([0.5, 0.3, 0.2 - lam_min, lam_min])
+    return {"dims": [2, 2], "matrix": _pairs((u * lams) @ u.conj().T)}
+
+
+def _norm_doc(norm):
+    v = gaussian_unit_vector(np.random.default_rng(10), 8) * norm
+    return {"dims": [2, 2, 2], "vector": _pairs(v)}
+
+
+#: name -> (the document at offset eta past its valid value, the documented cutoff of
+#: eta, and the relative step either side of it)
+VALIDATION_EDGES = {
+    "trace-above-1": (lambda eta: _trace_doc(1 + eta), 1e-10, 1e-3),
+    "trace-below-1": (lambda eta: _trace_doc(1 - eta), 1e-10, 1e-3),
+    "eigenvalue-below-0": (lambda eta: _floor_doc(-eta), 1e-10, 1e-3),
+    "norm-above-1": (lambda eta: _norm_doc(1 + eta), 1e-12, 1e-2),
+    "norm-below-1": (lambda eta: _norm_doc(1 - eta), 1e-12, 1e-2),
+}
+
+
+@pytest.mark.parametrize("step, exit_code", [(-1, 0), (1, 2)], ids=["inside", "outside"])
+@pytest.mark.parametrize("case", sorted(VALIDATION_EDGES))
+def test_validation_at_the_cutoff_edge(tmp_path, capsys, case, step, exit_code):
+    # every margin is >= 1e-14 absolute, against ~1e-16 of rounding
+    doc, cutoff, rel = VALIDATION_EDGES[case]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc(cutoff * (1 + step * rel))))
+    code, _, err = run_cli(capsys, "analyze", str(path))
+    assert code == exit_code, err
+
+
+# --- the positive-rate cutoff at its edge ----------------------------------
+
+
+def _binary_entropy(x):
+    return float(-x * np.log2(x) - (1 - x) * np.log2(1 - x))
+
+
+@pytest.mark.parametrize("depth, status", [(1 - 1e-3, "unknown"), (1 + 1e-3, "positive")])
+def test_both_one_way_rate_at_the_positive_rate_cutoff(depth, status):
+    # psi = a|000> + b|110> + c|101> has rho_B = diag(a^2 + c^2, b^2) and
+    # rho_E = diag(a^2 + b^2, c^2): ranks 2 and 2, so no witness search runs,
+    # and the AB hashing rate S(B) - S(E) = h(b^2) - h(c^2) is the best one.
+    rate, c2 = depth * 1e-9, 0.2
+    lo, hi = c2, 0.5  # h increases on [0, 1/2]: bisect h(b^2) - h(c^2) = rate
+    for _ in range(100):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if _binary_entropy(mid) - _binary_entropy(c2) < rate else (lo, mid)
+    b2 = lo
+    amps = np.zeros(8)
+    amps[[0, 6, 5]] = np.sqrt([1 - b2 - c2, b2, c2])
+    report = classify(TripartitePureState((2, 2, 2), amps))
+    assert report.npt_reductions == ("AB", "AE")
+    assert not (report.reduction_ab.witness.performed or report.reduction_ae.witness.performed)
+    want = _binary_entropy(b2) - _binary_entropy(c2)
+    assert abs(want - rate) <= 1e-14
+    assert abs(report.reduction_ab.hashing_rate - want) <= 1e-14
+    assert report.rates["both_one_way"] == status
