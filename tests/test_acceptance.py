@@ -3,6 +3,12 @@
 Each test prints one PASS line (visible with ``pytest -s``); a failing
 criterion fails its own test. Runtime ceilings are asserted, not just hoped
 for.
+
+This file is the one home of each random-state sweep: the filter chain, the
+ensemble experiment, the classifier's soundness, the coherent-information
+negation, the conditioned-marginal rank bound and CLI determinism are swept
+over random states here and nowhere else. The unit files test the same code
+on closed-form and structured states.
 """
 
 import json
@@ -27,6 +33,7 @@ from lrdistill import (
     sample_state,
     werner_holevo_channel,
 )
+from lrdistill.errors import RankNotLowError
 from lrdistill.states import bell_state, ghz_state
 
 from conftest import bell_with_trivial_env, numerical_rank, run_cli
@@ -52,18 +59,26 @@ def test_criterion_1_bell_suite():
 def test_criterion_2_filter_inequality_chain():
     t0 = time.perf_counter()
     count = 0
-    for d_a, d_b, d_e in ((2, 3, 2), (2, 4, 3), (3, 4, 2)):
+    # (2,5,2) and (5,2,2): rank rho_B, resp. rank rho_A, is 4 of 5, so the filter's
+    # support projector is not the identity
+    for d_a, d_b, d_e in ((2, 3, 2), (2, 4, 3), (3, 4, 2), (2, 5, 2), (5, 2, 2)):
         for seed in range(170):
             rho = sample_state(d_a, d_b, d_e, seed=seed)
-            out = local_filter(rho, "B")
-            assert abs(out.p_succ - out.lambda_min * out.rank_side) <= 1e-9
-            marginal = partial_trace(out.filtered_state, (1,)).matrix
-            assert np.max(np.abs(marginal - out.support_projector / out.rank_side)) <= 1e-9
-            bound = low_rank_rate_bound(rho, "B")
-            assert bound <= filtered_hashing_rate(rho, "B") + 1e-9
-            count += 1
+            for side, keep in (("A", (0,)), ("B", (1,))):
+                out = local_filter(rho, side)
+                assert 0.0 < out.p_succ <= 1.0 + 1e-9
+                assert abs(out.p_succ - out.lambda_min * out.rank_side) <= 1e-9
+                assert numerical_rank(out.filtered_state.matrix) == out.rank
+                marginal = partial_trace(out.filtered_state, keep).matrix
+                assert np.max(np.abs(marginal - out.support_projector / out.rank_side)) <= 1e-9
+                try:
+                    bound = low_rank_rate_bound(rho, side)
+                except RankNotLowError:
+                    continue
+                assert bound <= filtered_hashing_rate(rho, side) + 1e-9
+                count += 1
     assert count >= 500
-    _done(2, f"filter inequality chain on {count} low-rank samples", t0, 30.0)
+    _done(2, f"filter inequality chain on {count} low-rank (state, side) pairs", t0, 30.0)
 
 
 def test_criterion_3_random_state_experiment(capsys):
@@ -72,6 +87,7 @@ def test_criterion_3_random_state_experiment(capsys):
     assert code == 0, err
     doc = json.loads(out)
     assert doc["config"]["witness_budget"] == 50
+    assert len(doc["samples"]) == 200
     assert doc["frequencies"] == {
         "rank_state": 1.0,
         "rank_marginal": 1.0,

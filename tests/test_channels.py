@@ -143,15 +143,6 @@ def test_flagged_depolarizing_ranks():
     assert numerical_rank(flagged_depolarizing_channel(3, 0.5).choi.matrix) == 10
 
 
-def test_flagged_depolarizing_complement_ranks():
-    ch = flagged_depolarizing_channel(2, 0.5)
-    comp = complement_channel(ch)
-    assert comp.choi.dims == (2, 5)
-    assert numerical_rank(comp.choi.matrix) <= 4
-    j_env = partial_trace(comp.choi, (1,))
-    assert numerical_rank(j_env.matrix) == 5
-
-
 def test_flagged_depolarizing_parameter_checks():
     for q in (0.0, 1.0, -0.2, 1.5, "0.5", None, True, float("nan")):
         with pytest.raises(BadParameterError, match="depolarizing strength q must lie in"):
@@ -177,23 +168,6 @@ def test_choi_channel_rejects_wrong_marginal_or_dims():
     doc = werner_holevo_channel().to_json_dict()
     with pytest.raises(DimensionMismatchError):
         channel_from_dict({**doc, "d_out": 2})
-
-
-def test_choi_channel_identity():
-    omega = maximally_entangled(2)
-    ch = ChoiChannel(DensityMatrix((2, 2), np.outer(omega, omega.conj())))
-    x = np.array([[0.6, 0.2j], [-0.2j, 0.4]])
-    assert np.allclose(ch.apply(x), x, atol=1e-12)
-
-
-def test_capacity_bound_from_flagged_complement():
-    # the filter bound on the complement's Choi state lower-bounds the
-    # complement channel's two-way capacity
-    from lrdistill import low_rank_rate_bound
-
-    comp = complement_channel(flagged_depolarizing_channel(2, 0.5))
-    rate = low_rank_rate_bound(comp.choi, "B")
-    assert rate > 0
 
 
 def test_channel_json_roundtrip():

@@ -66,97 +66,69 @@ def test_analyze_bipartite_purifies_first(tmp_path, capsys):
     assert report["ranks"] == {"AB": 1, "A": 2, "B": 2, "E": 1}
 
 
-def test_analyze_malformed_json(tmp_path, capsys):
-    path = tmp_path / "broken.json"
-    path.write_text('{"dims": [2, 2], "matrix": ')
-    code, out, err = run_cli(capsys, "analyze", str(path))
-    assert code == 2
-    assert "error" in err
-    assert out == ""
-
-
-def test_analyze_invalid_state(tmp_path, capsys):
-    # trace is 2: violates an invariant, named in the diagnostic
-    doc = {"dims": [2], "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}
-    path = write_state(tmp_path, "bad.json", doc)
-    code, _, err = run_cli(capsys, "analyze", path)
-    assert code == 2
-    assert "trace" in err
-
-
 BELL_DOC = bell_state().to_json_dict()
+GHZ_DOC = ghz_state().to_json_dict()
+ROWS = BELL_DOC["matrix"]
 
-#: Documents whose dimension fields are malformed, with the field the diagnostic names.
-MALFORMED_DIMS = {
+#: Malformed documents -> (what the diagnostic names after "error: ", the document).
+MALFORMED_DOCS = {
+    # a malformed dimension field, or a violated invariant (here a trace of 2), is named
     "matrix-dims-string": ("dims", {**BELL_DOC, "dims": "ab"}),
     "matrix-dims-nested": ("dims", {**BELL_DOC, "dims": [[2], [2]]}),
     "matrix-dims-null": ("dims", {**BELL_DOC, "dims": None}),
     "matrix-dims-fraction": ("dims", {**BELL_DOC, "dims": [2.5, 2]}),
     "vector-dims-bools": ("dims", {"dims": [True, True, True], "vector": [[1.0, 0.0]]}),
-    "vector-dims-null": ("dims", {**ghz_state().to_json_dict(), "dims": None}),
+    "vector-dims-null": ("dims", {**GHZ_DOC, "dims": None}),
     "channel-d_in-string": ("d_in", {"d_in": "x", "d_out": 2, "choi": BELL_DOC}),
     "channel-d_out-list": ("d_out", {"d_in": 2, "d_out": [2], "choi": BELL_DOC}),
-}
-
-
-@pytest.mark.parametrize("command", [("analyze",), ("filter", "--side", "A")])
-@pytest.mark.parametrize("case", sorted(MALFORMED_DIMS))
-def test_malformed_dimensions_exit_2(tmp_path, capsys, case, command):
-    field, doc = MALFORMED_DIMS[case]
-    path = write_state(tmp_path, "doc.json", doc)
-    code, out, err = run_cli(capsys, command[0], path, *command[1:])
-    assert code == 2, err
-    assert out == ""
-    assert err.startswith(f"error: {field}")
-
-
-GHZ_DOC = ghz_state().to_json_dict()
-ROWS = BELL_DOC["matrix"]
-
-#: Malformed documents beyond the dimension fields above.
-MALFORMED_DOCS = {
-    "matrix-string": {**BELL_DOC, "matrix": "[[1, 0]]"},
-    "matrix-ragged": {**BELL_DOC, "matrix": [ROWS[0], ROWS[1][:2], ROWS[2], ROWS[3]]},
-    "matrix-3d": {**BELL_DOC, "matrix": [ROWS, ROWS]},
-    "matrix-empty": {**BELL_DOC, "matrix": []},
-    "matrix-three-dims": {**BELL_DOC, "dims": [2, 2, 1]},
+    "matrix-trace-2": ("trace", {"dims": [2], "matrix": complex_pairs(np.eye(2))}),
+    # the diagnostic need only start with "error: "
+    "matrix-string": ("", {**BELL_DOC, "matrix": "[[1, 0]]"}),
+    "matrix-ragged": ("", {**BELL_DOC, "matrix": [ROWS[0], ROWS[1][:2], ROWS[2], ROWS[3]]}),
+    "matrix-3d": ("", {**BELL_DOC, "matrix": [ROWS, ROWS]}),
+    "matrix-empty": ("", {**BELL_DOC, "matrix": []}),
+    "matrix-three-dims": ("", {**BELL_DOC, "dims": [2, 2, 1]}),
     # rho[0, 3] - conj(rho[3, 0]) = 1e-9, above the 1e-10 Hermiticity tolerance
-    "matrix-not-hermitian": {**BELL_DOC, "matrix": [[*ROWS[0][:3], [0.5 + 1e-9, 0.0]], *ROWS[1:]]},
-    "dims-huge-int": {**BELL_DOC, "dims": [10**400, 1]},
-    "vector-dict": {**GHZ_DOC, "vector": {"0": [1.0, 0.0]}},
-    "vector-string": {**GHZ_DOC, "vector": "1, 0"},
-    "vector-short": {**GHZ_DOC, "vector": GHZ_DOC["vector"][:-1]},
-    "vector-empty": {**GHZ_DOC, "vector": []},
-    "choi-list": {"d_in": 2, "d_out": 2, "choi": ROWS},
-    "choi-dims-not-d_in-d_out": {"d_in": 2, "d_out": 3, "choi": BELL_DOC},
-    "matrix-nan": {**BELL_DOC, "matrix": [[[float("nan"), 0.0], *ROWS[0][1:]], *ROWS[1:]]},
-    "vector-nan": {**GHZ_DOC, "vector": [[float("nan"), 0.0], *GHZ_DOC["vector"][1:]]},
-    "vector-without-dims": {"vector": GHZ_DOC["vector"]},
-    "vector-nested": {**GHZ_DOC, "vector": [GHZ_DOC["vector"][:4], GHZ_DOC["vector"][4:]]},
-    "top-level-array": [BELL_DOC],
-    "top-level-number": 3,
-    "no-state-key": {"dims": [2, 2]},
-    "matrix-not-pairs": {"dims": [2, 2], "matrix": [[1.0, 0.0], [0.0, 1.0]]},
+    "matrix-not-hermitian": ("", {**BELL_DOC,
+                                  "matrix": [[*ROWS[0][:3], [0.5 + 1e-9, 0.0]], *ROWS[1:]]}),
+    "dims-huge-int": ("", {**BELL_DOC, "dims": [10**400, 1]}),
+    "vector-dict": ("", {**GHZ_DOC, "vector": {"0": [1.0, 0.0]}}),
+    "vector-string": ("", {**GHZ_DOC, "vector": "1, 0"}),
+    "vector-short": ("", {**GHZ_DOC, "vector": GHZ_DOC["vector"][:-1]}),
+    "vector-empty": ("", {**GHZ_DOC, "vector": []}),
+    "choi-list": ("", {"d_in": 2, "d_out": 2, "choi": ROWS}),
+    "choi-dims-not-d_in-d_out": ("", {"d_in": 2, "d_out": 3, "choi": BELL_DOC}),
+    "matrix-nan": ("", {**BELL_DOC, "matrix": [[[float("nan"), 0.0], *ROWS[0][1:]], *ROWS[1:]]}),
+    "vector-nan": ("", {**GHZ_DOC, "vector": [[float("nan"), 0.0], *GHZ_DOC["vector"][1:]]}),
+    "vector-without-dims": ("", {"vector": GHZ_DOC["vector"]}),
+    "vector-nested": ("", {**GHZ_DOC, "vector": [GHZ_DOC["vector"][:4], GHZ_DOC["vector"][4:]]}),
+    "top-level-array": ("", [BELL_DOC]),
+    "top-level-number": ("", 3),
+    "no-state-key": ("", {"dims": [2, 2]}),
+    "matrix-not-pairs": ("", {"dims": [2, 2], "matrix": [[1.0, 0.0], [0.0, 1.0]]}),
     # numbers at the edge of float range: an int json.load accepts but float() cannot hold,
     # and finite entries whose Hermitian part, trace or norm would overflow
-    "matrix-int-beyond-float": {**BELL_DOC, "matrix": [[[10**400, 0], *ROWS[0][1:]], *ROWS[1:]]},
-    "vector-int-beyond-float": {**GHZ_DOC, "vector": [[10**400, 0], *GHZ_DOC["vector"][1:]]},
-    "matrix-diagonal-pm-1e308": {"dims": [2, 2],
-                                 "matrix": complex_pairs(np.diag([1e308, -1e308, 0.5, 0.5]))},
-    "matrix-offdiagonal-1e308": {"dims": [2, 2], "matrix": complex_pairs(
+    "matrix-int-beyond-float": ("", {**BELL_DOC,
+                                     "matrix": [[[10**400, 0], *ROWS[0][1:]], *ROWS[1:]]}),
+    "vector-int-beyond-float": ("", {**GHZ_DOC,
+                                     "vector": [[10**400, 0], *GHZ_DOC["vector"][1:]]}),
+    "matrix-diagonal-pm-1e308": ("", {"dims": [2, 2], "matrix": complex_pairs(
+        np.diag([1e308, -1e308, 0.5, 0.5]))}),
+    "matrix-offdiagonal-1e308": ("", {"dims": [2, 2], "matrix": complex_pairs(
         np.diag([0.5, 0.0, 0.0, 0.5]) + np.diag([0.0, 1e308, 0.0], 1)
-        + np.diag([0.0, 1e308, 0.0], -1))},
-    "vector-1e308": {**GHZ_DOC, "vector": [[1e308, 0.0], *GHZ_DOC["vector"][1:]]},
+        + np.diag([0.0, 1e308, 0.0], -1))}),
+    "vector-1e308": ("", {**GHZ_DOC, "vector": [[1e308, 0.0], *GHZ_DOC["vector"][1:]]}),
     # files that json.load itself rejects, as raw bytes
-    "bytes-not-utf8": b'{"dims": [2, 2], "matrix": "\xff"}',
-    "bytes-nested-200000-deep": b"[" * 200000 + b"]" * 200000,
-    "bytes-dims-5000-digits": b'{"dims": [' + b"9" * 5000 + b', 1], "matrix": []}',
+    "bytes-truncated": ("", b'{"dims": [2, 2], "matrix": '),
+    "bytes-not-utf8": ("", b'{"dims": [2, 2], "matrix": "\xff"}'),
+    "bytes-nested-200000-deep": ("", b"[" * 200000 + b"]" * 200000),
+    "bytes-dims-5000-digits": ("", b'{"dims": [' + b"9" * 5000 + b', 1], "matrix": []}'),
 }
 
 #: Tolerance flags outside (0, 1) on a well-formed document ("DOC" is its path).
 BAD_TOLERANCE_ARGS = {
     **{f"analyze-rank-tol-{v}": ("analyze", "DOC", "--rank-tol", v)
-       for v in ("nan", "inf", "1", "0")},
+       for v in ("nan", "inf", "1", "0", "-1")},
     **{f"analyze-ppt-tol-{v}": ("analyze", "DOC", "--ppt-tol", v) for v in ("nan", "inf")},
     "filter-rank-tol-nan": ("filter", "DOC", "--side", "A", "--rank-tol", "nan"),
     **{f"sample-rank-tol-{v}": ("sample", "2", "4", "3", "2", "--rank-tol", v)
@@ -170,23 +142,24 @@ BAD_SEED_AND_BUDGET_ARGS = {
     for flag in ("--seed", "--budget")
 }
 
-#: case -> (document, argv): every one must exit 2 with nothing on stdout.
+#: case -> (what the diagnostic names, document, argv): every one must exit 2 with
+#: nothing on stdout.
 FUZZ_CASES = {
-    **{f"{name}-{argv[0]}": (doc, argv) for name, doc in MALFORMED_DOCS.items()
+    **{f"{name}-{argv[0]}": (named, doc, argv) for name, (named, doc) in MALFORMED_DOCS.items()
        for argv in (("analyze", "DOC"), ("filter", "DOC", "--side", "A"))},
-    **{name: (GHZ_DOC, argv)
+    **{name: ("", GHZ_DOC, argv)
        for name, argv in {**BAD_TOLERANCE_ARGS, **BAD_SEED_AND_BUDGET_ARGS}.items()},
 }
 
 
 @pytest.mark.parametrize("case", sorted(FUZZ_CASES))
 def test_malformed_input_exits_2(tmp_path, capsys, case):
-    doc, argv = FUZZ_CASES[case]
+    named, doc, argv = FUZZ_CASES[case]
     path = write_state(tmp_path, "doc.json", doc)
     code, out, err = run_cli(capsys, *(path if arg == "DOC" else arg for arg in argv))
     assert code == 2, err
     assert out == ""
-    assert err.startswith("error: ")
+    assert err.startswith(f"error: {named}")
 
 
 #: Numbers at and beyond the edges of float range, and plain ones.
@@ -295,19 +268,6 @@ def test_filter_full_rank_notes_bound(tmp_path, capsys):
     assert report["filter"]["p_succ"] == pytest.approx(1.0, abs=1e-9)
 
 
-def test_sample_command(capsys):
-    code, out, _ = run_cli(capsys, "sample", "2", "4", "3", "25", "--seed", "3")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["frequencies"] == {
-        "rank_state": 1.0,
-        "rank_marginal": 1.0,
-        "schmidt_full": 1.0,
-        "witness_found": 1.0,
-    }
-    assert len(doc["samples"]) == 25
-
-
 def test_sample_bad_spec(capsys):
     code, out, err = run_cli(capsys, "sample", "2", "4", "4", "10")
     assert code == 2
@@ -399,12 +359,6 @@ def test_help_names_the_root_parsers_default_for_every_flag(monkeypatch):
                 assert "(default 2)" in text and "(default 0.5)" in text
 
 
-def test_bad_tolerance_flag(tmp_path, capsys):
-    path = write_state(tmp_path, "bell.json", bell_state().to_json_dict())
-    code, _, err = run_cli(capsys, "analyze", path, "--rank-tol", "-1")
-    assert code == 2
-
-
 def test_pretty_formats(tmp_path, capsys):
     path = write_state(tmp_path, "ghz.json", ghz_state().to_json_dict())
     for args in (
@@ -415,20 +369,6 @@ def test_pretty_formats(tmp_path, capsys):
         code, out, _ = run_cli(capsys, *args)
         assert code == 0
         assert out.endswith("\n") and "{" not in out
-
-
-def test_repeat_invocations_byte_identical(tmp_path, capsys):
-    path = write_state(tmp_path, "ghz.json", ghz_state().to_json_dict())
-    runs = [
-        ("analyze", path, "--seed", "5"),
-        ("filter", path, "--side", "B"),
-        ("sample", "2", "4", "3", "10", "--seed", "5"),
-        ("example", "flagged-depolarizing", "--d", "2", "--q", "0.25"),
-    ]
-    for args in runs:
-        _, first, _ = run_cli(capsys, *args)
-        _, second, _ = run_cli(capsys, *args)
-        assert first.encode() == second.encode()
 
 
 def test_subprocess_entry_point(tmp_path):

@@ -364,19 +364,6 @@ def test_conditional_marginal_requires_a_vector_of_length_d_a():
         conditional_marginal(bell_state(), [1.0, 0.0, 0.0])
 
 
-def test_conditional_marginal_rank_bound():
-    rng = np.random.default_rng(99)
-    for seed in range(25):
-        d_a, d_b = int(rng.integers(2, 4)), int(rng.integers(2, 4))
-        d_e = int(rng.integers(1, 5))
-        rho = sample_state(d_a, d_b, d_e, seed=seed)
-        r = numerical_rank(rho.matrix)
-        r_b = numerical_rank(partial_trace(rho, (1,)).matrix)
-        phi = rng.standard_normal(d_a) + 1j * rng.standard_normal(d_a)
-        phi /= np.linalg.norm(phi)
-        assert numerical_rank(conditional_marginal(rho, phi)) <= min(r, r_b)
-
-
 # --- schmidt rank ---------------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
-"""Tolerances: every entry point rejects one outside (0, 1), and decisions near
-each cutoff follow the documented rule.
+"""Settings and tolerances: every entry point rejects a bad seed, budget or
+tolerance (one outside (0, 1)), and decisions near each cutoff follow the
+documented rule.
 
 The rank rule: an eigenvalue is kept when it is strictly above
 ``rank_tol * lambda_max``. The edge cases place eigenvalues a relative 1e-3
@@ -16,6 +17,7 @@ import pytest
 
 from lrdistill import (
     DensityMatrix,
+    EnsembleSpec,
     TripartitePureState,
     classify,
     coherent_information,
@@ -23,23 +25,26 @@ from lrdistill import (
     complement_channel,
     filtered_hashing_rate,
     find_one_way_witness,
+    flagged_depolarizing_channel,
     hermitian_eig,
     is_ppt,
     local_filter,
     low_rank_rate_bound,
     purify,
+    run_experiment,
+    sample_pure,
     schmidt_rank,
     separability_verdict,
     von_neumann_entropy,
     werner_holevo_channel,
 )
 from lrdistill.cli import main
-from lrdistill.errors import BadParameterError
+from lrdistill.errors import BadParameterError, EnsembleSpecError
 from lrdistill.kernels import gram_ranks
 from lrdistill.states import density_matrix_from_dict, ghz_state
 
-from conftest import (derived_matrices, gaussian_unit_vector, random_density, random_isometry,
-                      run_cli)
+from conftest import (derived_matrices, gaussian, gaussian_unit_vector, random_density,
+                      random_isometry, run_cli)
 
 BAD_TOLERANCES = [float("nan"), float("inf"), 0.0, 1.0, -1.0]
 
@@ -83,6 +88,93 @@ def test_rank_tol_outside_the_unit_interval_is_a_bad_parameter(entry, tol):
 def test_ppt_tol_outside_the_unit_interval_is_a_bad_parameter(entry, tol):
     with pytest.raises(BadParameterError, match="ppt_tol must lie in"):
         PPT_TOL_ENTRY_POINTS[entry](tol)
+
+
+# --- the seed and budget rules -----------------------------------------------
+
+BAD_SEEDS = [-1, 2.5, True, "0", None]
+
+
+def _spec(**fields):
+    return EnsembleSpec(**{"d_a": 2, "d_b": 4, "d_e": 3, "n_samples": 2, **fields})
+
+
+def _ghz_params(**settings):
+    return classify(ghz_state(), **settings).to_json_dict()["params"]
+
+
+def _haar_witness_state():
+    """F[a] = x_a y_a^T: each basis vector of A conditions B to rank 1, a Haar trial to rank 2."""
+    rng = np.random.default_rng(11)
+    f = np.einsum("ab,ae->abe", gaussian(rng, 3, 3), gaussian(rng, 3, 2)).reshape(9, 2)
+    return DensityMatrix((3, 3), f @ f.conj().T / np.linalg.norm(f) ** 2)
+
+
+#: entry point -> (call with a seed, the error a bad seed raises, whether a SeedSequence
+#: is a seed there); where it is, the call returns what the seed determines
+SEED_ENTRY_POINTS = {
+    "classify": (lambda seed: classify(ghz_state(), seed=seed), BadParameterError, False),
+    "find_one_way_witness": (lambda seed: find_one_way_witness(_haar_witness_state(), seed=seed)
+                             .to_json_dict(), BadParameterError, True),
+    "EnsembleSpec": (lambda seed: _spec(seed=seed), EnsembleSpecError, False),
+    "sample_pure": (lambda seed: sample_pure(2, 4, 3, seed).amplitudes.tolist(),
+                    EnsembleSpecError, True),
+}
+
+#: entry point -> call with a witness budget; a bad one raises BadParameterError. GHZ runs
+#: no witness search, so in the classify row only the check at the top can fire.
+BUDGET_ENTRY_POINTS = {
+    "classify": lambda budget: classify(ghz_state(), witness_budget=budget),
+    "find_one_way_witness": lambda budget: find_one_way_witness(_low_rank(), budget=budget),
+    "run_experiment": lambda budget: run_experiment(_spec(), budget),
+}
+
+#: Settings given as numpy integers, read back from where each entry point stores them.
+INTEGRAL_SETTINGS = {
+    "classify-seed": lambda: _ghz_params(seed=np.int64(3))["seed"],
+    "EnsembleSpec-seed": lambda: _spec(seed=np.uint8(3)).seed,
+    "classify-budget": lambda: _ghz_params(witness_budget=np.int64(3))["witness_budget"],
+    "run_experiment-budget": lambda: run_experiment(_spec(), np.int64(3)).witness_budget,
+    # the d=2 flagged-depolarizing complement: 2 basis vectors, then every Haar trial misses
+    "find_one_way_witness-budget": lambda: find_one_way_witness(
+        complement_channel(flagged_depolarizing_channel(2, 0.5)).choi, budget=np.uint8(3),
+    ).trials_used - 2,
+}
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS, ids=repr)
+@pytest.mark.parametrize("entry", SEED_ENTRY_POINTS)
+def test_a_bad_seed_is_rejected(entry, seed):
+    call, error, _ = SEED_ENTRY_POINTS[entry]
+    with pytest.raises(error, match="seed must be an integer >= 0"):
+        call(seed)
+
+
+@pytest.mark.parametrize("entry", SEED_ENTRY_POINTS)
+def test_a_seed_sequence_is_a_seed_only_where_documented(entry):
+    # where it is one, SeedSequence(0) seeds numpy's default_rng as the integer 0 does
+    call, error, takes_sequence = SEED_ENTRY_POINTS[entry]
+    if takes_sequence:
+        assert call(np.random.SeedSequence(0)) == call(0)
+    else:
+        with pytest.raises(error, match="seed must be an integer >= 0"):
+            call(np.random.SeedSequence(0))
+
+
+@pytest.mark.parametrize("budget, message", [
+    (-1, "budget must be >= 0, got -1"),
+    *((budget, "budget must be an integer, got") for budget in [2.5, True, "3", None]),
+], ids=repr)
+@pytest.mark.parametrize("entry", BUDGET_ENTRY_POINTS)
+def test_a_bad_budget_is_rejected(entry, budget, message):
+    with pytest.raises(BadParameterError, match=message):
+        BUDGET_ENTRY_POINTS[entry](budget)
+
+
+@pytest.mark.parametrize("case", INTEGRAL_SETTINGS)
+def test_an_integral_numpy_setting_is_stored_as_int(case):
+    value = INTEGRAL_SETTINGS[case]()
+    assert type(value) is int and value == 3
 
 
 # --- the rank cutoff at its edge -------------------------------------------

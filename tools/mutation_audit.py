@@ -1,6 +1,13 @@
-"""Mutation audit of the tolerance cutoffs: does tier-1 notice when one moves?
+"""Mutation audit: does tier-1 notice when a cutoff moves or a checked formula breaks?
 
     python3 tools/mutation_audit.py
+
+It audits two kinds of mutant. The first moves a tolerance cutoff, or a
+guard next to one, and shows that the edge tests pin it. The second breaks
+a behaviour that a random-state sweep, a table row or a closed-form test
+checks, and shows that tier-1 still fails on it. Each such behaviour is
+checked by one test, so a test may be folded into another only while the
+audit still kills the mutant that stands for it.
 
 ``MUTANTS`` lists one-line mutants as (file under ``src/lrdistill``, old
 text, new text, note). For each one the tool copies ``src/``, ``tests/``,
@@ -12,8 +19,9 @@ test is recorded. A mutant that survives is *equivalent* when its entry
 gives the reason it cannot change a result, else *survived*.
 
 Writes ``MUTANTS.json`` at the root of the checkout and exits 1 if any
-mutant survived or an equivalent one was killed. Each run takes about 20 s
-per mutant on a 2-core machine, so it is not part of CI.
+mutant survived or an equivalent one was killed. A killed mutant stops at
+its first failing test, a surviving one runs all of tier-1; the whole list
+takes 6 to 8 minutes on a 2-core machine.
 """
 
 from __future__ import annotations
@@ -51,6 +59,62 @@ MUTANTS = [
      "hermitian_part: a Hermiticity check 1e4 times looser"),
     ("distill.py", "if r < second.rank:", "if r <= second.rank:",
      "classify: the witness search also runs when rank(state) = rank(marginal)"),
+    ("kernels.py", "lam_p = lams[:-1, 0] - c * n_sq", "lam_p = lams[:-1, 0]",
+     "ratio_bound: P's eigenvalues without their allowance for the eigensolve's rounding"),
+    ("kernels.py", "lam_t = lams[-1, 0] - c * tau", "lam_t = lams[-1, 0]",
+     "ratio_bound: the T eigenvalue without its allowance for the eigensolve's rounding"),
+    ("distill.py", "lam_min * r_side * (log2(r_side) - log2(r))",
+     "lam_min * r * (log2(r_side) - log2(r))",
+     "_rate_bound: rank(state) in place of rank(marginal) as the factor"),
+    ("kernels.py", "not 0.0 < value < 1.0", "not 0.0 < value <= 1.0",
+     "validated_tolerance: a value of 1 is accepted"),
+    ("states.py", "except (TypeError, ValueError, OverflowError) as exc:",
+     "except (TypeError, ValueError) as exc:",
+     "_pairs_to_complex: an int beyond float range escapes as OverflowError"),
+    ("distill.py", "budget > _BATCH and target_rank", "budget >= _BATCH and target_rank",
+     "witness search: the ratio bound is also tried at a budget of exactly one batch"),
+    ("distill.py", "spectrum.support_projector()", "np.eye(y.shape[0], dtype=complex)",
+     "local_filter: the support projector is the identity even on a rank-deficient marginal"),
+    # Behaviours that the acceptance suite or a table checks once.
+    ("sampling.py", "np.random.SeedSequence(entropy=spec.seed, spawn_key=(k,))",
+     "np.random.SeedSequence(spawn_key=(k,))",
+     "run_experiment: each sample's state ignores the seed, so a rerun differs"),
+    ("sampling.py", "for k in range(spec.n_samples):", "for k in range(spec.n_samples - 1):",
+     "run_experiment: one sample fewer than asked for"),
+    ("states.py", 'np.einsum("a,abcd,c->bd", v.conj(), tensor, v)',
+     'np.einsum("a,abad,a->bd", v.conj(), tensor, v)',
+     "conditional_marginal: the sum of the diagonal blocks, weighted by |phi_a|^2"),
+    ("distill.py", "np.tensordot(y, psi.amplitudes.reshape(psi.dims), (1, idx))",
+     "np.tensordot(y, psi.amplitudes.reshape(psi.dims), (0, idx))",
+     "local_filter: applies Y^T, which does not flatten a complex marginal"),
+    ("distill.py", "lam_min = spectrum.min_positive()",
+     "lam_min = float(spectrum.eigenvalues[0])",
+     "local_filter: lambda_max in place of lambda_min, so p_succ exceeds 1"),
+    ("distill.py", "lam_min * r_side * (log2(r_side) - log2(r))",
+     "r_side * (log2(r_side) - log2(r))",
+     "_rate_bound: drops the factor lambda_min"),
+    ("distill.py", "lam_min * r_side * (log2(r_side) - log2(r))",
+     "lam_min * r_side * (log2(r) - log2(r_side))",
+     "_rate_bound: the sign flipped, so the bound is negative"),
+    ("distill.py", "rank=psi.dims[2],", "rank=spectrum.rank,",
+     "local_filter: reports the marginal's rank as the filtered state's"),
+    ("distill.py", "if not red.separability.ppt.is_ppt)", "if red.separability.ppt.is_ppt)",
+     "classification: the PPT reductions are listed as the NPT ones"),
+    ("channels.py", '"ca,cbad->bd"', '"ac,cbad->bd"',
+     "ChoiChannel.apply: applies the channel to the transpose of its input"),
+    ("states.py", "purify(rho, rank_tol).reduction((0, 2))",
+     "purify(rho, rank_tol).reduction((0, 1))",
+     "complement: returns the state itself instead of its complement"),
+    ("sampling.py", "writer.writerow(f.name for f in fields(SampleRecord))", "pass",
+     "EnsembleReport.to_csv: no header row"),
+    ("states.py", "if isinstance(value, bool) or not isinstance(value, Integral) or value < 0:",
+     "if not isinstance(value, Integral) or value < 0:",
+     "validated_seed: True is taken as the seed 1"),
+    ("distill.py", "if isinstance(value, bool) or not isinstance(value, Integral):",
+     "if not isinstance(value, Integral):",
+     "validated_budget: True is taken as a budget of 1"),
+    ("distill.py", "return int(value)", "return value",
+     "validated_budget: a numpy integer is stored as given"),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-rf", "-p", "no:cacheprovider",
