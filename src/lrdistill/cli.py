@@ -17,7 +17,7 @@ from math import isfinite
 
 from . import __version__
 from .channels import channel_from_dict, flagged_depolarizing_channel, werner_holevo_channel
-from .distill import DEFAULT_WITNESS_BUDGET, classify, local_filter, validated_budget
+from .distill import DEFAULT_WITNESS_BUDGET, classify, local_filter
 from .errors import (
     InputError,
     LrdistillError,
@@ -36,6 +36,7 @@ from .states import (
     maximally_mixed,
     pure_state_from_dict,
     purify,
+    validated_count,
     validated_seed,
 )
 
@@ -308,7 +309,7 @@ def main(argv=None) -> int:
         validated_tolerance(args.rank_tol, "rank_tol")
         validated_tolerance(args.ppt_tol, "ppt_tol")
         validated_seed(args.seed)
-        validated_budget(args.witness_budget)
+        validated_count(args.witness_budget, "budget")
         text = _COMMANDS[args.command](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import log2
-from numbers import Integral
 from typing import Literal
 
 import numpy as np
@@ -41,6 +40,7 @@ from .states import (
     is_ppt,
     partial_trace,
     purify,
+    validated_count,
     validated_seed,
 )
 
@@ -66,15 +66,6 @@ VERDICT_SEPARABLE = "separable"
 VERDICT_DISTILLABLE = "entangled, 2-way distillable"
 VERDICT_PPT_UNDECIDED = "PPT but separability undecided by this tool"
 VERDICT_NPT_UNDECIDED = "entangled (NPT), 2-way distillability undecided"
-
-
-def validated_budget(value) -> int:
-    """``value`` as a witness-search budget: a number of Haar trials, an int >= 0, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise BadParameterError(f"budget must be an integer, got {value!r}")
-    if value < 0:
-        raise BadParameterError(f"budget must be >= 0, got {value}")
-    return int(value)
 
 
 def _side_index(side: Side) -> int:
@@ -289,7 +280,7 @@ def find_one_way_witness(
     one-way rate. ``found = False`` is inconclusive by itself.
     """
     _require_bipartite(rho, "one-way witness search")
-    budget = validated_budget(budget)
+    budget = validated_count(budget, "budget")
     seed = validated_seed(seed, sequence=True)
     psi = purify(rho, rank_tol)
     r = psi.dims[2]  # the purifying register has dimension rank(rho)
@@ -444,7 +435,7 @@ def classify(
     if not isinstance(psi, TripartitePureState):
         raise SubsystemError("classify needs a TripartitePureState, got "
                              f"{type(psi).__name__}; use purify(rho) for a bipartite rho")
-    witness_budget = validated_budget(witness_budget)
+    witness_budget = validated_count(witness_budget, "budget")
     seed = validated_seed(seed)
     marginals = [solve_hermitian(psi.reduction((k,)).matrix, rank_tol, vectors=False)
                  for k in range(3)]

@@ -16,11 +16,11 @@ from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
-from .distill import DEFAULT_WITNESS_BUDGET, _saturation_search, validated_budget
+from .distill import DEFAULT_WITNESS_BUDGET, _saturation_search
 from .errors import EnsembleSpecError
 from .kernels import DEFAULT_RANK_TOL, gram_ranks, solve_hermitian, validated_tolerance
-from .states import (DensityMatrix, TripartitePureState, partial_trace, validated_dimension,
-                     validated_seed)
+from .states import (DensityMatrix, TripartitePureState, partial_trace, validated_count,
+                     validated_dimension, validated_seed)
 
 
 def sample_pure(
@@ -158,7 +158,7 @@ def run_experiment(
 
     Requires d_E < d_B so that sampled states are generically low rank.
     """
-    witness_budget = validated_budget(witness_budget)
+    witness_budget = validated_count(witness_budget, "budget")
     if spec.d_e >= spec.d_b:
         raise EnsembleSpecError(
             f"experiment needs d_E < d_B, got d_E = {spec.d_e}, d_B = {spec.d_b}"

@@ -43,13 +43,18 @@ def validated_dimension(value, field: str, error: type[InputError] = StateFormat
     return int(value)
 
 
+def validated_count(value, field: str, error: type[InputError] = BadParameterError) -> int:
+    """``value`` as a count, such as a seed or a witness budget: an integer >= 0, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < 0:
+        raise error(f"{field} must be an integer >= 0, got {value!r}")
+    return int(value)
+
+
 def validated_seed(value, error: type[InputError] = BadParameterError, *, sequence: bool = False):
-    """``value`` as a PRNG seed: an integer >= 0, not a bool; also a SeedSequence if ``sequence``."""
+    """``value`` as a PRNG seed: a count; also a SeedSequence if ``sequence``."""
     if sequence and isinstance(value, np.random.SeedSequence):
         return value
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < 0:
-        raise error(f"seed must be an integer >= 0, got {value!r}")
-    return int(value)
+    return validated_count(value, "seed", error)
 
 
 def _unit_vector(vector, what: str, tol: float = 1e-9) -> np.ndarray:

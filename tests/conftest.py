@@ -1,10 +1,14 @@
-"""Shared helpers: independent oracles, random-state generators, the witness
-certificate's factor families (which ``tools/witness_certificate_grid.py`` also
-samples), the in-process CLI runner, and the one spy on the ``numpy.linalg`` solvers.
+"""The one home of the tests' plain-numpy references: independent oracles,
+random-state generators, the channel and document builders that the golden
+corpus (``tests/golden/build_corpus.py``) is made from, and the witness
+certificate's factor families (which ``tools/witness_certificate_grid.py``
+also samples). Also the in-process CLI runner and the one spy on the
+``numpy.linalg`` solvers.
 
-The oracle implementations here deliberately avoid the library's code paths
-(explicit index loops instead of einsum, isometry construction instead of
-Choi plumbing) so that test expectations stay independent of what they check.
+The references deliberately avoid the library's code paths (explicit index
+loops instead of einsum, isometry construction and entrywise Choi matrices
+instead of the library's channels) so that test expectations stay
+independent of what they check.
 """
 
 from collections import Counter
@@ -13,8 +17,8 @@ from functools import partial
 import numpy as np
 import pytest
 
-from lrdistill import (DensityMatrix, TripartitePureState, complement,
-                       flagged_depolarizing_channel, local_filter, partial_trace, partial_transpose)
+from lrdistill import (DensityMatrix, TripartitePureState, complement, local_filter,
+                       partial_trace, partial_transpose)
 from lrdistill.cli import main
 from lrdistill.kernels import DEFAULT_RANK_TOL
 
@@ -56,6 +60,11 @@ def loop_partial_transpose(mat, dims, subsystem):
                     else:
                         out[a * d1 + b, c * d1 + d] = mat[a * d1 + d, c * d1 + b]
     return out
+
+
+def npt_witness(matrix, dims):
+    """Smallest eigenvalue of the partial transpose on B, taken by index bookkeeping."""
+    return np.linalg.eigvalsh(loop_partial_transpose(matrix, dims, 1))[0]
 
 
 def loop_conditioned_rank(matrix, dims, phi, rank_tol=DEFAULT_RANK_TOL):
@@ -153,18 +162,42 @@ def random_choi(d_in, d_out, d_env, seed):
     return DensityMatrix((d_in, d_out), mat)
 
 
+def flagged_depolarizing_choi(d, q):
+    """(|W><W| (+) [(1-q)|W><W| + q 1/d^2]) / 2 in two orthogonal output blocks, a real array.
+
+    The Choi state, on C^d (x) C^2d, of the flagged-depolarizing channel.
+    """
+    omega = np.zeros(d * d)
+    omega[:: d + 1] = 1.0 / np.sqrt(d)
+    proj = np.outer(omega, omega).reshape(d, d, d, d)
+    j4 = np.zeros((d, 2 * d, d, 2 * d))
+    j4[:, :d, :, :d] = 0.5 * proj
+    j4[:, d:, :, d:] = 0.5 * ((1.0 - q) * proj + q * np.eye(d * d).reshape(d, d, d, d) / d**2)
+    return j4.reshape(2 * d * d, 2 * d * d)
+
+
+def purification_factor(matrix, d_a, d_b):
+    """Amplitudes (d_a, d_b, k) of a purification of ``matrix`` on C^d_a (x) C^d_b.
+
+    One ``eigh``; the purifying register keeps the k eigenvalues above
+    1e-10 * lambda_max.
+    """
+    lams, vecs = np.linalg.eigh(matrix)
+    keep = lams > 1e-10 * lams[-1]
+    return (vecs[:, keep] * np.sqrt(lams[keep])).reshape(d_a, d_b, -1)
+
+
 def flagged_complement_factor(d, q):
     """Amplitude factor (d, d^2 + 1, 2d) of the complement of the flagged-depolarizing channel.
 
-    The channel's Choi state on A (x) output is purified in plain numpy; its
-    purifying register E (rank d^2 + 1) carries the complement's output, and
-    the 2d-dimensional channel output purifies the complement's Choi state.
+    The channel's Choi state on A (x) output is purified; its purifying
+    register E (rank d^2 + 1) carries the complement's output, and the
+    2d-dimensional channel output purifies the complement's Choi state. The
+    ``eigh`` is of the complex array: on the real one it picks another basis
+    of the degenerate eigenspaces.
     """
-    j = flagged_depolarizing_channel(d, q).choi.matrix
-    lams, vecs = np.linalg.eigh(j)
-    keep = lams > 1e-10 * lams[-1]
-    psi = (vecs[:, keep] * np.sqrt(lams[keep])).reshape(d, 2 * d, -1)
-    return psi.transpose(0, 2, 1)
+    return purification_factor(flagged_depolarizing_choi(d, q).astype(complex), d, 2 * d
+                               ).transpose(0, 2, 1)
 
 
 def perturbed(factor, size, rng):
@@ -219,6 +252,18 @@ def trial_ratios(factor, v):
     kh = np.conj(np.swapaxes(k, 1, 2))
     lams = np.linalg.eigvalsh(k @ kh if k.shape[1] <= k.shape[2] else kh @ k)
     return lams[:, 0] / lams[:, -1]
+
+
+def pairs(values):
+    """A complex array as nested ``[re, im]`` lists, the form a JSON document holds."""
+    values = np.asarray(values)
+    return np.stack((values.real, values.imag), axis=-1).tolist()
+
+
+def matrix_doc(matrix, dims):
+    """The JSON document of ``matrix``'s Hermitian part on ``dims``."""
+    matrix = (matrix + matrix.conj().T) / 2.0
+    return {"dims": list(dims), "matrix": pairs(matrix)}
 
 
 def derived_matrices(rho, rank_tol=1e-10):

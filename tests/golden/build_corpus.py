@@ -3,11 +3,11 @@ CLI produced for them.
 
     PYTHONPATH=src python tests/golden/build_corpus.py
 
-Input documents are built here with plain numpy, never through ``lrdistill``,
-so they do not move when the library changes. ``cases.json`` lists the CLI
-call made for each expected output ``<case>.out``; ``tests/test_golden.py``
-replays them. Regenerate the outputs only for an intended, explained change
-of the reports.
+Input documents are built from the plain-numpy references of
+``tests/conftest.py``, never through ``lrdistill``, so they do not move when
+the library changes. ``CASES`` lists the CLI call made for each expected
+output ``<case>.out``; ``tests/test_golden.py`` replays them. Regenerate the
+outputs only for an intended, explained change of the reports.
 """
 
 from __future__ import annotations
@@ -16,56 +16,25 @@ import contextlib
 import io
 import json
 import os
+import sys
 
 import numpy as np
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+if __name__ == "__main__":  # run as a script: conftest sits one directory up
+    sys.path.insert(0, os.path.dirname(HERE))
+from conftest import (antisymmetric_choi, flagged_depolarizing_choi,  # noqa: E402
+                      gaussian_unit_vector, matrix_doc, pairs, purification_factor)
+
 SEED = 20221
-
-
-def _pairs(values) -> list:
-    return [[float(z.real), float(z.imag)] for z in values]
-
-
-def _matrix_doc(matrix: np.ndarray, dims) -> dict:
-    matrix = (matrix + matrix.conj().T) / 2.0
-    return {"dims": list(dims), "matrix": [_pairs(row) for row in matrix]}
-
-
-def _haar_vector(rng: np.random.Generator, n: int) -> np.ndarray:
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return v / np.linalg.norm(v)
-
-
-def _werner_holevo_choi() -> np.ndarray:
-    """(1 - SWAP) / 6 on two qutrits."""
-    swap = np.zeros((9, 9))
-    for i in range(3):
-        for j in range(3):
-            swap[i * 3 + j, j * 3 + i] = 1.0
-    return (np.eye(9) - swap) / 6.0
-
-
-def _flagged_depolarizing_choi(d: int, q: float) -> np.ndarray:
-    """(|W><W| (+) [(1-q)|W><W| + q 1/d^2]) / 2 in two orthogonal output blocks."""
-    omega = np.zeros(d * d)
-    omega[:: d + 1] = 1.0 / np.sqrt(d)
-    proj = np.outer(omega, omega).reshape(d, d, d, d)
-    j4 = np.zeros((d, 2 * d, d, 2 * d))
-    j4[:, :d, :, :d] = 0.5 * proj
-    j4[:, d:, :, d:] = 0.5 * ((1.0 - q) * proj + q * np.eye(d * d).reshape(d, d, d, d) / d**2)
-    return j4.reshape(2 * d * d, 2 * d * d)
 
 
 def _complement_choi(choi: np.ndarray, d_in: int, d_out: int) -> tuple[np.ndarray, int]:
     """Choi state of the complementary channel and its output dimension.
 
-    Purify the Choi state with one ``eigh`` and keep the input and purifying
-    registers.
+    Purify the Choi state and keep the input and purifying registers.
     """
-    evals, evecs = np.linalg.eigh(choi)
-    keep = evals > 1e-10 * evals[-1]
-    amp = (evecs[:, keep] * np.sqrt(evals[keep])).reshape(d_in, d_out, -1)
+    amp = purification_factor(choi, d_in, d_out)
     k = amp.shape[2]
     return np.einsum("abe,cbf->aecf", amp, amp.conj()).reshape(d_in * k, d_in * k), k
 
@@ -85,26 +54,26 @@ def _block_slices_vector(rng: np.random.Generator) -> np.ndarray:
 def documents() -> dict:
     """File name -> input document."""
     rng = np.random.default_rng(SEED)
-    haar_243 = _haar_vector(rng, 2 * 4 * 3)
-    haar_333 = _haar_vector(rng, 27)
+    haar_243 = gaussian_unit_vector(rng, 2 * 4 * 3)
+    haar_333 = gaussian_unit_vector(rng, 27)
     ghz = np.zeros(8)
     ghz[0] = ghz[7] = 1.0 / np.sqrt(2.0)
-    m = _haar_vector(rng, 2 * 4 * 3).reshape(8, 3)
+    m = gaussian_unit_vector(rng, 2 * 4 * 3).reshape(8, 3)
     blocks = _block_slices_vector(rng)
-    complement_3, k = _complement_choi(_flagged_depolarizing_choi(3, 0.5), 3, 6)
+    complement_3, k = _complement_choi(flagged_depolarizing_choi(3, 0.5), 3, 6)
     return {
-        "haar_2_4_3.json": {"dims": [2, 4, 3], "vector": _pairs(haar_243)},
-        "haar_3_3_3.json": {"dims": [3, 3, 3], "vector": _pairs(haar_333)},
-        "ghz.json": {"dims": [2, 2, 2], "vector": _pairs(ghz)},
-        "wh_choi.json": _matrix_doc(_werner_holevo_choi(), (3, 3)),
+        "haar_2_4_3.json": {"dims": [2, 4, 3], "vector": pairs(haar_243)},
+        "haar_3_3_3.json": {"dims": [3, 3, 3], "vector": pairs(haar_333)},
+        "ghz.json": {"dims": [2, 2, 2], "vector": pairs(ghz)},
+        "wh_choi.json": matrix_doc(antisymmetric_choi(), (3, 3)),
         "flagged_depolarizing_2.json": {
             "d_in": 2, "d_out": 4,
-            "choi": _matrix_doc(_flagged_depolarizing_choi(2, 0.5), (2, 4)),
+            "choi": matrix_doc(flagged_depolarizing_choi(2, 0.5), (2, 4)),
         },
-        "ab_of_haar_2_4_3.json": _matrix_doc(m @ m.conj().T, (2, 4)),
-        "blocks_3_6_4.json": {"dims": [3, 6, 4], "vector": _pairs(blocks)},
+        "ab_of_haar_2_4_3.json": matrix_doc(m @ m.conj().T, (2, 4)),
+        "blocks_3_6_4.json": {"dims": [3, 6, 4], "vector": pairs(blocks)},
         "flagged_complement_3.json": {
-            "d_in": 3, "d_out": k, "choi": _matrix_doc(complement_3, (3, k)),
+            "d_in": 3, "d_out": k, "choi": matrix_doc(complement_3, (3, k)),
         },
     }
 
@@ -149,9 +118,6 @@ def main() -> None:
             raise SystemExit(f"{name}: lrdistill {' '.join(argv)} exited {code}")
         with open(os.path.join(HERE, name + ".out"), "w", encoding="utf-8") as fh:
             fh.write(text)
-    with open(os.path.join(HERE, "cases.json"), "w", encoding="utf-8") as fh:
-        json.dump(CASES, fh, indent=2)
-        fh.write("\n")
 
 
 if __name__ == "__main__":

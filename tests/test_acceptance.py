@@ -36,7 +36,7 @@ from lrdistill import (
 from lrdistill.errors import RankNotLowError
 from lrdistill.states import bell_state, ghz_state
 
-from conftest import bell_with_trivial_env, numerical_rank, run_cli
+from conftest import bell_with_trivial_env, loop_partial_trace, npt_witness, numerical_rank, run_cli
 
 
 def _done(number, description, t0, limit):
@@ -130,17 +130,6 @@ def test_criterion_5_werner_holevo_suite():
     _done(5, "Werner-Holevo suite: spectrum, NPT, zero hashing rate, self-complement", t0, 5.0)
 
 
-def _ppt_oracle_both_reductions(amplitudes):
-    """Independent PPT check on both reductions of a 2x2x2 pure state."""
-    t = np.asarray(amplitudes).reshape(2, 2, 2)
-    verdicts = []
-    for spec in ("abe,cde->abcd", "abe,cbf->aecf"):
-        r4 = np.einsum(spec, t, t.conj())
-        pt = r4.transpose(0, 3, 2, 1).reshape(4, 4)
-        verdicts.append(np.linalg.eigvalsh(pt)[0] >= -1e-9)
-    return verdicts[0], verdicts[1]
-
-
 def test_criterion_6_classifier_end_to_end(tmp_path, capsys):
     t0 = time.perf_counter()
     ghz_path = tmp_path / "ghz.json"
@@ -165,7 +154,9 @@ def test_criterion_6_classifier_end_to_end(tmp_path, capsys):
         code, out, _ = run_cli(capsys, "analyze", str(state_path))
         assert code == 0
         report = json.loads(out)["report"]
-        ppt_ab, ppt_ae = _ppt_oracle_both_reductions(amp)
+        full = np.outer(amp, amp.conj())
+        ppt_ab, ppt_ae = (npt_witness(loop_partial_trace(full, (2, 2, 2), keep), (2, 2)) >= -1e-9
+                          for keep in ((0, 1), (0, 2)))
         expected = (
             "FULLY_UNDISTILLABLE_SEPARABLE"
             if (ppt_ab and ppt_ae)

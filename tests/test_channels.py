@@ -21,7 +21,7 @@ from lrdistill.errors import (
     SubsystemError,
 )
 
-from conftest import antisymmetric_choi, numerical_rank, random_choi
+from conftest import antisymmetric_choi, flagged_depolarizing_choi, numerical_rank, random_choi
 
 
 def identity_channel(d):
@@ -141,6 +141,13 @@ def test_choi_marginal_invariant():
 def test_flagged_depolarizing_ranks():
     assert numerical_rank(flagged_depolarizing_channel(2, 0.5).choi.matrix) == 5
     assert numerical_rank(flagged_depolarizing_channel(3, 0.5).choi.matrix) == 10
+
+
+@pytest.mark.parametrize("q", [0.05, 0.3, 0.5, 0.7, 0.95])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_flagged_depolarizing_choi_is_the_plain_one(d, q):
+    assert np.array_equal(flagged_depolarizing_channel(d, q).choi.matrix,
+                          flagged_depolarizing_choi(d, q))
 
 
 def test_flagged_depolarizing_parameter_checks():

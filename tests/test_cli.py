@@ -449,9 +449,9 @@ def test_eigensolver_calls_per_command(tmp_path, capsys, solver_calls):
 
 
 @pytest.mark.parametrize("args, message", [
-    (("sample", "4", "8", "6", "20", "--budget", "-1"), "budget must be >= 0, got -1"),
+    (("sample", "4", "8", "6", "20", "--budget", "-1"), "budget must be an integer >= 0, got -1"),
     (("sample", "4", "8", "6", "20", "--seed", "-1"), "seed must be an integer >= 0"),
-    (("analyze", "RHO", "--budget", "-1"), "budget must be >= 0, got -1"),
+    (("analyze", "RHO", "--budget", "-1"), "budget must be an integer >= 0, got -1"),
     (("analyze", "RHO", "--seed", "-1"), "seed must be an integer >= 0, got -1"),
     (("sample", "4", "8", "6", "20", "--rank-tol", "2"), "rank_tol must lie in (0, 1), got 2.0"),
     (("analyze", "RHO", "--rank-tol", "2"), "rank_tol must lie in (0, 1), got 2.0"),

@@ -12,14 +12,11 @@ import re
 
 import pytest
 
-from golden.build_corpus import HERE, run_case
+from golden.build_corpus import CASES, HERE, run_case
 from lrdistill import ChoiChannel, TripartitePureState
 from lrdistill.cli import _EXAMPLES, _load_state, build_parser
 
 FLOAT_TOL = 1e-12
-
-with open(os.path.join(HERE, "cases.json"), encoding="utf-8") as _fh:
-    CASES = json.load(_fh)
 
 _NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
 

@@ -30,7 +30,7 @@ from lrdistill.states import bell_state, maximally_mixed
 from conftest import (
     gaussian_unit_vector,
     loop_partial_trace,
-    loop_partial_transpose,
+    npt_witness,
     numerical_rank,
     random_choi,
     random_density,
@@ -243,10 +243,6 @@ def _ranks(rho):
             *(numerical_rank(loop_partial_trace(rho.matrix, rho.dims, (k,))) for k in (0, 1)))
 
 
-def _oracle_npt(rho, tol=1e-9):
-    return np.linalg.eigvalsh(loop_partial_transpose(rho.matrix, rho.dims, 1))[0] < -tol
-
-
 @PROPERTY
 @given(rho=bell_mixtures())
 def test_a_state_or_its_complement_gets_a_positive_two_way_rate(rho):
@@ -262,7 +258,7 @@ def test_a_state_or_its_complement_gets_a_positive_two_way_rate(rho):
     if r != r_b:
         # rank(AE) = rank(B) and rank(E) = rank(AB): one of the two is low rank
         assert rates
-    elif _oracle_npt(rho):
+    elif npt_witness(rho.matrix, rho.dims) < -1e-9:
         # rank(AB) = rank(B): the regime where NPT means 2-way distillable
         assert separability_verdict(rho).verdict == "entangled, 2-way distillable"
 

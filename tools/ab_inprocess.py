@@ -19,6 +19,12 @@ untimed cycle per tree counts the ``numpy.linalg`` calls per op.
 Prints the result and, with ``--out``, writes it as JSON: per-cycle
 medians and quartiles in ms, the base/head ratio of the medians, the
 number of rounds HEAD was faster, and the call counts.
+
+Ten rounds cannot resolve ``ensemble-small`` on a shared 2-core host. For a
+change whose sampling code was its parent's, a 10-round run read base/head
+0.889 (HEAD faster in 0 of 10 rounds), and a 20-round run right after it
+read 1.03 (HEAD faster in 11 of 20). A claim on that workload needs many
+more rounds than ten.
 """
 
 from __future__ import annotations
