@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import asdict, astuple, dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -78,27 +78,53 @@ class EnsembleSpec:
         }
 
 
+#: A sample's JSON keys and CSV columns, in this order: its stored fields and derived checks.
+SAMPLE_COLUMNS = ("index", "rank_state", "expected_rank_state", "rank_state_ok", "rank_marginal",
+                  "expected_rank_marginal", "rank_marginal_ok", "schmidt_ranks", "schmidt_ok",
+                  "low_rank", "witness_found", "witness_trials", "smallest_retained",
+                  "largest_discarded")
+
+
 @dataclass(frozen=True)
 class SampleRecord:
-    """Per-sample check results plus eigenvalue data for tolerance audits."""
+    """What one sample drawn under ``spec`` measured; its expected ranks and checks are derived."""
 
+    spec: EnsembleSpec = field(repr=False)
     index: int
     rank_state: int
-    expected_rank_state: int
-    rank_state_ok: bool
     rank_marginal: int
-    expected_rank_marginal: int
-    rank_marginal_ok: bool
     schmidt_ranks: tuple[int, ...]
-    schmidt_ok: bool
-    low_rank: bool
     witness_found: bool
     witness_trials: int
     smallest_retained: float
     largest_discarded: float | None
 
+    @property
+    def expected_rank_state(self) -> int:
+        return min(self.spec.d_e, self.spec.d_a * self.spec.d_b)
+
+    @property
+    def expected_rank_marginal(self) -> int:
+        return min(self.spec.d_b, self.spec.d_a * self.spec.d_e)
+
+    @property
+    def rank_state_ok(self) -> bool:
+        return self.rank_state == self.expected_rank_state
+
+    @property
+    def rank_marginal_ok(self) -> bool:
+        return self.rank_marginal == self.expected_rank_marginal
+
+    @property
+    def schmidt_ok(self) -> bool:
+        return all(s == min(self.spec.d_b, self.spec.d_e) for s in self.schmidt_ranks)
+
+    @property
+    def low_rank(self) -> bool:
+        return self.rank_state < self.rank_marginal
+
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return {name: getattr(self, name) for name in SAMPLE_COLUMNS}
 
 
 @dataclass(frozen=True)
@@ -130,48 +156,40 @@ class EnsembleReport:
         }
 
     def to_csv(self) -> str:
-        """One row per sample in ``SampleRecord`` field order, Schmidt ranks
+        """One row per sample in ``SAMPLE_COLUMNS`` order, Schmidt ranks
         joined by ``;``, None as an empty cell and floats as their ``repr``."""
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(f.name for f in fields(SampleRecord))
-        writer.writerows(
-            [";".join(map(str, v)) if isinstance(v, tuple) else v for v in astuple(s)]
-            for s in self.samples
-        )
+        writer.writerow(SAMPLE_COLUMNS)
+        writer.writerows([";".join(map(str, v)) if isinstance(v, tuple) else v
+                          for v in s.to_json_dict().values()] for s in self.samples)
         return buf.getvalue()
 
 
 def run_experiment(
     spec: EnsembleSpec, witness_budget: int = DEFAULT_WITNESS_BUDGET
 ) -> EnsembleReport:
-    """Sample n states from the induced measure and audit each one.
+    """Sample n states from the induced measure and record what each one measured.
 
-    Per sample: (i) rank of the state equals min(d_E, d_A*d_B); (ii) rank of
-    the B marginal equals min(d_B, d_A*d_E); (iii) every column of the
-    amplitude matrix (the BE vector conditioned on a basis vector of A) has
-    full Schmidt rank min(d_B, d_E), the rank of its reduced state on B at
-    the common cutoff; (iv) the one-way witness search finds a saturating
-    vector. All four hold with probability one for continuous
-    sampling, so the reported frequencies are expected to be exactly 1.0; a
-    lower value points at a tolerance problem, not at statistics.
-
-    Requires d_E < d_B so that sampled states are generically low rank.
+    Each ``SampleRecord`` derives four checks: (i) ``rank_state_ok``, the rank of the state
+    equals min(d_E, d_A*d_B); (ii) ``rank_marginal_ok``, the rank of the B marginal equals
+    min(d_B, d_A*d_E); (iii) ``schmidt_ok``, every column of the amplitude matrix (the BE
+    vector conditioned on a basis vector of A) has full Schmidt rank min(d_B, d_E), the rank
+    of its reduced state on B at the common cutoff; (iv) ``witness_found``, the one-way
+    witness search found a saturating vector. All four hold with probability one for
+    continuous sampling, so the reported frequencies are expected to be exactly 1.0; a lower
+    value points at a tolerance problem, not at statistics. Requires d_E < d_B so that
+    sampled states are generically low rank.
     """
     witness_budget = validated_count(witness_budget, "budget")
     if spec.d_e >= spec.d_b:
         raise EnsembleSpecError(
             f"experiment needs d_E < d_B, got d_E = {spec.d_e}, d_B = {spec.d_b}"
         )
-    expected_rank_state = min(spec.d_e, spec.d_a * spec.d_b)
-    expected_rank_marginal = min(spec.d_b, spec.d_a * spec.d_e)
-    expected_schmidt = min(spec.d_b, spec.d_e)
     records = []
     for k in range(spec.n_samples):
-        psi = sample_pure(
-            spec.d_a, spec.d_b, spec.d_e,
-            np.random.SeedSequence(entropy=spec.seed, spawn_key=(k,)),
-        )
+        psi = sample_pure(spec.d_a, spec.d_b, spec.d_e,
+                          np.random.SeedSequence(entropy=spec.seed, spawn_key=(k,)))
         amps = psi.amplitudes.reshape(psi.dims)
         rho = partial_trace(psi.density_matrix(), (0, 1))
         spectrum = solve_hermitian(rho.matrix, spec.rank_tol, vectors=False)
@@ -180,29 +198,11 @@ def run_experiment(
         rank_marginal = solve_hermitian(partial_trace(rho, (1,)).matrix, spec.rank_tol,
                                         vectors=False).rank
         basis_ranks = gram_ranks(amps, spec.rank_tol)
-        schmidt_ranks = tuple(int(r) for r in basis_ranks)
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=spec.seed, spawn_key=(k, 1))
-        )
-        phi, trials = _saturation_search(
-            amps, basis_ranks, min(rank_state, rank_marginal), witness_budget, rng, spec.rank_tol
-        )
-        records.append(
-            SampleRecord(
-                index=k,
-                rank_state=rank_state,
-                expected_rank_state=expected_rank_state,
-                rank_state_ok=rank_state == expected_rank_state,
-                rank_marginal=rank_marginal,
-                expected_rank_marginal=expected_rank_marginal,
-                rank_marginal_ok=rank_marginal == expected_rank_marginal,
-                schmidt_ranks=schmidt_ranks,
-                schmidt_ok=all(s == expected_schmidt for s in schmidt_ranks),
-                low_rank=rank_state < rank_marginal,
-                witness_found=phi is not None,
-                witness_trials=trials,
-                smallest_retained=spectrum.min_positive(),
-                largest_discarded=largest_discarded,
-            )
-        )
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed, spawn_key=(k, 1)))
+        phi, trials = _saturation_search(amps, basis_ranks, min(rank_state, rank_marginal),
+                                         witness_budget, rng, spec.rank_tol)
+        records.append(SampleRecord(
+            spec, k, rank_state, rank_marginal, tuple(int(r) for r in basis_ranks),
+            phi is not None, trials, spectrum.min_positive(), largest_discarded,
+        ))
     return EnsembleReport(spec=spec, witness_budget=witness_budget, samples=tuple(records))

@@ -6,8 +6,11 @@ CLI produced for them.
 Input documents are built from the plain-numpy references of
 ``tests/conftest.py``, never through ``lrdistill``, so they do not move when
 the library changes. ``CASES`` lists the CLI call made for each expected
-output ``<case>.out``; ``tests/test_golden.py`` replays them. Regenerate the
-outputs only for an intended, explained change of the reports.
+output ``<case>.out``; ``tests/test_golden.py`` replays them and compares
+with ``assert_output_close``. Regenerate the outputs only for an intended,
+explained change of the reports: a run rewrites only the input documents
+whose bytes change and the outputs that no longer pass that comparison, so
+float rounding of another numpy or BLAS build leaves the corpus as it is.
 """
 
 from __future__ import annotations
@@ -16,7 +19,9 @@ import contextlib
 import io
 import json
 import os
+import re
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -27,6 +32,9 @@ from conftest import (antisymmetric_choi, flagged_depolarizing_choi,  # noqa: E4
                       gaussian_unit_vector, matrix_doc, pairs, purification_factor)
 
 SEED = 20221
+FLOAT_TOL = 1e-12
+
+_NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
 
 
 def _complement_choi(choi: np.ndarray, d_in: int, d_out: int) -> tuple[np.ndarray, int]:
@@ -108,16 +116,78 @@ def run_case(argv: list[str]) -> tuple[int, str]:
     return code, out.getvalue()
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def strict_json(text: str):
+    """``json.loads`` that rejects NaN and the infinities, which strict JSON has not."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
+def assert_json_close(got, want, path="$"):
+    if isinstance(want, float):
+        assert isinstance(got, float), f"{path}: got {got!r}, expected a float"
+        assert abs(got - want) <= FLOAT_TOL, f"{path}: got {got!r}, expected {want!r}"
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and list(got) == list(want), f"{path}: keys differ"
+        for key in want:
+            assert_json_close(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), f"{path}: lengths differ"
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_json_close(g, w, f"{path}[{i}]")
+    else:
+        assert type(got) is type(want) and got == want, f"{path}: got {got!r}, expected {want!r}"
+
+
+def assert_text_close(got: str, want: str):
+    """Equal text apart from floats, which may differ by FLOAT_TOL."""
+    assert _NUMBER.split(got) == _NUMBER.split(want)
+    for g, w in zip(_NUMBER.findall(got), _NUMBER.findall(want)):
+        if any(c in w for c in ".eE"):
+            assert abs(float(g) - float(w)) <= FLOAT_TOL, (g, w)
+        else:
+            assert g == w
+
+
+def assert_output_close(argv: list[str], got: str, want: str):
+    """The golden comparison of the CLI's stdout on ``argv``: a JSON report field by field
+    (discrete fields exactly, floats within FLOAT_TOL), ``--format`` text token by token."""
+    if "--format" in argv:
+        assert_text_close(got, want)
+    else:
+        assert_json_close(strict_json(got), json.loads(want))
+
+
+def _output_unchanged(argv: list[str], text: str, old: str) -> bool:
+    try:
+        assert_output_close(argv, text, old)
+    except (AssertionError, ValueError):  # ValueError: an old output that is not JSON
+        return False
+    return True
+
+
+def _write_if_changed(path: str, text: str, unchanged) -> None:
+    """Write ``text`` to ``path`` unless ``unchanged`` holds for the file already there."""
+    if os.path.exists(path):
+        with open(path, encoding="utf-8", newline="") as fh:
+            if unchanged(fh.read()):
+                return
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def main() -> None:
     for name, doc in documents().items():
-        with open(os.path.join(HERE, name), "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
+        text = json.dumps(doc)
+        _write_if_changed(os.path.join(HERE, name), text, text.__eq__)
     for name, argv in CASES.items():
         code, text = run_case(argv)
         if code != 0:
             raise SystemExit(f"{name}: lrdistill {' '.join(argv)} exited {code}")
-        with open(os.path.join(HERE, name + ".out"), "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_if_changed(os.path.join(HERE, name + ".out"), text,
+                          partial(_output_unchanged, argv, text))
 
 
 if __name__ == "__main__":

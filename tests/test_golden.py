@@ -2,23 +2,20 @@
 
 Discrete fields (ranks, verdicts, rate statuses, flags, ``trials_used``) must
 match exactly; floats must match within 1e-12. ``golden/build_corpus.py``
-describes how the corpus was made. Every JSON report, and every ``example``
-document, must also survive a strict JSON round trip.
+describes how the corpus was made and holds that comparison, which its
+``main()`` also uses to leave unchanged outputs alone. Every JSON report, and
+every ``example`` document, must also survive a strict JSON round trip.
 """
 
 import json
 import os
-import re
 
 import pytest
 
-from golden.build_corpus import CASES, HERE, run_case
+from golden.build_corpus import (CASES, HERE, assert_json_close, assert_output_close,
+                                 assert_text_close, run_case, strict_json)
 from lrdistill import ChoiChannel, TripartitePureState
 from lrdistill.cli import _EXAMPLES, _load_state, build_parser
-
-FLOAT_TOL = 1e-12
-
-_NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
 
 
 def _expected(name: str) -> str:
@@ -26,45 +23,11 @@ def _expected(name: str) -> str:
         return fh.read()
 
 
-def _reject_constant(name):
-    raise ValueError(f"{name} is not strict JSON")
-
-
-def assert_json_close(got, want, path="$"):
-    if isinstance(want, float):
-        assert isinstance(got, float), f"{path}: got {got!r}, expected a float"
-        assert abs(got - want) <= FLOAT_TOL, f"{path}: got {got!r}, expected {want!r}"
-    elif isinstance(want, dict):
-        assert isinstance(got, dict) and list(got) == list(want), f"{path}: keys differ"
-        for key in want:
-            assert_json_close(got[key], want[key], f"{path}.{key}")
-    elif isinstance(want, list):
-        assert isinstance(got, list) and len(got) == len(want), f"{path}: lengths differ"
-        for i, (g, w) in enumerate(zip(got, want)):
-            assert_json_close(g, w, f"{path}[{i}]")
-    else:
-        assert type(got) is type(want) and got == want, f"{path}: got {got!r}, expected {want!r}"
-
-
-def assert_text_close(got: str, want: str):
-    """Equal text apart from floats, which may differ by FLOAT_TOL."""
-    assert _NUMBER.split(got) == _NUMBER.split(want)
-    for g, w in zip(_NUMBER.findall(got), _NUMBER.findall(want)):
-        if any(c in w for c in ".eE"):
-            assert abs(float(g) - float(w)) <= FLOAT_TOL, (g, w)
-        else:
-            assert g == w
-
-
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name):
     code, text = run_case(CASES[name])
     assert code == 0
-    want = _expected(name)
-    if "--format" in CASES[name]:
-        assert_text_close(text, want)
-    else:
-        assert_json_close(json.loads(text, parse_constant=_reject_constant), json.loads(want))
+    assert_output_close(CASES[name], text, _expected(name))
 
 
 def test_comparison_catches_a_changed_field():
@@ -93,7 +56,7 @@ JSON_CALLS = {
 def test_json_output_round_trips_byte_for_byte(name):
     code, text = run_case(JSON_CALLS[name])
     assert code == 0
-    doc = json.loads(text, parse_constant=_reject_constant)
+    doc = strict_json(text)
     assert json.dumps(doc, indent=2) + "\n" == text
 
 

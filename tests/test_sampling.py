@@ -171,3 +171,25 @@ def test_experiment_csv_columns_are_the_json_fields():
                 assert float(cell) == value  # repr round-trips exactly
             else:
                 assert cell == str(value)
+
+
+def test_a_record_derives_its_verdicts_from_its_ranks():
+    report = run_experiment(EnsembleSpec(d_a=2, d_b=4, d_e=3, n_samples=3, seed=2))
+    first = report.samples[0]
+    assert (first.rank_state, first.rank_marginal, first.schmidt_ranks) == (3, 4, (3, 3))
+    assert first.rank_state_ok and first.schmidt_ok and first.low_rank
+    # rank(state) = rank(marginal) = 4 against the generic 3, and one column of Schmidt rank 2
+    changed = replace(first, rank_state=4, schmidt_ranks=(2, 3))
+    assert not changed.rank_state_ok and changed.rank_marginal_ok
+    assert not changed.low_rank and not changed.schmidt_ok
+    doc = changed.to_json_dict()
+    assert doc["rank_state"] == 4 and doc["expected_rank_state"] == 3
+    assert doc["schmidt_ranks"] == (2, 3)
+    assert (doc["rank_state_ok"], doc["schmidt_ok"], doc["low_rank"]) == (False, False, False)
+    report = replace(report, samples=(changed, *report.samples[1:]))
+    header, row, *_ = csv.reader(io.StringIO(report.to_csv()))
+    cells = dict(zip(header, row))
+    assert (cells["rank_state"], cells["schmidt_ranks"]) == ("4", "2;3")
+    assert (cells["rank_state_ok"], cells["schmidt_ok"], cells["low_rank"]) == ("False",) * 3
+    assert report.frequencies == {"rank_state": 2 / 3, "rank_marginal": 1.0,
+                                  "schmidt_full": 2 / 3, "witness_found": 1.0}

@@ -139,9 +139,14 @@ MUTANTS = [
      "purify(rho, rank_tol).reduction((0, 1))",
      "complement: returns the state itself instead of its complement",
      [f"{ACCEPTANCE}4_flagged_depolarizing_regression"]),
-    ("sampling.py", "writer.writerow(f.name for f in fields(SampleRecord))", "pass",
+    ("sampling.py", "writer.writerow(SAMPLE_COLUMNS)", "pass",
      "EnsembleReport.to_csv: no header row",
      ["tests/test_sampling.py::test_experiment_csv_columns_are_the_json_fields"]),
+    ("sampling.py", "return all(s == min(self.spec.d_b, self.spec.d_e)",
+     "return any(s == min(self.spec.d_b, self.spec.d_e)",
+     "SampleRecord.schmidt_ok: one column of full Schmidt rank passes; random samples have all "
+     "or none, so only a record with a changed Schmidt rank tells the two apart",
+     ["tests/test_sampling.py::test_a_record_derives_its_verdicts_from_its_ranks"]),
     ("states.py", "if isinstance(value, bool) or not isinstance(value, Integral) or value < 0:",
      "if not isinstance(value, Integral) or value < 0:",
      "validated_count: True is taken as the seed or budget 1",
