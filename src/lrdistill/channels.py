@@ -24,7 +24,8 @@ TRACE_PRESERVATION_TOL = 1e-6
 def maximally_entangled(d: int) -> np.ndarray:
     """Unit vector (1/sqrt(d)) sum_i |ii> on C^d (x) C^d."""
     d = validated_dimension(d, "dimension", BadParameterError)
-    if d * d > np.iinfo(np.intp).max:
+    # numpy caps an array's size in bytes, 16 per complex128 entry, at intp's maximum
+    if 16 * d * d > np.iinfo(np.intp).max:
         raise BadParameterError(f"dimension {d}: d^2 = {d * d} exceeds the largest array size")
     v = np.zeros(d * d, dtype=np.complex128)
     v[:: d + 1] = 1.0 / np.sqrt(d)
@@ -124,7 +125,7 @@ def flagged_depolarizing_channel(d: int, q: float = 0.5) -> ChoiChannel:
     if d < 2:
         raise BadParameterError(f"input dimension must be >= 2, got {d}")
     validated_tolerance(q, "depolarizing strength q", BadParameterError)
-    if (2 * d * d) ** 2 > np.iinfo(np.intp).max:
+    if 16 * (2 * d * d) ** 2 > np.iinfo(np.intp).max:
         raise BadParameterError(f"input dimension {d}: Choi matrix exceeds the largest array size")
     omega = maximally_entangled(d)
     j_identity = np.outer(omega, omega.conj())

@@ -34,7 +34,8 @@ def sample_pure(
     """
     dims = tuple(validated_dimension(d, "dimension", EnsembleSpecError) for d in (d_a, d_b, d_e))
     n = dims[0] * dims[1] * dims[2]
-    if n > np.iinfo(np.intp).max:
+    # numpy caps an array's size in bytes, 16 per complex128 entry, at intp's maximum
+    if 16 * n > np.iinfo(np.intp).max:
         raise EnsembleSpecError(f"d_A * d_B * d_E = {n} exceeds the largest array size")
     rng = np.random.default_rng(validated_seed(seed, EnsembleSpecError, sequence=True))
     amp = rng.standard_normal(n) + 1j * rng.standard_normal(n)

@@ -2,8 +2,8 @@
 random-state generators, the channel and document builders that the golden
 corpus (``tests/golden/build_corpus.py``) is made from, and the witness
 certificate's factor families (which ``tools/witness_certificate_grid.py``
-also samples). Also the in-process CLI runner and the one spy on the
-``numpy.linalg`` solvers.
+also samples). Also the in-process CLI runner, the one spy on the
+``numpy.linalg`` solvers and the one hypothesis profile of the property tests.
 
 The references deliberately avoid the library's code paths (explicit index
 loops instead of einsum, isometry construction and entrywise Choi matrices
@@ -16,6 +16,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from lrdistill import (DensityMatrix, TripartitePureState, complement, local_filter,
                        partial_trace, partial_transpose)
@@ -24,6 +25,11 @@ from lrdistill.kernels import DEFAULT_RANK_TOL
 
 #: The ``numpy.linalg`` solvers that only ``lrdistill.kernels`` may call.
 SOLVERS = ("eigh", "eigvalsh", "eig", "svd")
+
+# Every property test draws the same examples on every run. A test sets its own
+# ``@settings`` only for another ``max_examples`` or a health-check suppression.
+settings.register_profile("lrdistill", max_examples=40, deadline=None, derandomize=True)
+settings.load_profile("lrdistill")
 
 
 def loop_partial_trace(mat, dims, keep):
@@ -45,6 +51,12 @@ def loop_partial_trace(mat, dims, keep):
                 c = c * dims[i] + col[i]
             out[r, c] += t[row + col]
     return out
+
+
+def loop_reductions(vector, dims, *keeps):
+    """The reductions of |v><v| to each tuple of parties in ``keeps``, by ``loop_partial_trace``."""
+    full = np.outer(vector, np.conj(vector))
+    return [loop_partial_trace(full, dims, keep) for keep in keeps]
 
 
 def loop_partial_transpose(mat, dims, subsystem):
@@ -125,13 +137,41 @@ def bell_with_trivial_env():
     return TripartitePureState((2, 2, 2), v)
 
 
+def haar_state(dims, seed):
+    """Pure state on ``dims`` with the Gaussian unit vector that ``seed`` draws."""
+    rng = np.random.default_rng(seed)
+    return TripartitePureState(dims, gaussian_unit_vector(rng, int(np.prod(dims))))
+
+
+def tilted_state():
+    """sqrt(0.9)|00> + sqrt(0.1)|11> -- the worked scalar example."""
+    v = np.zeros(4, dtype=complex)
+    v[0] = np.sqrt(0.9)
+    v[3] = np.sqrt(0.1)
+    return DensityMatrix((2, 2), np.outer(v, v.conj()))
+
+
+def tiles_upb_state():
+    """(1 - P) / 4 on C^3 (x) C^3, P the projector onto the five Tiles product vectors.
+
+    The Tiles unextendible product basis of Bennett et al., PRL 82, 5385
+    (1999): the state is PPT and entangled, of rank 4 > rank(rho_A) =
+    rank(rho_B) = 3, with eigenvalues 1/4 on its support. A real array with
+    rational entries.
+    """
+    tiles = [((1, 0, 0), (1, -1, 0)), ((1, -1, 0), (0, 0, 1)), ((0, 0, 1), (0, 1, -1)),
+             ((0, 1, -1), (1, 0, 0)), ((1, 1, 1), (1, 1, 1))]
+    proj = np.zeros((9, 9))
+    for a, b in tiles:
+        v = np.kron(a, b)
+        proj += np.outer(v, v) / (v @ v)
+    return (np.eye(9) - proj) / 4
+
+
 def random_density(d_a, d_b, d_e, seed):
     """Random induced-measure state built directly with numpy."""
-    rng = np.random.default_rng(seed)
-    v = gaussian_unit_vector(rng, d_a * d_b * d_e)
-    full = np.outer(v, v.conj())
-    mat = loop_partial_trace(full, (d_a, d_b, d_e), (0, 1))
-    return DensityMatrix((d_a, d_b), mat)
+    v = gaussian_unit_vector(np.random.default_rng(seed), d_a * d_b * d_e)
+    return DensityMatrix((d_a, d_b), loop_reductions(v, (d_a, d_b, d_e), (0, 1))[0])
 
 
 def random_separable(rng, d_a, d_b, r):
@@ -157,9 +197,7 @@ def random_choi(d_in, d_out, d_env, seed):
     v = random_isometry(rng, d_in, d_out * d_env)
     # |psi> = (1/sqrt(d_in)) sum_i |i> (x) V|i>, then trace out the environment
     psi = (v.T / np.sqrt(d_in)).reshape(-1)
-    full = np.outer(psi, psi.conj())
-    mat = loop_partial_trace(full, (d_in, d_out, d_env), (0, 1))
-    return DensityMatrix((d_in, d_out), mat)
+    return DensityMatrix((d_in, d_out), loop_reductions(psi, (d_in, d_out, d_env), (0, 1))[0])
 
 
 def flagged_depolarizing_choi(d, q):
@@ -185,6 +223,13 @@ def purification_factor(matrix, d_a, d_b):
     lams, vecs = np.linalg.eigh(matrix)
     keep = lams > 1e-10 * lams[-1]
     return (vecs[:, keep] * np.sqrt(lams[keep])).reshape(d_a, d_b, -1)
+
+
+def complement_matrix(matrix, d_a, d_b):
+    """rho_AE of ``purification_factor``'s purification, on C^d_a (x) C^k: the complement."""
+    amp = purification_factor(matrix, d_a, d_b)
+    k = amp.shape[2]
+    return np.einsum("abe,cbf->aecf", amp, amp.conj()).reshape(d_a * k, d_a * k)
 
 
 def flagged_complement_factor(d, q):

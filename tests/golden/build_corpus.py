@@ -28,23 +28,13 @@ import numpy as np
 HERE = os.path.dirname(os.path.abspath(__file__))
 if __name__ == "__main__":  # run as a script: conftest sits one directory up
     sys.path.insert(0, os.path.dirname(HERE))
-from conftest import (antisymmetric_choi, flagged_depolarizing_choi,  # noqa: E402
-                      gaussian_unit_vector, matrix_doc, pairs, purification_factor)
+from conftest import (antisymmetric_choi, complement_matrix,  # noqa: E402
+                      flagged_depolarizing_choi, gaussian_unit_vector, matrix_doc, pairs)
 
 SEED = 20221
 FLOAT_TOL = 1e-12
 
 _NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
-
-
-def _complement_choi(choi: np.ndarray, d_in: int, d_out: int) -> tuple[np.ndarray, int]:
-    """Choi state of the complementary channel and its output dimension.
-
-    Purify the Choi state and keep the input and purifying registers.
-    """
-    amp = purification_factor(choi, d_in, d_out)
-    k = amp.shape[2]
-    return np.einsum("abe,cbf->aecf", amp, amp.conj()).reshape(d_in * k, d_in * k), k
 
 
 def _block_slices_vector(rng: np.random.Generator) -> np.ndarray:
@@ -68,7 +58,9 @@ def documents() -> dict:
     ghz[0] = ghz[7] = 1.0 / np.sqrt(2.0)
     m = gaussian_unit_vector(rng, 2 * 4 * 3).reshape(8, 3)
     blocks = _block_slices_vector(rng)
-    complement_3, k = _complement_choi(flagged_depolarizing_choi(3, 0.5), 3, 6)
+    # the complementary channel's Choi state, on C^3 (x) C^k
+    complement_3 = complement_matrix(flagged_depolarizing_choi(3, 0.5), 3, 6)
+    k = len(complement_3) // 3
     return {
         "haar_2_4_3.json": {"dims": [2, 4, 3], "vector": pairs(haar_243)},
         "haar_3_3_3.json": {"dims": [3, 3, 3], "vector": pairs(haar_333)},

@@ -36,7 +36,8 @@ from lrdistill import (
 from lrdistill.errors import RankNotLowError
 from lrdistill.states import bell_state, ghz_state
 
-from conftest import bell_with_trivial_env, loop_partial_trace, npt_witness, numerical_rank, run_cli
+from conftest import (bell_with_trivial_env, haar_state, loop_reductions,
+                      npt_witness, numerical_rank, pairs, run_cli)
 
 
 def _done(number, description, t0, limit):
@@ -146,17 +147,14 @@ def test_criterion_6_classifier_end_to_end(tmp_path, capsys):
 
     state_path = tmp_path / "random.json"
     for seed in range(200):
-        rng = np.random.default_rng(seed)
-        amp = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        amp /= np.linalg.norm(amp)
-        doc = {"dims": [2, 2, 2], "vector": [[z.real, z.imag] for z in amp]}
+        amp = haar_state((2, 2, 2), seed).amplitudes
+        doc = {"dims": [2, 2, 2], "vector": pairs(amp)}
         state_path.write_text(json.dumps(doc))
         code, out, _ = run_cli(capsys, "analyze", str(state_path))
         assert code == 0
         report = json.loads(out)["report"]
-        full = np.outer(amp, amp.conj())
-        ppt_ab, ppt_ae = (npt_witness(loop_partial_trace(full, (2, 2, 2), keep), (2, 2)) >= -1e-9
-                          for keep in ((0, 1), (0, 2)))
+        ppt_ab, ppt_ae = (npt_witness(reduced, (2, 2)) >= -1e-9
+                          for reduced in loop_reductions(amp, (2, 2, 2), (0, 1), (0, 2)))
         expected = (
             "FULLY_UNDISTILLABLE_SEPARABLE"
             if (ppt_ab and ppt_ae)

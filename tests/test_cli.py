@@ -15,7 +15,8 @@ from lrdistill.errors import InputError
 from lrdistill.states import (DensityMatrix, TripartitePureState, bell_state, complex_pairs,
                               ghz_state)
 
-from conftest import bell_with_trivial_env, fail_solver, gaussian_unit_vector, run_cli
+from conftest import (bell_with_trivial_env, fail_solver, gaussian_unit_vector, matrix_doc,
+                      run_cli, tilted_state)
 
 ALL_EXAMPLES = ["bell", "ghz", "maximally-mixed", "werner-holevo", "wh-choi", "flagged-depolarizing"]
 
@@ -198,8 +199,7 @@ _DOCS = st.one_of(
 )
 
 
-@settings(max_examples=300, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(doc=_DOCS)
 def test_the_reader_returns_a_state_or_raises_an_input_error(tmp_path, doc):
     # Any other exception, or any warning (an error under pytest), fails the example.
@@ -239,13 +239,7 @@ def test_analyze_rejects_csv(tmp_path, capsys):
 
 
 def test_filter_reports(tmp_path, capsys):
-    v = np.zeros(4)
-    v[0], v[3] = np.sqrt(0.9), np.sqrt(0.1)
-    doc = {
-        "dims": [2, 2],
-        "matrix": [[[x * y, 0.0] for y in v] for x in v],
-    }
-    path = write_state(tmp_path, "tilted.json", doc)
+    path = write_state(tmp_path, "tilted.json", matrix_doc(tilted_state().matrix, (2, 2)))
     code, out, _ = run_cli(capsys, "filter", path, "--side", "B")
     assert code == 0
     report = json.loads(out)
@@ -274,15 +268,21 @@ def test_sample_bad_spec(capsys):
     assert "d_E < d_B" in err
 
 
-def test_sample_with_an_unallocatable_size_exits_2(capsys):
-    code, out, err = run_cli(capsys, "sample", "2", "1" + "0" * 30, "1", "1")
+# numpy refuses an array whose size in bytes exceeds intp's maximum: "elements" overflows
+# it by its count of entries alone, "bytes" only by the 16 bytes of each complex entry
+@pytest.mark.parametrize("dims", [("2", "1" + "0" * 30, "1"), ("2", str(2**30), str(2**29))],
+                         ids=["elements", "bytes"])
+def test_sample_with_an_unallocatable_size_exits_2(capsys, dims):
+    code, out, err = run_cli(capsys, "sample", *dims, "1")
     assert code == 2 and out == ""
     assert "exceeds the largest array size" in err
 
 
-def test_example_with_an_unallocatable_dimension_exits_2(capsys):
-    # d^2 alone overflows an array size, so no placement of the check can allocate
-    code, out, err = run_cli(capsys, "example", "flagged-depolarizing", "--d", str(10**10))
+@pytest.mark.parametrize("d", [10**10, 30000], ids=["elements", "bytes"])
+def test_example_with_an_unallocatable_dimension_exits_2(capsys, d):
+    # the check comes before any allocation: at d = 30000 the Choi matrix's
+    # (2 d^2)^2 entries fit intp, but not its bytes, and d^2 entries alone take 14 GB
+    code, out, err = run_cli(capsys, "example", "flagged-depolarizing", "--d", str(d))
     assert code == 2 and out == ""
     assert "exceeds the largest array size" in err
 

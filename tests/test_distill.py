@@ -44,16 +44,8 @@ from lrdistill.kernels import DEFAULT_RANK_TOL
 from lrdistill.states import bell_state, ghz_state, maximally_mixed
 
 from conftest import (DECLINING_FACTORS, bell_with_trivial_env, fail_solver,
-                      flagged_complement_factor, gaussian, gaussian_unit_vector,
-                      loop_conditioned_rank, loop_partial_trace, numerical_rank, perturbed)
-
-
-def tilted_state():
-    """sqrt(0.9)|00> + sqrt(0.1)|11> -- the worked scalar example."""
-    v = np.zeros(4, dtype=complex)
-    v[0] = np.sqrt(0.9)
-    v[3] = np.sqrt(0.1)
-    return DensityMatrix((2, 2), np.outer(v, v.conj()))
+                      flagged_complement_factor, gaussian, haar_state, loop_conditioned_rank,
+                      loop_reductions, numerical_rank, perturbed, tilted_state)
 
 
 # --- local filter ------------------------------------------------------------
@@ -232,7 +224,6 @@ def assert_search_matches_loop_oracle(factor, budget, seed):
 SHAPES = ("haar", "rank_one_slices", "shared_column")
 
 
-@settings(max_examples=40, deadline=None)
 @given(
     dims=st.tuples(*[st.integers(1, 4)] * 3),
     shape=st.sampled_from(SHAPES),
@@ -284,7 +275,7 @@ def assert_witness_matches_loop_oracle(rho, budget, seed):
     return target, out
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(
     r=st.integers(2, 3),
     extra=st.tuples(st.integers(1, 3), st.integers(1, 3)),
@@ -337,8 +328,8 @@ def test_hit_at_a_batch_boundary(monkeypatch, haar_trial):
     assert batch_sizes == [d_a] + want_sizes
 
 
-def spy_on_search(monkeypatch, certify=True):
-    """Record each ``ratio_bound`` value and each ranked batch; ``certify=False`` makes it inf.
+def spy_on_search(monkeypatch, value=None):
+    """Record each ``ratio_bound`` value and each ranked batch; a ``value`` replaces the bound.
 
     The batches are the basis batch, then the Haar batches.
     """
@@ -346,7 +337,7 @@ def spy_on_search(monkeypatch, certify=True):
     real_bound, real_ranks = distill.ratio_bound, distill.gram_ranks
 
     def bound(factor):
-        bounds.append(real_bound(factor) if certify else np.inf)
+        bounds.append(real_bound(factor) if value is None else value)
         return bounds[-1]
 
     def ranks(k, *args):
@@ -372,7 +363,7 @@ def test_certified_search_matches_loop_oracle_and_the_haar_loop(d, q):
     assert not out.found and out.trials_used == d + budget
     assert batches == [d] and len(bounds) == 1 and bounds[0] <= DEFAULT_RANK_TOL
     with pytest.MonkeyPatch.context() as mp:
-        bounds, batches = spy_on_search(mp, certify=False)
+        bounds, batches = spy_on_search(mp, value=np.inf)
         looped = find_one_way_witness(rho, budget=budget, seed=seed)
     assert batches == [d, 64, 36]
     assert looped.to_json_dict() == out.to_json_dict()
@@ -390,17 +381,34 @@ def test_a_certified_search_draws_nothing(d):
     assert rng.bit_generator.state == before
 
 
+def test_a_ratio_bound_equal_to_rank_tol_certifies(monkeypatch):
+    # the bound proves that every Haar trial misses when it is <= rank_tol, equality
+    # included: the search ends after the basis batch, with no Haar batch ranked
+    bounds, batches = spy_on_search(monkeypatch, value=DEFAULT_RANK_TOL)
+    factor = flagged_complement_factor(3, 0.5)
+    out = distill._saturation_search(
+        factor, distill.gram_ranks(factor, DEFAULT_RANK_TOL), factor.shape[2], 200,
+        np.random.default_rng(0), DEFAULT_RANK_TOL)
+    assert out == (None, 3 + 200)
+    assert bounds == [DEFAULT_RANK_TOL] and batches == [3]
+
+
+# Haar batches double from 64 trials up to 256, and the last one holds what is left
+@pytest.mark.parametrize("budget, haar_batches", [(200, [64, 128, 8]),
+                                                  (705, [64, 128, 256, 256, 1])],
+                         ids=["200", "705"])
 @pytest.mark.parametrize("family", DECLINING_FACTORS)
-def test_a_quadratic_kernel_declines_the_bound_and_the_haar_loop_runs(monkeypatch, family):
+def test_a_quadratic_kernel_declines_the_bound_and_the_haar_loop_runs(monkeypatch, family,
+                                                                      budget, haar_batches):
     # K(v) has rank 2 < m = 3 for every v, but its kernel is quadratic in v (L2, L2(Ay))
     # or has a P singular to rounding (singular P): the bound proves nothing, and the
-    # Haar loop ranks all 200 trials
+    # Haar loop ranks every trial of the budget
     bounds, batches = spy_on_search(monkeypatch)
     factor = DECLINING_FACTORS[family](np.random.default_rng(3))
     d_a = factor.shape[0]
-    assert assert_search_matches_loop_oracle(factor, 200, seed=5) == d_a + 200
+    assert assert_search_matches_loop_oracle(factor, budget, seed=5) == d_a + budget
     assert len(bounds) == 1 and bounds[0] > DEFAULT_RANK_TOL
-    assert batches == [d_a, 64, 128, 8]
+    assert batches == [d_a, *haar_batches]
 
 
 @pytest.mark.parametrize("seed, trials", [(0, 253), (4, 79), (9, 166)])
@@ -483,9 +491,8 @@ def test_classify_werner_holevo_purification():
     assert abs(report.reduction_ab.hashing_rate) <= 1e-9
     assert abs(report.reduction_ae.hashing_rate) <= 1e-9
     # both reductions share the antisymmetric-projector spectrum
-    full = np.outer(psi.amplitudes, psi.amplitudes.conj())
-    for keep in ((0, 1), (0, 2)):
-        spec = np.linalg.eigvalsh(loop_partial_trace(full, psi.dims, keep))[::-1]
+    for reduced in loop_reductions(psi.amplitudes, psi.dims, (0, 1), (0, 2)):
+        spec = np.linalg.eigvalsh(reduced)[::-1]
         assert np.allclose(spec, [1 / 3] * 3 + [0.0] * 6, atol=1e-9)
 
 
@@ -541,11 +548,6 @@ def test_verdict_maximally_mixed_out_of_regime():
 # --- one spectrum per operator ------------------------------------------------------
 
 
-def haar_state(dims, seed):
-    rng = np.random.default_rng(seed)
-    return TripartitePureState(dims, gaussian_unit_vector(rng, int(np.prod(dims))))
-
-
 def test_classify_eigensolver_count(solver_calls):
     classify(haar_state((2, 4, 3), 0))
     # rho_A, rho_B, rho_E, two partial transposes and the AB witness search's basis batch
@@ -584,13 +586,11 @@ def test_separability_verdict_builds_no_purification(monkeypatch, solver_calls):
 
 
 def test_each_record_names_its_ranks_by_its_parties():
-    dims = (2, 4, 3)
-    rng = np.random.default_rng(1)
-    v = rng.standard_normal(24) + 1j * rng.standard_normal(24)
-    report = classify(TripartitePureState(dims, v / np.linalg.norm(v)))
-    pure = np.outer(v, v.conj()) / np.vdot(v, v).real
-    want = {"".join("ABE"[k] for k in keep): numerical_rank(loop_partial_trace(pure, dims, keep))
-            for keep in ((0, 1), (0,), (1,), (0, 2), (2,))}
+    psi = haar_state((2, 4, 3), 1)
+    report = classify(psi)
+    keeps = ((0, 1), (0,), (1,), (0, 2), (2,))
+    want = {"".join("ABE"[k] for k in keep): numerical_rank(reduced)
+            for keep, reduced in zip(keeps, loop_reductions(psi.amplitudes, psi.dims, *keeps))}
     record_ab = report.reduction_ab.separability.to_json_dict()
     record_ae = report.reduction_ae.separability.to_json_dict()
     assert list(record_ab["ranks"].items()) == [(k, want[k]) for k in ("AB", "A", "B", "AE", "E")]

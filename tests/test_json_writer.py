@@ -22,8 +22,6 @@ from conftest import gaussian_unit_vector
 
 from test_golden import CASES
 
-PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
-
 #: Floats at the edges of ``repr``: signed zero, subnormals, huge and tiny
 #: exponents, integral values and the three non-finite values.
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1e300,
@@ -62,13 +60,13 @@ def assert_writes_like_json(value):
     assert cli._dump_json(value) == json.dumps(value, indent=2) + "\n"
 
 
-@PROPERTY
+@settings(max_examples=200)
 @given(json_values)
 def test_the_writer_matches_json_dumps_on_any_json_value(value):
     assert_writes_like_json(value)
 
 
-@PROPERTY
+@settings(max_examples=200)
 @given(float_arrays(finite_floats))
 def test_regular_float_arrays_match_json_dumps(value):
     assert_writes_like_json(value)

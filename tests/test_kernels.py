@@ -9,8 +9,8 @@ from lrdistill.errors import (NonConvergenceError, NoPositiveEigenvalueError, No
 from lrdistill.kernels import gram_ranks, ratio_bound
 
 from conftest import (antisymmetric_choi, conditioned, fail_solver, flagged_complement_factor,
-                      gaussian, gaussian_unit_vector, loop_partial_trace, numerical_rank,
-                      perturbed, random_psd, trial_ratios)
+                      gaussian, gaussian_unit_vector, loop_reductions, numerical_rank,
+                      perturbed, random_isometry, random_psd, trial_ratios)
 from test_tolerances import EDGE_TOLS
 
 
@@ -83,17 +83,12 @@ def test_gram_ranks_match_rank_of_each_marginal(rng, shape):
     assert list(got) == list(range(min(p, q) + 1))
 
 
-def isometry(rng, d, m):
-    """d x m with orthonormal columns, from the QR of a complex Gaussian."""
-    return np.linalg.qr(gaussian(rng, d, m))[0]
-
-
 def gram_stack(rng, shape, n, spectrum):
     """n matrices K of ``shape`` whose smaller Gram matrix has eigenvalues ``spectrum()``."""
     p, q = shape
     m = min(p, q)
-    return np.array([(isometry(rng, p, m) * np.sqrt(spectrum())) @ isometry(rng, q, m).conj().T
-                     for _ in range(n)])
+    return np.array([(random_isometry(rng, m, p) * np.sqrt(spectrum()))
+                     @ random_isometry(rng, m, q).conj().T for _ in range(n)])
 
 
 def smaller_gram(k):
@@ -138,7 +133,7 @@ def conditioned_cases(draw):
     return (*conditioned_on(rng, k), k, m - draw(st.sampled_from([0, 0, 0, 1])), tol)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(conditioned_cases())
 def test_conditioned_ranks_match_an_eigensolve_of_each_gram_matrix(case):
     # the K formed from the trial vectors, as the witness search forms it
@@ -248,7 +243,7 @@ def test_rank_induced_measure_marginal():
     # the AB marginal of a random pure state on 2x4x3 has rank min(d_E, d_A*d_B) = 3
     rng = np.random.default_rng(11)
     v = gaussian_unit_vector(rng, 24)
-    rho = loop_partial_trace(np.outer(v, v.conj()), (2, 4, 3), (0, 1))
+    rho = loop_reductions(v, (2, 4, 3), (0, 1))[0]
     assert rank(rho) == 3
     # cross-check against a plain eigenvalue count
     evals = np.linalg.eigvalsh(rho)

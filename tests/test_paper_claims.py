@@ -10,7 +10,7 @@ code under test.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from lrdistill import (
@@ -25,20 +25,24 @@ from lrdistill import (
     separability_verdict,
 )
 
+from lrdistill.distill import VERDICT_DISTILLABLE, VERDICT_PPT_UNDECIDED
 from lrdistill.states import bell_state, maximally_mixed
 
 from conftest import (
+    complement_matrix,
     gaussian_unit_vector,
+    haar_state,
     loop_partial_trace,
+    loop_reductions,
     npt_witness,
     numerical_rank,
+    purification_factor,
     random_choi,
     random_density,
     random_isometry,
     random_separable,
+    tiles_upb_state,
 )
-
-PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
 
 
 @st.composite
@@ -49,7 +53,6 @@ def separable_states(draw):
     return random_separable(rng, d_a, d_b, r)
 
 
-@PROPERTY
 @given(rho=separable_states())
 def test_separable_by_construction_gets_the_separable_verdict(rho):
     record = separability_verdict(rho)
@@ -58,7 +61,6 @@ def test_separable_by_construction_gets_the_separable_verdict(rho):
     assert record.verdict == "separable"
 
 
-@PROPERTY
 @given(rho=separable_states())
 def test_both_reductions_ppt_means_fully_undistillable_and_separable(rho):
     psi = purify(rho)
@@ -100,7 +102,6 @@ def _decisions(report):
     )
 
 
-@PROPERTY
 @given(psi=tripartite_states(), seed=st.integers(0, 2**32 - 1))
 def test_classify_decisions_are_invariant_under_local_unitaries(psi, seed):
     rng = np.random.default_rng(seed)
@@ -150,9 +151,7 @@ def test_swapping_a_and_b_maps_side_a_results_onto_side_b(rho):
 
 @st.composite
 def haar_states(draw):
-    dims = draw(st.tuples(*[st.integers(1, 4)] * 3))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return TripartitePureState(dims, gaussian_unit_vector(rng, int(np.prod(dims))))
+    return haar_state(draw(st.tuples(*[st.integers(1, 4)] * 3)), draw(st.integers(0, 2**32 - 1)))
 
 
 def _entropy(m, rank_tol=1e-10):
@@ -162,32 +161,18 @@ def _entropy(m, rank_tol=1e-10):
     return float(-np.sum(kept * np.log2(kept)))
 
 
-def _oracle_reductions(vector, dims):
-    """Reductions of |v><v| by explicit index summation, keyed by the parties kept."""
-    full = np.outer(vector, vector.conj())
-    return {label: loop_partial_trace(full, dims, keep)
-            for label, keep in (("AB", (0, 1)), ("AE", (0, 2)), ("B", (1,)), ("E", (2,)))}
-
-
-@PROPERTY
 @given(psi=st.one_of(tripartite_states(), haar_states()))
 def test_classify_ranks_and_rates_match_the_two_party_reductions(psi):
-    red = _oracle_reductions(psi.amplitudes, psi.dims)
+    rho_ab, rho_ae, rho_b, rho_e = loop_reductions(psi.amplitudes, psi.dims,
+                                                   (0, 1), (0, 2), (1,), (2,))
     report = classify(psi)
     ab, ae = report.reduction_ab, report.reduction_ae
     ranks = (ab.separability.rank, ae.separability.rank)
-    assert ranks == (numerical_rank(red["AB"]), numerical_rank(red["AE"]))
-    assert abs(ab.hashing_rate - (_entropy(red["B"]) - _entropy(red["AB"]))) <= 1e-12
-    assert abs(ae.hashing_rate - (_entropy(red["E"]) - _entropy(red["AE"]))) <= 1e-12
+    assert ranks == (numerical_rank(rho_ab), numerical_rank(rho_ae))
+    assert abs(ab.hashing_rate - (_entropy(rho_b) - _entropy(rho_ab))) <= 1e-12
+    assert abs(ae.hashing_rate - (_entropy(rho_e) - _entropy(rho_ae))) <= 1e-12
     # I(A>E) = S(E) - S(AE) = S(AB) - S(B) = -I(A>B)
     assert ae.hashing_rate == -ab.hashing_rate
-
-
-def _purification(rho):
-    """|psi> on A B E with E a copy of AB: sum_k sqrt(lam_k) |v_k>|k>, from one eigh."""
-    lams, vecs = np.linalg.eigh(rho.matrix)
-    amps = vecs * np.sqrt(np.clip(lams, 0.0, None))
-    return amps.ravel(), (*rho.dims, rho.dim)
 
 
 _MIXED_STATES = [
@@ -205,10 +190,11 @@ _MIXED_STATES = [
 @pytest.mark.parametrize("rho", _MIXED_STATES)
 def test_separability_ranks_of_e_and_ae_match_a_purification(rho):
     record = separability_verdict(rho)
-    red = _oracle_reductions(*_purification(rho))
+    amps = purification_factor(rho.matrix, *rho.dims)
+    r_e, r_ae = map(numerical_rank, loop_reductions(amps.ravel(), amps.shape, (2,), (0, 2)))
     assert record.rank == numerical_rank(rho.matrix)
-    assert (record.rank_e, record.rank_ae) == (numerical_rank(red["E"]), numerical_rank(red["AE"]))
-    assert record.rank_pattern_holds == (numerical_rank(red["E"]) <= numerical_rank(red["AE"]))
+    assert (record.rank_e, record.rank_ae) == (r_e, r_ae)
+    assert record.rank_pattern_holds == (r_e <= r_ae)
 
 
 # --- NPT by construction: a Bell pair mixed into a low-rank state ---
@@ -229,25 +215,17 @@ def bell_mixtures(draw):
     return DensityMatrix((d_a, d_b), p * np.outer(phi, phi) + (1 - p) * sigma / np.trace(sigma))
 
 
-def _complement(rho):
-    """rho_AE of ``_purification(rho)``, in plain numpy."""
-    vector, dims = _purification(rho)
-    amps = vector.reshape(dims)
-    mat = np.einsum("abe,cbf->aecf", amps, amps.conj())
-    return DensityMatrix((dims[0], dims[2]), mat.reshape(dims[0] * dims[2], -1))
-
-
 def _ranks(rho):
     """rank(rho), rank(rho_A) and rank(rho_B) by the loop oracles."""
     return (numerical_rank(rho.matrix),
             *(numerical_rank(loop_partial_trace(rho.matrix, rho.dims, (k,))) for k in (0, 1)))
 
 
-@PROPERTY
 @given(rho=bell_mixtures())
 def test_a_state_or_its_complement_gets_a_positive_two_way_rate(rho):
     rates = []
-    for state in (rho, _complement(rho)):
+    comp = complement_matrix(rho.matrix, *rho.dims)
+    for state in (rho, DensityMatrix((rho.dims[0], len(comp) // rho.dims[0]), comp)):
         r, *side_ranks = _ranks(state)
         for side, r_side in zip("AB", side_ranks):
             if r < r_side:
@@ -263,13 +241,40 @@ def test_a_state_or_its_complement_gets_a_positive_two_way_rate(rho):
         assert separability_verdict(rho).verdict == "entangled, 2-way distillable"
 
 
-@PROPERTY
 @given(rho=bell_mixtures())
 def test_rank_below_a_marginal_rank_means_npt_and_distillable(rho):
     # Horodecki, Lewenstein, Vidal & Cirac: rank(rho) < max(r_A, r_B) implies
     # distillable, so NPT; ranks and PPT come from different solves
-    for state in (rho, _complement(rho)):
+    comp = complement_matrix(rho.matrix, *rho.dims)
+    for state in (rho, DensityMatrix((rho.dims[0], len(comp) // rho.dims[0]), comp)):
         r, r_a, r_b = _ranks(state)
         if r < max(r_a, r_b):
             assert not is_ppt(state).is_ppt
             assert separability_verdict(state).verdict == "entangled, 2-way distillable"
+
+
+# --- the main theorem where it has force: a PPT entangled reduction ---
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_purified_tiles_state_has_a_two_way_distillable_complement(seed):
+    # The Tiles state, under a random local unitary, is PPT and entangled, of rank
+    # 4 > max(r_A, r_B) = 3: outside the regime, so AB stays undecided. By the paper's
+    # theorem the two reductions are not both PPT, so AE is NPT. Its E marginal has
+    # rho's spectrum, 1/4 on four levels: low_rank_bound_E = (1/4) * 4 * log2(4 / 3),
+    # as AE has rank r_B = 3.
+    rng = np.random.default_rng(seed)
+    u = np.kron(random_isometry(rng, 3, 3), random_isometry(rng, 3, 3))
+    rho = DensityMatrix((3, 3), u @ tiles_upb_state() @ u.conj().T)
+    report = classify(purify(rho))
+    ab, ae = report.reduction_ab.separability, report.reduction_ae.separability
+    assert ab.ppt.is_ppt and ab.ppt.marginal
+    assert not ab.regime_applies and ab.verdict == VERDICT_PPT_UNDECIDED
+    comp = complement_matrix(rho.matrix, 3, 3)
+    assert not ae.ppt.is_ppt and ae.verdict == VERDICT_DISTILLABLE
+    assert abs(ae.ppt.witness - npt_witness(comp, (3, len(comp) // 3))) <= 1e-12
+    assert abs(ae.low_rank_bound_b - np.log2(4 / 3)) <= 1e-12
+    assert set(report.rates.values()) == {"positive"}
+    # the rank criterion: no reduction is PPT with rank(rho) < max(r_A, r_B)
+    for record in (ab, ae):
+        assert not (record.ppt.is_ppt and record.rank < max(record.rank_a, record.rank_b))

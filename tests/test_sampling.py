@@ -14,7 +14,7 @@ from lrdistill import (
 )
 from lrdistill.errors import EnsembleSpecError
 
-from conftest import loop_partial_trace, numerical_rank
+from conftest import loop_reductions, numerical_rank
 
 
 def test_sample_pure_trivial_dims():
@@ -60,9 +60,7 @@ def test_sample_state_ranks():
 def test_sample_state_matches_loop_oracle():
     psi = sample_pure(2, 3, 2, seed=7)
     rho = sample_state(2, 3, 2, seed=7)
-    oracle = loop_partial_trace(
-        np.outer(psi.amplitudes, psi.amplitudes.conj()), (2, 3, 2), (0, 1)
-    )
+    oracle = loop_reductions(psi.amplitudes, (2, 3, 2), (0, 1))[0]
     assert np.max(np.abs(rho.matrix - oracle)) <= 1e-14
 
 

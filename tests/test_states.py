@@ -3,7 +3,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from lrdistill import (
@@ -36,8 +36,10 @@ from conftest import (
     derived_matrices,
     fail_solver,
     gaussian_unit_vector,
+    haar_state,
     loop_partial_trace,
     loop_partial_transpose,
+    loop_reductions,
     numerical_rank,
     random_density,
     random_psd,
@@ -74,22 +76,18 @@ def _exactly_hermitian(m) -> bool:
     return np.array_equal(m, m.conj().T)
 
 
-@settings(max_examples=40, deadline=None)
 @given(dims=st.tuples(*[st.integers(1, 4)] * 3), seed=st.integers(0, 2**32 - 1))
 def test_every_derived_matrix_is_exactly_hermitian(dims, seed):
-    rng = np.random.default_rng(seed)
-    psi = TripartitePureState(dims, gaussian_unit_vector(rng, int(np.prod(dims))))
+    psi = haar_state(dims, seed)
     for size in (1, 2, 3):
         for keep in combinations(range(3), size):
             assert _exactly_hermitian(psi.reduction(keep).matrix), keep
     # a loop partial trace carries rounding-level asymmetry into the input
-    full = np.outer(psi.amplitudes, psi.amplitudes.conj())
-    rho = DensityMatrix(dims[:2], loop_partial_trace(full, dims, (0, 1)))
+    rho = DensityMatrix(dims[:2], loop_reductions(psi.amplitudes, dims, (0, 1))[0])
     for name, m in derived_matrices(rho).items():
         assert _exactly_hermitian(m), name
 
 
-@settings(max_examples=40, deadline=None)
 @given(d=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
 def test_asymmetry_within_the_tolerance_is_stored_as_the_exact_hermitian_part(d, seed):
     rng = np.random.default_rng(seed)
@@ -101,7 +99,6 @@ def test_asymmetry_within_the_tolerance_is_stored_as_the_exact_hermitian_part(d,
     assert _exactly_hermitian(rho.matrix)
 
 
-@settings(max_examples=40, deadline=None)
 @given(d=st.integers(2, 6), seed=st.integers(0, 2**32 - 1),
        asymmetry=st.floats(2e-10, 1e-3))
 def test_asymmetry_above_the_tolerance_is_rejected(d, seed, asymmetry):
@@ -394,9 +391,8 @@ def test_schmidt_rank_is_the_rank_of_either_reduced_state():
         for d1, d2 in ((2, 3), (4, 3), (3, 3), (1, 4), (5, 2))
     ]
     for v, dims in cases:
-        full = np.outer(v, v.conj())
-        for keep in ((0,), (1,)):
-            assert schmidt_rank(v, dims) == numerical_rank(loop_partial_trace(full, dims, keep))
+        for reduced in loop_reductions(v, dims, (0,), (1,)):
+            assert schmidt_rank(v, dims) == numerical_rank(reduced)
     assert schmidt_rank(cases[0][0], (2, 2)) == 1
 
 
@@ -441,18 +437,14 @@ def test_pure_state_json_roundtrip():
 # --- pure-state reductions and trusted construction ---------------------------
 
 
-@settings(max_examples=40, deadline=None)
 @given(dims=st.tuples(*[st.integers(1, 4)] * 3), seed=st.integers(0, 2**32 - 1))
 def test_amplitude_reductions_match_loop_oracle(dims, seed):
-    v = np.array([1.0, 1j]) @ np.random.default_rng(seed).standard_normal((2, np.prod(dims)))
-    psi = TripartitePureState(dims, v / np.linalg.norm(v))
-    full = np.outer(psi.amplitudes, psi.amplitudes.conj())
-    for size in (1, 2, 3):
-        for keep in combinations(range(3), size):
-            got = psi.reduction(keep)
-            assert got.dims == tuple(dims[i] for i in keep)
-            want = loop_partial_trace(full, dims, keep)
-            assert np.max(np.abs(got.matrix - want)) <= 1e-12
+    psi = haar_state(dims, seed)
+    keeps = [keep for size in (1, 2, 3) for keep in combinations(range(3), size)]
+    for keep, want in zip(keeps, loop_reductions(psi.amplitudes, dims, *keeps)):
+        got = psi.reduction(keep)
+        assert got.dims == tuple(dims[i] for i in keep)
+        assert np.max(np.abs(got.matrix - want)) <= 1e-12
 
 
 def test_reduction_rejects_bad_subsystems():

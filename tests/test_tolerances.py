@@ -10,6 +10,7 @@ The PPT, validation and positive-rate cutoffs are pinned the same way, each
 by a state whose deciding quantity has a closed form.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -39,6 +40,7 @@ from lrdistill import (
     werner_holevo_channel,
 )
 from lrdistill.cli import main
+from lrdistill.distill import POSITIVE_RATE_TOL
 from lrdistill.errors import BadParameterError, EnsembleSpecError
 from lrdistill.kernels import gram_ranks
 from lrdistill.states import density_matrix_from_dict, ghz_state
@@ -394,3 +396,15 @@ def test_both_one_way_rate_at_the_positive_rate_cutoff(depth, status):
     assert abs(want - rate) <= 1e-14
     assert abs(report.reduction_ab.hashing_rate - want) <= 1e-14
     assert report.rates["both_one_way"] == status
+
+
+def test_a_hashing_rate_equal_to_the_positive_rate_cutoff_is_not_positive():
+    # the Werner-Holevo purification: both reductions NPT, no witness found, and an
+    # AE hashing rate of 0 to rounding; only an AB rate strictly above the cutoff counts
+    report = classify(purify(werner_holevo_channel().choi))
+    assert not (report.reduction_ab.witness.found or report.reduction_ae.witness.found)
+    assert report.reduction_ae.hashing_rate < POSITIVE_RATE_TOL
+    above = np.nextafter(POSITIVE_RATE_TOL, 1.0)
+    for rate, status in ((POSITIVE_RATE_TOL, "unknown"), (above, "positive")):
+        ab = dataclasses.replace(report.reduction_ab, hashing_rate=rate)
+        assert dataclasses.replace(report, reduction_ab=ab).rates["both_one_way"] == status

@@ -156,6 +156,20 @@ MUTANTS = [
      "integer >= 0, got {value!r}\")\n    return value",
      "validated_count: a numpy integer is stored as given",
      [f"{TOLERANCES}::test_an_integral_numpy_setting_is_stored_as_int"]),
+    # Cutoff and guard equality cases, and the batch cap, that a test pins at the edge.
+    ("distill.py", "red.hashing_rate > POSITIVE_RATE_TOL", "red.hashing_rate >= POSITIVE_RATE_TOL",
+     "rates: a hashing rate equal to POSITIVE_RATE_TOL certifies both_one_way",
+     [f"{TOLERANCES}::test_a_hashing_rate_equal_to_the_positive_rate_cutoff_is_not_positive"]),
+    ("distill.py", "ratio_bound(factor) <= rank_tol", "ratio_bound(factor) < rank_tol",
+     "witness search: a ratio bound equal to rank_tol proves nothing, so the Haar loop runs",
+     ["tests/test_distill.py::test_a_ratio_bound_equal_to_rank_tol_certifies"]),
+    ("distill.py", "_MAX_BATCH = 256", "_MAX_BATCH = 257",
+     "witness search: Haar batches grow to 257 trials",
+     ["tests/test_distill.py::"
+      "test_a_quadratic_kernel_declines_the_bound_and_the_haar_loop_runs[L2-705]"]),
+    ("sampling.py", "if 16 * n > np.iinfo(np.intp).max:", "if n > np.iinfo(np.intp).max:",
+     "sample_pure: the size guard counts entries, not bytes, so numpy's ValueError exits 3",
+     ["tests/test_cli.py::test_sample_with_an_unallocatable_size_exits_2[bytes]"]),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-rf", "-p", "no:cacheprovider",
