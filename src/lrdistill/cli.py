@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Data goes to stdout (or ``--output``), diagnostics to stderr. Exit codes:
-0 success, 2 invalid input, 3 internal numerical failure. Every report embeds
-the configuration (tolerances, seed, budget, package version) so results are
-reproducible from the report alone.
+0 success, 2 invalid input (a size too large to allocate included), 3
+internal numerical failure. Every report embeds the configuration
+(tolerances, seed, budget, package version) so results are reproducible
+from the report alone.
 """
 
 from __future__ import annotations
@@ -317,6 +318,9 @@ def main(argv=None) -> int:
     except LrdistillError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:  # numpy's message names the allocation's size, shape and dtype
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:  # malformed input must never crash the CLI
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

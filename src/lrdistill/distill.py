@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import log2
-from typing import Literal
+from typing import Callable, Literal
 
 import numpy as np
 
@@ -217,7 +217,7 @@ def _saturation_search(
     basis_ranks: np.ndarray,
     target_rank: int,
     budget: int,
-    rng: np.random.Generator,
+    make_rng: Callable[[], np.random.Generator],
     rank_tol: float,
 ) -> tuple[np.ndarray | None, int]:
     """First |phi> on A with rank(conditioned B-marginal) == target_rank, and the trials used.
@@ -236,12 +236,15 @@ def _saturation_search(
     returned vector are those of trying one vector at a time, so the outcome
     is deterministic given (state, budget, seed).
 
-    When the basis vectors miss, the budget exceeds ``_BATCH`` and
-    target_rank = m, the smaller side of F's slices, ``ratio_bound`` is
-    checked before any Haar draw. If it is <= rank_tol, it proves that no
-    vector on A reaches rank m (as when K has a kernel linear in phi), so
-    every trial would miss: the search returns the exhausted result,
-    (None, d_A + budget), without drawing from ``rng``.
+    ``make_rng`` builds the search's random generator. It is called once,
+    right before the first Haar batch, so a search that needs no Haar trial
+    never builds one (nor loads ``numpy.random``): one whose basis vector
+    hits, one with budget 0, and one that ``ratio_bound`` certifies. When
+    the basis vectors miss, the budget exceeds ``_BATCH`` and target_rank =
+    m, the smaller side of F's slices, ``ratio_bound`` is checked before any
+    Haar draw. If it is <= rank_tol, it proves that no vector on A reaches
+    rank m (as when K has a kernel linear in phi), so every trial would
+    miss: the search returns the exhausted result, (None, d_A + budget).
     """
     d_a = factor.shape[0]
     hits = np.flatnonzero(basis_ranks == target_rank)
@@ -250,6 +253,7 @@ def _saturation_search(
     if budget > _BATCH and target_rank == min(factor.shape[1:]) and ratio_bound(factor) <= rank_tol:
         return None, d_a + budget
     flat = factor.reshape(d_a, -1)
+    rng = make_rng() if budget else None
     done, size = 0, _BATCH
     while done < budget:
         n = min(size, budget - done)
@@ -289,23 +293,28 @@ def find_one_way_witness(
         raise RankNotLowError(
             f"rank(state) = {r} >= {r_b} = rank(marginal B); witness search does not apply"
         )
-    return _witness_search(psi.amplitudes.reshape(psi.dims), r, budget, seed, rank_tol)
+    return _witness_search(psi.amplitudes.reshape(psi.dims), r, budget,
+                           lambda: np.random.default_rng(seed), rank_tol)
+
+
+def _spawned_rng(seed: int, *spawn_key: int) -> Callable[[], np.random.Generator]:
+    """A factory of ``default_rng(SeedSequence(entropy=seed, spawn_key=spawn_key))``."""
+    return lambda: np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=spawn_key))
 
 
 def _witness_search(
     factor: np.ndarray,
     r: int,
     budget: int,
-    seed: int | np.random.SeedSequence,
+    make_rng: Callable[[], np.random.Generator],
     rank_tol: float,
 ) -> WitnessSearchOutcome:
     """``find_one_way_witness`` once its preconditions hold and r = rank(state) is known.
 
-    ``factor`` is the state's amplitude factor, as ``_saturation_search`` takes it.
+    ``factor`` and ``make_rng`` are as ``_saturation_search`` takes them.
     """
-    phi, trials = _saturation_search(
-        factor, gram_ranks(factor, rank_tol), r, budget, np.random.default_rng(seed), rank_tol
-    )
+    phi, trials = _saturation_search(factor, gram_ranks(factor, rank_tol), r, budget, make_rng,
+                                     rank_tol)
     note = None if phi is not None else "budget exhausted without certificate"
     return WitnessSearchOutcome(True, phi, trials, note)
 
@@ -447,8 +456,8 @@ def classify(
         second, third = marginals[k], marginals[3 - k]
         r = third.rank
         if r < second.rank:
-            seedseq = np.random.SeedSequence(entropy=seed, spawn_key=(k - 1,))
-            witness = _witness_search(factor, r, witness_budget, seedseq, rank_tol)
+            witness = _witness_search(factor, r, witness_budget, _spawned_rng(seed, k - 1),
+                                      rank_tol)
         else:
             note = f"rank(state) = {r} >= {second.rank} = rank(marginal): search does not apply"
             witness = WitnessSearchOutcome(False, None, 0, note)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distill import DEFAULT_WITNESS_BUDGET, _saturation_search
+from .distill import DEFAULT_WITNESS_BUDGET, _saturation_search, _spawned_rng
 from .errors import EnsembleSpecError
 from .kernels import DEFAULT_RANK_TOL, gram_ranks, solve_hermitian, validated_tolerance
 from .states import (DensityMatrix, TripartitePureState, partial_trace, validated_count,
@@ -199,9 +199,9 @@ def run_experiment(
         rank_marginal = solve_hermitian(partial_trace(rho, (1,)).matrix, spec.rank_tol,
                                         vectors=False).rank
         basis_ranks = gram_ranks(amps, spec.rank_tol)
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed, spawn_key=(k, 1)))
         phi, trials = _saturation_search(amps, basis_ranks, min(rank_state, rank_marginal),
-                                         witness_budget, rng, spec.rank_tol)
+                                         witness_budget, _spawned_rng(spec.seed, k, 1),
+                                         spec.rank_tol)
         records.append(SampleRecord(
             spec, k, rank_state, rank_marginal, tuple(int(r) for r in basis_ranks),
             phi is not None, trials, spectrum.min_positive(), largest_discarded,

@@ -51,8 +51,11 @@ def validated_count(value, field: str, error: type[InputError] = BadParameterErr
 
 
 def validated_seed(value, error: type[InputError] = BadParameterError, *, sequence: bool = False):
-    """``value`` as a PRNG seed: a count; also a SeedSequence if ``sequence``."""
-    if sequence and isinstance(value, np.random.SeedSequence):
+    """``value`` as a PRNG seed: a count; also a SeedSequence if ``sequence``.
+
+    An integer is decided first, so that checking one never loads ``numpy.random``.
+    """
+    if sequence and not isinstance(value, Integral) and isinstance(value, np.random.SeedSequence):
         return value
     return validated_count(value, "seed", error)
 

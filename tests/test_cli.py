@@ -15,7 +15,8 @@ from lrdistill.errors import InputError
 from lrdistill.states import (DensityMatrix, TripartitePureState, bell_state, complex_pairs,
                               ghz_state)
 
-from conftest import (bell_with_trivial_env, fail_solver, gaussian_unit_vector, matrix_doc,
+from conftest import (bell_with_trivial_env, complement_matrix, fail_solver,
+                      flagged_depolarizing_choi, gaussian_unit_vector, haar_state, matrix_doc,
                       run_cli, tilted_state)
 
 ALL_EXAMPLES = ["bell", "ghz", "maximally-mixed", "werner-holevo", "wh-choi", "flagged-depolarizing"]
@@ -269,13 +270,18 @@ def test_sample_bad_spec(capsys):
 
 
 # numpy refuses an array whose size in bytes exceeds intp's maximum: "elements" overflows
-# it by its count of entries alone, "bytes" only by the 16 bytes of each complex entry
-@pytest.mark.parametrize("dims", [("2", "1" + "0" * 30, "1"), ("2", str(2**30), str(2**29))],
-                         ids=["elements", "bytes"])
-def test_sample_with_an_unallocatable_size_exits_2(capsys, dims):
+# it by its count of entries alone, "bytes" only by the 16 bytes of each complex entry.
+# "memory" fits intp, but its 2 EiB of real parts exceed the address space of any 64-bit
+# CPU (at most 2^57 bytes), so numpy's MemoryError comes before any page is touched.
+@pytest.mark.parametrize("dims, message", [
+    (("2", "1" + "0" * 30, "1"), "exceeds the largest array size"),
+    (("2", str(2**30), str(2**29)), "exceeds the largest array size"),
+    (("2", str(2**29), str(2**28)), "out of memory: Unable to allocate 2.00 EiB"),
+], ids=["elements", "bytes", "memory"])
+def test_sample_with_an_unallocatable_size_exits_2(capsys, dims, message):
     code, out, err = run_cli(capsys, "sample", *dims, "1")
     assert code == 2 and out == ""
-    assert "exceeds the largest array size" in err
+    assert err.startswith("error: ") and message in err
 
 
 @pytest.mark.parametrize("d", [10**10, 30000], ids=["elements", "bytes"])
@@ -382,6 +388,48 @@ def test_subprocess_entry_point(tmp_path):
     assert a.stderr == b""
     assert a.stdout == b.stdout
     assert json.loads(a.stdout)["frequencies"]["witness_found"] == 1.0
+
+
+#: Runs each step of argv[1] in order and prints, after each, whether ``numpy.random`` is
+#: loaded and the AB witness search's trials (None where the step runs no search report).
+NUMPY_RANDOM_PROBE = """
+import contextlib, io, json, sys
+from lrdistill import cli, distill, states
+results = []
+for step in json.loads(sys.argv[1]):
+    if step[0] == "find_one_way_witness":
+        with open(step[1], encoding="utf-8") as fh:
+            rho = states.density_matrix_from_dict(json.load(fh))
+        trials = distill.find_one_way_witness(rho, seed=0).trials_used
+    else:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(step) == 0, step
+        report = json.loads(out.getvalue()).get("report", {})
+        trials = report.get("reductions", {}).get("AB", {}).get("witness_search", {}).get(
+            "trials_used")
+    results.append(["numpy.random" in sys.modules, trials])
+print(json.dumps(results))
+"""
+
+
+def test_a_run_that_draws_nothing_never_loads_numpy_random(tmp_path):
+    # A witness search builds its generator at its first Haar batch: on a Haar state a
+    # basis vector hits first, and on the d=3 flagged complement the ratio bound rules out
+    # every trial first, so neither loads numpy.random (nor hashlib, which it pulls in).
+    # An integer seed is checked without it. sample draws its states: the control.
+    psi = haar_state((2, 4, 3), 0)
+    pure = write_state(tmp_path, "haar.json", psi.to_json_dict())
+    mixed = write_state(tmp_path, "ab.json", psi.reduction((0, 1)).to_json_dict())
+    comp = write_state(tmp_path, "complement.json", matrix_doc(
+        complement_matrix(flagged_depolarizing_choi(3, 0.5), 3, 6), (3, 10)))
+    steps = [["analyze", pure], ["filter", pure, "--side", "A"], ["filter", pure, "--side", "B"],
+             ["analyze", comp, "--budget", "2000"], ["find_one_way_witness", mixed],
+             ["sample", "2", "3", "2", "1"]]
+    done = subprocess.run([sys.executable, "-c", NUMPY_RANDOM_PROBE, json.dumps(steps)],
+                          capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout) == [[False, 1], [False, None], [False, None],
+                                       [False, 3 + 2000], [False, 1], [True, None]]
 
 
 def test_states_are_validated_only_at_the_input_boundary(tmp_path, capsys, monkeypatch):

@@ -213,7 +213,7 @@ def assert_search_matches_loop_oracle(factor, budget, seed):
         rho, (d_a, d_b), target, budget, np.random.default_rng(seed))
     phi, trials = distill._saturation_search(
         factor, distill.gram_ranks(factor, DEFAULT_RANK_TOL), target, budget,
-        np.random.default_rng(seed), DEFAULT_RANK_TOL)
+        lambda: np.random.default_rng(seed), DEFAULT_RANK_TOL)
     assert trials == want_trials
     assert (phi is None) == (want_phi is None)
     if phi is not None:
@@ -320,7 +320,7 @@ def test_hit_at_a_batch_boundary(monkeypatch, haar_trial):
     monkeypatch.setattr(distill, "gram_ranks", fake_ranks)
     basis_ranks = fake_ranks(factor, DEFAULT_RANK_TOL)
     phi, trials = distill._saturation_search(
-        factor, basis_ranks, target, 500, np.random.default_rng(seed), DEFAULT_RANK_TOL)
+        factor, basis_ranks, target, 500, lambda: np.random.default_rng(seed), DEFAULT_RANK_TOL)
     assert trials == d_a + haar_trial
     want = loop_haar_draws(np.random.default_rng(seed), d_a, haar_trial)[-1]
     assert np.array_equal(phi, want)
@@ -369,16 +369,36 @@ def test_certified_search_matches_loop_oracle_and_the_haar_loop(d, q):
     assert looped.to_json_dict() == out.to_json_dict()
 
 
+def unbuilt_rng():
+    """A search's generator factory for a search that must never build its generator."""
+    raise AssertionError("the search built a random generator that it needs no draw from")
+
+
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_a_certified_search_draws_nothing(d):
     factor = flagged_complement_factor(d, 0.5)
-    rng = np.random.default_rng(d)
-    before = rng.bit_generator.state
     phi, trials = distill._saturation_search(
-        factor, distill.gram_ranks(factor, DEFAULT_RANK_TOL), factor.shape[2], 2000, rng,
+        factor, distill.gram_ranks(factor, DEFAULT_RANK_TOL), factor.shape[2], 2000, unbuilt_rng,
         DEFAULT_RANK_TOL)
     assert phi is None and trials == d + 2000
-    assert rng.bit_generator.state == before
+
+
+def test_a_basis_hit_builds_no_generator():
+    # a generic factor: basis vector 0 of A already conditions B to the state's rank 3
+    factor = structured_factor(4, 4, 3, "haar", 0)
+    phi, trials = distill._saturation_search(
+        factor, distill.gram_ranks(factor, DEFAULT_RANK_TOL), 3, 50, unbuilt_rng,
+        DEFAULT_RANK_TOL)
+    assert trials == 1 and np.array_equal(phi, np.eye(4)[0])
+
+
+def test_a_zero_budget_builds_no_generator():
+    # every vector of A conditions B to rank 1 < 4, and the budget allows no Haar trial
+    factor = structured_factor(4, 3, 4, "shared_column", 0)
+    out = distill._saturation_search(
+        factor, distill.gram_ranks(factor, DEFAULT_RANK_TOL), 4, 0, unbuilt_rng,
+        DEFAULT_RANK_TOL)
+    assert out == (None, 4)
 
 
 def test_a_ratio_bound_equal_to_rank_tol_certifies(monkeypatch):
@@ -387,8 +407,8 @@ def test_a_ratio_bound_equal_to_rank_tol_certifies(monkeypatch):
     bounds, batches = spy_on_search(monkeypatch, value=DEFAULT_RANK_TOL)
     factor = flagged_complement_factor(3, 0.5)
     out = distill._saturation_search(
-        factor, distill.gram_ranks(factor, DEFAULT_RANK_TOL), factor.shape[2], 200,
-        np.random.default_rng(0), DEFAULT_RANK_TOL)
+        factor, distill.gram_ranks(factor, DEFAULT_RANK_TOL), factor.shape[2], 200, unbuilt_rng,
+        DEFAULT_RANK_TOL)
     assert out == (None, 3 + 200)
     assert bounds == [DEFAULT_RANK_TOL] and batches == [3]
 

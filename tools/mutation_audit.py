@@ -170,6 +170,25 @@ MUTANTS = [
     ("sampling.py", "if 16 * n > np.iinfo(np.intp).max:", "if n > np.iinfo(np.intp).max:",
      "sample_pure: the size guard counts entries, not bytes, so numpy's ValueError exits 3",
      ["tests/test_cli.py::test_sample_with_an_unallocatable_size_exits_2[bytes]"]),
+    ("cli.py", "    except MemoryError as exc:  # numpy's message names the allocation's size, "
+     "shape and dtype\n        print(f\"error: out of memory: {exc}\", file=sys.stderr)\n"
+     "        return 2\n", "",
+     "main: without its MemoryError clause, a failed allocation is an internal error (exit 3)",
+     ["tests/test_cli.py::test_sample_with_an_unallocatable_size_exits_2[memory]"]),
+    # What a run loads: a search that needs no Haar trial builds no generator.
+    ("distill.py", "    d_a = factor.shape[0]\n",
+     "    d_a, rng = factor.shape[0], make_rng()\n    make_rng = lambda: rng\n",
+     "_saturation_search: builds its generator at the top, before the basis vectors, so "
+     "every search loads numpy.random",
+     ["tests/test_distill.py::test_a_certified_search_draws_nothing",
+      "tests/test_distill.py::test_a_basis_hit_builds_no_generator",
+      "tests/test_distill.py::test_a_zero_budget_builds_no_generator",
+      "tests/test_cli.py::test_a_run_that_draws_nothing_never_loads_numpy_random"]),
+    ("states.py", "if sequence and not isinstance(value, Integral) and isinstance(",
+     "if sequence and isinstance(",
+     "validated_seed: an integer seed is first checked against SeedSequence, which loads "
+     "numpy.random",
+     ["tests/test_cli.py::test_a_run_that_draws_nothing_never_loads_numpy_random"]),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-rf", "-p", "no:cacheprovider",
