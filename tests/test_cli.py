@@ -390,10 +390,13 @@ def test_subprocess_entry_point(tmp_path):
     assert json.loads(a.stdout)["frequencies"]["witness_found"] == 1.0
 
 
-#: Runs each step of argv[1] in order and prints, after each, whether ``numpy.random`` is
+#: Prints whether ``import numpy`` alone loads ``numpy.random`` (numpy < 2.0 does), then
+#: runs each step of argv[1] in order and prints, after each, whether ``numpy.random`` is
 #: loaded and the AB witness search's trials (None where the step runs no search report).
 NUMPY_RANDOM_PROBE = """
 import contextlib, io, json, sys
+import numpy
+numpy_loads_random = "numpy.random" in sys.modules
 from lrdistill import cli, distill, states
 results = []
 for step in json.loads(sys.argv[1]):
@@ -409,7 +412,7 @@ for step in json.loads(sys.argv[1]):
         trials = report.get("reductions", {}).get("AB", {}).get("witness_search", {}).get(
             "trials_used")
     results.append(["numpy.random" in sys.modules, trials])
-print(json.dumps(results))
+print(json.dumps({"numpy_loads_random": numpy_loads_random, "steps": results}))
 """
 
 
@@ -428,8 +431,11 @@ def test_a_run_that_draws_nothing_never_loads_numpy_random(tmp_path):
              ["sample", "2", "3", "2", "1"]]
     done = subprocess.run([sys.executable, "-c", NUMPY_RANDOM_PROBE, json.dumps(steps)],
                           capture_output=True, text=True, check=True)
-    assert json.loads(done.stdout) == [[False, 1], [False, None], [False, None],
-                                       [False, 3 + 2000], [False, 1], [True, None]]
+    probe = json.loads(done.stdout)
+    if probe["numpy_loads_random"]:
+        pytest.skip("import numpy alone loads numpy.random before numpy 2.0")
+    assert probe["steps"] == [[False, 1], [False, None], [False, None],
+                              [False, 3 + 2000], [False, 1], [True, None]]
 
 
 def test_states_are_validated_only_at_the_input_boundary(tmp_path, capsys, monkeypatch):

@@ -211,13 +211,21 @@ def assert_search_matches_loop_oracle(factor, budget, seed):
     target = int(np.sum(lams > DEFAULT_RANK_TOL * lams[-1]))
     want_phi, want_trials = loop_saturation_search(
         rho, (d_a, d_b), target, budget, np.random.default_rng(seed))
+    built = []
     phi, trials = distill._saturation_search(
         factor, distill.gram_ranks(factor, DEFAULT_RANK_TOL), target, budget,
-        lambda: np.random.default_rng(seed), DEFAULT_RANK_TOL)
+        lambda: built.append(1) or np.random.default_rng(seed), DEFAULT_RANK_TOL)
     assert trials == want_trials
     assert (phi is None) == (want_phi is None)
     if phi is not None:
         assert np.array_equal(phi, want_phi)  # bit-identical
+    # The generator is built once, at the first Haar batch: never after a basis hit or at
+    # budget 0. An exhaustion past _BATCH may be certified by ratio_bound before any draw.
+    drew = want_trials > d_a
+    if drew and want_phi is None and budget > distill._BATCH:
+        assert len(built) <= 1
+    else:
+        assert len(built) == drew
     return trials
 
 
@@ -381,24 +389,6 @@ def test_a_certified_search_draws_nothing(d):
         factor, distill.gram_ranks(factor, DEFAULT_RANK_TOL), factor.shape[2], 2000, unbuilt_rng,
         DEFAULT_RANK_TOL)
     assert phi is None and trials == d + 2000
-
-
-def test_a_basis_hit_builds_no_generator():
-    # a generic factor: basis vector 0 of A already conditions B to the state's rank 3
-    factor = structured_factor(4, 4, 3, "haar", 0)
-    phi, trials = distill._saturation_search(
-        factor, distill.gram_ranks(factor, DEFAULT_RANK_TOL), 3, 50, unbuilt_rng,
-        DEFAULT_RANK_TOL)
-    assert trials == 1 and np.array_equal(phi, np.eye(4)[0])
-
-
-def test_a_zero_budget_builds_no_generator():
-    # every vector of A conditions B to rank 1 < 4, and the budget allows no Haar trial
-    factor = structured_factor(4, 3, 4, "shared_column", 0)
-    out = distill._saturation_search(
-        factor, distill.gram_ranks(factor, DEFAULT_RANK_TOL), 4, 0, unbuilt_rng,
-        DEFAULT_RANK_TOL)
-    assert out == (None, 4)
 
 
 def test_a_ratio_bound_equal_to_rank_tol_certifies(monkeypatch):

@@ -181,8 +181,8 @@ MUTANTS = [
      "_saturation_search: builds its generator at the top, before the basis vectors, so "
      "every search loads numpy.random",
      ["tests/test_distill.py::test_a_certified_search_draws_nothing",
-      "tests/test_distill.py::test_a_basis_hit_builds_no_generator",
-      "tests/test_distill.py::test_a_zero_budget_builds_no_generator",
+      "tests/test_distill.py::test_exhausted_search_matches_loop_oracle",
+      "tests/test_distill.py::test_batched_search_matches_loop_oracle",
       "tests/test_cli.py::test_a_run_that_draws_nothing_never_loads_numpy_random"]),
     ("states.py", "if sequence and not isinstance(value, Integral) and isinstance(",
      "if sequence and isinstance(",
