@@ -124,7 +124,7 @@ def flagged_depolarizing_channel(d: int, q: float = 0.5) -> ChoiChannel:
     d = validated_dimension(d, "input dimension", BadParameterError)
     if d < 2:
         raise BadParameterError(f"input dimension must be >= 2, got {d}")
-    validated_tolerance(q, "depolarizing strength q", BadParameterError)
+    validated_tolerance(q, "depolarizing strength q")
     if 16 * (2 * d * d) ** 2 > np.iinfo(np.intp).max:
         raise BadParameterError(f"input dimension {d}: Choi matrix exceeds the largest array size")
     omega = maximally_entangled(d)

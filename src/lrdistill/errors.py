@@ -1,4 +1,5 @@
-"""Exception types shared across the toolkit."""
+"""Exception types. Each is an InputError (CLI exit 2) or a NumericsError (exit 3), except
+RankNotLowError, which ``filter`` reports as a note."""
 
 
 class LrdistillError(Exception):
@@ -9,8 +10,16 @@ class InputError(LrdistillError):
     """Invalid user-supplied data or parameters. The CLI maps this to exit code 2."""
 
 
+class NumericsError(LrdistillError):
+    """Numerical failure inside the dense linear-algebra kernels. CLI exit code 3."""
+
+
 class StateFormatError(InputError):
     """A state or channel document violates the schema or a state invariant."""
+
+
+class NotHermitianError(StateFormatError):
+    """A matrix expected to be Hermitian deviates beyond the symmetry tolerance."""
 
 
 class SubsystemError(InputError):
@@ -31,18 +40,6 @@ class NotTracePreservingError(InputError):
 
 class BadParameterError(InputError):
     """A numeric parameter is outside its admissible range."""
-
-
-class EnsembleSpecError(InputError):
-    """An ensemble specification is invalid for the requested experiment."""
-
-
-class NumericsError(LrdistillError):
-    """Numerical failure inside the dense linear-algebra kernels. CLI exit code 3."""
-
-
-class NotHermitianError(NumericsError):
-    """A matrix expected to be Hermitian deviates beyond the symmetry tolerance."""
 
 
 class NonConvergenceError(NumericsError):

@@ -14,8 +14,8 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import (BadParameterError, InputError, LrdistillError, NonConvergenceError,
-                     NoPositiveEigenvalueError, NotHermitianError)
+from .errors import (BadParameterError, NonConvergenceError, NoPositiveEigenvalueError,
+                     NotHermitianError)
 
 #: Relative eigenvalue cutoff below which spectra are treated as zero.
 DEFAULT_RANK_TOL = 1e-10
@@ -24,28 +24,29 @@ DEFAULT_RANK_TOL = 1e-10
 HERMITICITY_TOL = 1e-10
 
 
-def hermitian_part(m, error: type[LrdistillError] = NotHermitianError) -> np.ndarray:
+def hermitian_part(m) -> np.ndarray:
     """(m + m^dagger) / 2, exactly Hermitian: the one check of a matrix from outside the package.
 
-    Raises ``error`` unless ``m`` is square, finite and within ``HERMITICITY_TOL`` of m^dagger.
+    Raises NotHermitianError unless ``m`` is square, finite and within ``HERMITICITY_TOL`` of m^H.
     """
     arr = np.asarray(m, dtype=np.complex128)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise error(f"expected a square matrix, got shape {arr.shape}")
+        raise NotHermitianError(f"expected a square matrix, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
-        raise error("matrix contains non-finite entries")
+        raise NotHermitianError("matrix contains non-finite entries")
     with np.errstate(over="ignore"):  # an overflowed difference is inf, which fails the check
         if not np.max(np.abs(arr - arr.conj().T), initial=0.0) <= HERMITICITY_TOL:
-            raise error(f"matrix deviates from Hermitian symmetry by more than {HERMITICITY_TOL:g}")
+            raise NotHermitianError("matrix deviates from Hermitian symmetry by more than "
+                                    f"{HERMITICITY_TOL:g}")
     half = arr / 2.0  # halved before the sum, so a finite matrix has a finite Hermitian part
     half += half.conj().T
     return half
 
 
-def validated_tolerance(value, field: str, error: type[InputError] = BadParameterError) -> float:
+def validated_tolerance(value, field: str) -> float:
     """``value`` as a tolerance: a real number strictly inside (0, 1), not a bool."""
     if isinstance(value, bool) or not isinstance(value, Real) or not 0.0 < value < 1.0:
-        raise error(f"{field} must lie in (0, 1), got {value!r}")
+        raise BadParameterError(f"{field} must lie in (0, 1), got {value!r}")
     return value
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distill import DEFAULT_WITNESS_BUDGET, _saturation_search, _spawned_rng
-from .errors import EnsembleSpecError
+from .errors import BadParameterError
 from .kernels import DEFAULT_RANK_TOL, gram_ranks, solve_hermitian, validated_tolerance
 from .states import (DensityMatrix, TripartitePureState, partial_trace, validated_count,
                      validated_dimension, validated_seed)
@@ -32,12 +32,12 @@ def sample_pure(
     exactly the Haar distribution on the unit sphere. Bit-identical output
     for identical seed within one package version.
     """
-    dims = tuple(validated_dimension(d, "dimension", EnsembleSpecError) for d in (d_a, d_b, d_e))
+    dims = tuple(validated_dimension(d, "dimension", BadParameterError) for d in (d_a, d_b, d_e))
     n = dims[0] * dims[1] * dims[2]
     # numpy caps an array's size in bytes, 16 per complex128 entry, at intp's maximum
     if 16 * n > np.iinfo(np.intp).max:
-        raise EnsembleSpecError(f"d_A * d_B * d_E = {n} exceeds the largest array size")
-    rng = np.random.default_rng(validated_seed(seed, EnsembleSpecError, sequence=True))
+        raise BadParameterError(f"d_A * d_B * d_E = {n} exceeds the largest array size")
+    rng = np.random.default_rng(validated_seed(seed, sequence=True))
     amp = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return TripartitePureState(dims, amp / np.linalg.norm(amp))
 
@@ -63,10 +63,10 @@ class EnsembleSpec:
 
     def __post_init__(self):
         for name in ("d_a", "d_b", "d_e", "n_samples"):
-            value = validated_dimension(getattr(self, name), name, EnsembleSpecError)
+            value = validated_dimension(getattr(self, name), name, BadParameterError)
             object.__setattr__(self, name, value)
-        validated_tolerance(self.rank_tol, "rank_tol", EnsembleSpecError)
-        object.__setattr__(self, "seed", validated_seed(self.seed, EnsembleSpecError))
+        validated_tolerance(self.rank_tol, "rank_tol")
+        object.__setattr__(self, "seed", validated_seed(self.seed))
 
     def to_json_dict(self) -> dict:
         return {
@@ -184,7 +184,7 @@ def run_experiment(
     """
     witness_budget = validated_count(witness_budget, "budget")
     if spec.d_e >= spec.d_b:
-        raise EnsembleSpecError(
+        raise BadParameterError(
             f"experiment needs d_E < d_B, got d_E = {spec.d_e}, d_B = {spec.d_b}"
         )
     records = []

@@ -43,21 +43,21 @@ def validated_dimension(value, field: str, error: type[InputError] = StateFormat
     return int(value)
 
 
-def validated_count(value, field: str, error: type[InputError] = BadParameterError) -> int:
+def validated_count(value, field: str) -> int:
     """``value`` as a count, such as a seed or a witness budget: an integer >= 0, not a bool."""
     if isinstance(value, bool) or not isinstance(value, Integral) or value < 0:
-        raise error(f"{field} must be an integer >= 0, got {value!r}")
+        raise BadParameterError(f"{field} must be an integer >= 0, got {value!r}")
     return int(value)
 
 
-def validated_seed(value, error: type[InputError] = BadParameterError, *, sequence: bool = False):
+def validated_seed(value, *, sequence: bool = False):
     """``value`` as a PRNG seed: a count; also a SeedSequence if ``sequence``.
 
     An integer is decided first, so that checking one never loads ``numpy.random``.
     """
     if sequence and not isinstance(value, Integral) and isinstance(value, np.random.SeedSequence):
         return value
-    return validated_count(value, "seed", error)
+    return validated_count(value, "seed")
 
 
 def _unit_vector(vector, what: str, tol: float = 1e-9) -> np.ndarray:
@@ -99,7 +99,7 @@ class DensityMatrix:
             raise StateFormatError(
                 f"matrix shape {arr.shape} does not match dims {dims} (total {d})"
             )
-        herm = hermitian_part(arr, StateFormatError)
+        herm = hermitian_part(arr)
         with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN trace fails the check
             tr = herm.trace()
         if not abs(tr - 1.0) <= TRACE_TOL:

@@ -3,7 +3,8 @@ random-state generators, the channel and document builders that the golden
 corpus (``tests/golden/build_corpus.py``) is made from, and the witness
 certificate's factor families (which ``tools/witness_certificate_grid.py``
 also samples). Also the in-process CLI runner, the one spy on the
-``numpy.linalg`` solvers and the one hypothesis profile of the property tests.
+``numpy.linalg`` solvers, the one spy on ``DensityMatrix`` validation and the
+one hypothesis profile of the property tests.
 
 The references deliberately avoid the library's code paths (explicit index
 loops instead of einsum, isometry construction and entrywise Choi matrices
@@ -352,6 +353,17 @@ def solver_calls(monkeypatch):
     for name in SOLVERS:
         monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
     return calls
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """One entry per ``DensityMatrix`` validation (a ``__post_init__`` run) since the test
+    started; a test that counts only the call under test clears it first."""
+    runs = []
+    original = DensityMatrix.__post_init__
+    monkeypatch.setattr(DensityMatrix, "__post_init__",
+                        lambda self: runs.append(1) or original(self))
+    return runs
 
 
 def fail_solver(monkeypatch, name, stacked_only=False):

@@ -454,12 +454,7 @@ def test_reduction_rejects_bad_subsystems():
         ghz_state().reduction(())
 
 
-def test_derived_states_are_read_only_and_unaliased(monkeypatch):
-    validations = []
-    original = DensityMatrix.__post_init__
-    monkeypatch.setattr(
-        DensityMatrix, "__post_init__", lambda self: validations.append(1) or original(self)
-    )
+def test_derived_states_are_read_only_and_unaliased(validations):
     source = np.eye(2, dtype=np.complex128) / 2
     derived = [
         ghz_state().reduction((0, 1)),

@@ -1,27 +1,59 @@
-"""The public surface: README §Library lists exactly ``lrdistill.__all__``, and
-``kernels`` is the one module that calls a ``numpy.linalg`` eigensolver."""
+"""The public surface: README §Library lists exactly ``lrdistill.__all__``, the
+README's library and CLI examples run as written, and ``kernels`` is the one
+module that calls a ``numpy.linalg`` eigensolver."""
 
 import ast
 import glob
 import os
 import re
+import shlex
 
 import lrdistill
 
-from conftest import SOLVERS
+from conftest import SOLVERS, run_cli
 
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 PACKAGE = os.path.dirname(lrdistill.__file__)
 
 
-def test_readme_library_section_lists_the_public_names():
+def _readme_section(title: str) -> str:
     with open(README, encoding="utf-8") as fh:
         text = fh.read()
-    section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
-    listed = re.findall(r"`(\w+)`", section)
+    return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def _code_block(title: str, lang: str) -> str:
+    """The first ``lang`` fenced block of README section ``title``."""
+    return _readme_section(title).split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_library_section_lists_the_public_names():
+    listed = re.findall(r"`(\w+)`", _readme_section("Library"))
     assert len(listed) == len(set(listed))
     assert sorted(listed) == sorted(lrdistill.__all__)
     assert all(hasattr(lrdistill, name) for name in lrdistill.__all__)
+
+
+def test_readme_library_quick_start_runs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    exec(compile(_code_block("Library quick start", "python"), "README.md", "exec"), {})
+
+
+def test_readme_cli_commands_exit_0(tmp_path, monkeypatch, capsys):
+    # in order, since later commands read the files that earlier ones write
+    monkeypatch.chdir(tmp_path)
+    for line in _code_block("CLI", "sh").splitlines():
+        words = shlex.split(line, comments=True)
+        if not words:
+            continue
+        target = None
+        if ">" in words:
+            words, target = words[:words.index(">")], words[words.index(">") + 1]
+        assert words[0] == "lrdistill", line
+        code, out, err = run_cli(capsys, *words[1:])
+        assert code == 0 and out, (line, err)
+        if target:
+            (tmp_path / target).write_text(out, encoding="utf-8")
 
 
 def _eigensolver_uses(path: str) -> list[str]:

@@ -41,7 +41,7 @@ from lrdistill import (
 )
 from lrdistill.cli import main
 from lrdistill.distill import POSITIVE_RATE_TOL
-from lrdistill.errors import BadParameterError, EnsembleSpecError
+from lrdistill.errors import BadParameterError
 from lrdistill.kernels import gram_ranks
 from lrdistill.states import density_matrix_from_dict, ghz_state
 
@@ -53,6 +53,10 @@ BAD_TOLERANCES = [float("nan"), float("inf"), 0.0, 1.0, -1.0]
 
 def _low_rank():
     return random_density(2, 4, 3, 0)
+
+
+def _spec(**fields):
+    return EnsembleSpec(**{"d_a": 2, "d_b": 4, "d_e": 3, "n_samples": 2, **fields})
 
 
 RANK_TOL_ENTRY_POINTS = {
@@ -69,6 +73,7 @@ RANK_TOL_ENTRY_POINTS = {
     "schmidt_rank": lambda tol: schmidt_rank(np.ones(4) / 2.0, (2, 2), tol),
     "hermitian_eig": lambda tol: hermitian_eig(np.eye(2), tol),
     "complement_channel": lambda tol: complement_channel(werner_holevo_channel(), tol),
+    "EnsembleSpec": lambda tol: _spec(rank_tol=tol),
 }
 
 PPT_TOL_ENTRY_POINTS = {
@@ -97,10 +102,6 @@ def test_ppt_tol_outside_the_unit_interval_is_a_bad_parameter(entry, tol):
 BAD_SEEDS = [-1, 2.5, True, "0", None]
 
 
-def _spec(**fields):
-    return EnsembleSpec(**{"d_a": 2, "d_b": 4, "d_e": 3, "n_samples": 2, **fields})
-
-
 def _ghz_params(**settings):
     return classify(ghz_state(), **settings).to_json_dict()["params"]
 
@@ -112,15 +113,14 @@ def _haar_witness_state():
     return DensityMatrix((3, 3), f @ f.conj().T / np.linalg.norm(f) ** 2)
 
 
-#: entry point -> (call with a seed, the error a bad seed raises, whether a SeedSequence
-#: is a seed there); where it is, the call returns what the seed determines
+#: entry point -> (call with a seed, whether a SeedSequence is a seed there); where it
+#: is, the call returns what the seed determines
 SEED_ENTRY_POINTS = {
-    "classify": (lambda seed: classify(ghz_state(), seed=seed), BadParameterError, False),
+    "classify": (lambda seed: classify(ghz_state(), seed=seed), False),
     "find_one_way_witness": (lambda seed: find_one_way_witness(_haar_witness_state(), seed=seed)
-                             .to_json_dict(), BadParameterError, True),
-    "EnsembleSpec": (lambda seed: _spec(seed=seed), EnsembleSpecError, False),
-    "sample_pure": (lambda seed: sample_pure(2, 4, 3, seed).amplitudes.tolist(),
-                    EnsembleSpecError, True),
+                             .to_json_dict(), True),
+    "EnsembleSpec": (lambda seed: _spec(seed=seed), False),
+    "sample_pure": (lambda seed: sample_pure(2, 4, 3, seed).amplitudes.tolist(), True),
 }
 
 #: entry point -> call with a witness budget; a bad one raises BadParameterError. GHZ runs
@@ -147,19 +147,19 @@ INTEGRAL_SETTINGS = {
 @pytest.mark.parametrize("seed", BAD_SEEDS, ids=repr)
 @pytest.mark.parametrize("entry", SEED_ENTRY_POINTS)
 def test_a_bad_seed_is_rejected(entry, seed):
-    call, error, _ = SEED_ENTRY_POINTS[entry]
-    with pytest.raises(error, match="seed must be an integer >= 0"):
+    call, _ = SEED_ENTRY_POINTS[entry]
+    with pytest.raises(BadParameterError, match="seed must be an integer >= 0"):
         call(seed)
 
 
 @pytest.mark.parametrize("entry", SEED_ENTRY_POINTS)
 def test_a_seed_sequence_is_a_seed_only_where_documented(entry):
     # where it is one, SeedSequence(0) seeds numpy's default_rng as the integer 0 does
-    call, error, takes_sequence = SEED_ENTRY_POINTS[entry]
+    call, takes_sequence = SEED_ENTRY_POINTS[entry]
     if takes_sequence:
         assert call(np.random.SeedSequence(0)) == call(0)
     else:
-        with pytest.raises(error, match="seed must be an integer >= 0"):
+        with pytest.raises(BadParameterError, match="seed must be an integer >= 0"):
             call(np.random.SeedSequence(0))
 
 

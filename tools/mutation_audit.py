@@ -90,6 +90,10 @@ MUTANTS = [
      "except (TypeError, ValueError) as exc:",
      "_pairs_to_complex: an int beyond float range escapes as OverflowError",
      ["tests/test_cli.py::test_malformed_input_exits_2[matrix-int-beyond-float-analyze]"]),
+    ("errors.py", "class NotHermitianError(StateFormatError):",
+     "class NotHermitianError(NumericsError):",
+     "NotHermitianError: a non-Hermitian document is a numerical failure, so it exits 3",
+     ["tests/test_cli.py::test_malformed_input_exits_2[matrix-not-hermitian-analyze]"]),
     ("distill.py", "budget > _BATCH and target_rank", "budget >= _BATCH and target_rank",
      "witness search: the ratio bound is also tried at a budget of exactly one batch",
      ["tests/test_distill.py::test_search_eigensolver_count"]),
