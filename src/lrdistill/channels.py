@@ -15,7 +15,7 @@ from .errors import (
 )
 from .kernels import DEFAULT_RANK_TOL, validated_tolerance
 from .states import (DensityMatrix, _require_bipartite, complement, density_matrix_from_dict,
-                     partial_trace, validated_dimension)
+                     partial_trace, validated_dimension, validated_size)
 
 #: Max deviation of the Choi input marginal from 1/d_in accepted on load.
 TRACE_PRESERVATION_TOL = 1e-6
@@ -24,9 +24,7 @@ TRACE_PRESERVATION_TOL = 1e-6
 def maximally_entangled(d: int) -> np.ndarray:
     """Unit vector (1/sqrt(d)) sum_i |ii> on C^d (x) C^d."""
     d = validated_dimension(d, "dimension", BadParameterError)
-    # numpy caps an array's size in bytes, 16 per complex128 entry, at intp's maximum
-    if 16 * d * d > np.iinfo(np.intp).max:
-        raise BadParameterError(f"dimension {d}: d^2 = {d * d} exceeds the largest array size")
+    validated_size(d * d, f"dimension {d}: d^2 = {d * d}")
     v = np.zeros(d * d, dtype=np.complex128)
     v[:: d + 1] = 1.0 / np.sqrt(d)
     return v
@@ -125,8 +123,7 @@ def flagged_depolarizing_channel(d: int, q: float = 0.5) -> ChoiChannel:
     if d < 2:
         raise BadParameterError(f"input dimension must be >= 2, got {d}")
     validated_tolerance(q, "depolarizing strength q")
-    if 16 * (2 * d * d) ** 2 > np.iinfo(np.intp).max:
-        raise BadParameterError(f"input dimension {d}: Choi matrix exceeds the largest array size")
+    validated_size((2 * d * d) ** 2, f"input dimension {d}: Choi matrix")
     omega = maximally_entangled(d)
     j_identity = np.outer(omega, omega.conj())
     # Choi state of the depolarizing channel (1-q) X + q Tr(X) 1/d, full rank for q in (0, 1).

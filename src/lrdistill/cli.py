@@ -145,29 +145,28 @@ def _load_state(path: str) -> tuple[str, DensityMatrix | TripartitePureState]:
 
 
 def _dump_json(payload: dict) -> str:
-    """``json.dumps(payload, indent=2) + "\\n"``, byte for byte, for any JSON value."""
+    """``json.dumps(payload, indent=2) + "\\n"``, byte for byte, for a report: ``str``-keyed
+    dicts, lists, tuples and JSON scalars, nested to any depth."""
     return _indented(payload, "\n") + "\n"
 
 
 def _indented(value, nl: str) -> str:
-    """``value`` as ``json.dumps(value, indent=2)`` renders it where a line break is ``nl``.
+    """Report ``value`` as ``json.dumps(value, indent=2)`` renders it where a line break is ``nl``.
 
-    Dicts with ``str`` keys and lists are walked here, and regular float
-    arrays rendered in bulk; every other value is left to ``json.dumps``.
+    Nonempty dicts, lists and tuples are walked here, and regular float arrays
+    rendered in bulk; a scalar or an empty container reads the same at any
+    indent, so it goes through json's C path.
     """
     inner = nl + "  "
-    if type(value) is dict and value and all(type(k) is str for k in value):
+    if type(value) is dict and value:
         return "{" + inner + ("," + inner).join(
             json.dumps(k) + ": " + _indented(v, inner) for k, v in value.items()
         ) + nl + "}"
-    if type(value) is list and value:
+    if type(value) in (list, tuple) and value:
         return _float_array(value, nl) or "[" + inner + ("," + inner).join(
             _indented(v, inner) for v in value
         ) + nl + "]"
-    if isinstance(value, (list, tuple, dict)):
-        # JSON strings escape their line breaks, so every "\n" here starts a line.
-        return json.dumps(value, indent=2).replace("\n", nl)
-    return json.dumps(value)  # a scalar reads the same at any indent; this is json's C path
+    return json.dumps(value)
 
 
 def _float_array(rows: list, nl: str) -> str | None:

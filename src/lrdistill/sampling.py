@@ -10,8 +10,6 @@ alone.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +18,7 @@ from .distill import DEFAULT_WITNESS_BUDGET, _saturation_search, _spawned_rng
 from .errors import BadParameterError
 from .kernels import DEFAULT_RANK_TOL, gram_ranks, solve_hermitian, validated_tolerance
 from .states import (DensityMatrix, TripartitePureState, partial_trace, validated_count,
-                     validated_dimension, validated_seed)
+                     validated_dimension, validated_seed, validated_size)
 
 
 def sample_pure(
@@ -34,9 +32,7 @@ def sample_pure(
     """
     dims = tuple(validated_dimension(d, "dimension", BadParameterError) for d in (d_a, d_b, d_e))
     n = dims[0] * dims[1] * dims[2]
-    # numpy caps an array's size in bytes, 16 per complex128 entry, at intp's maximum
-    if 16 * n > np.iinfo(np.intp).max:
-        raise BadParameterError(f"d_A * d_B * d_E = {n} exceeds the largest array size")
+    validated_size(n, f"d_A * d_B * d_E = {n}")
     rng = np.random.default_rng(validated_seed(seed, sequence=True))
     amp = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return TripartitePureState(dims, amp / np.linalg.norm(amp))
@@ -157,14 +153,12 @@ class EnsembleReport:
         }
 
     def to_csv(self) -> str:
-        """One row per sample in ``SAMPLE_COLUMNS`` order, Schmidt ranks
-        joined by ``;``, None as an empty cell and floats as their ``repr``."""
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(SAMPLE_COLUMNS)
-        writer.writerows([";".join(map(str, v)) if isinstance(v, tuple) else v
-                          for v in s.to_json_dict().values()] for s in self.samples)
-        return buf.getvalue()
+        """One row per sample in ``SAMPLE_COLUMNS`` order, Schmidt ranks joined by ``;``, None as
+        an empty cell and the rest as their ``str``; no cell holds a comma, quote or newline."""
+        rows = [SAMPLE_COLUMNS]
+        rows += [[";".join(map(str, v)) if type(v) is tuple else "" if v is None else str(v)
+                  for v in s.to_json_dict().values()] for s in self.samples]
+        return "".join(",".join(row) + "\n" for row in rows)
 
 
 def run_experiment(

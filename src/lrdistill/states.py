@@ -60,6 +60,13 @@ def validated_seed(value, *, sequence: bool = False):
     return validated_count(value, "seed")
 
 
+def validated_size(entries: int, what: str) -> None:
+    """BadParameterError naming ``what`` unless numpy can size ``entries`` complex128 entries."""
+    # numpy caps an array's size in bytes, 16 per complex128 entry, at intp's maximum
+    if 16 * entries > np.iinfo(np.intp).max:
+        raise BadParameterError(f"{what} exceeds the largest array size")
+
+
 def _unit_vector(vector, what: str, tol: float = 1e-9) -> np.ndarray:
     """``vector`` as a flat complex array; NotNormalizedError unless its norm is 1 +- ``tol``."""
     v = np.asarray(vector, dtype=np.complex128).reshape(-1)

@@ -14,6 +14,7 @@ independent of what they check.
 
 from collections import Counter
 from functools import partial
+from math import cos, pi, sin, sqrt
 
 import numpy as np
 import pytest
@@ -167,6 +168,42 @@ def tiles_upb_state():
         v = np.kron(a, b)
         proj += np.outer(v, v) / (v @ v)
     return (np.eye(9) - proj) / 4
+
+
+def pyramid_upb_state():
+    """(1 - P) / 4 on C^3 (x) C^3, P the projector onto the five Pyramid product vectors.
+
+    The Pyramid unextendible product basis of Bennett et al., PRL 82, 5385
+    (1999): |v_i> (x) |v_2i mod 5>, where v_i = N (cos(2 pi i / 5),
+    sin(2 pi i / 5), h) are the apexes of a pentagonal pyramid, h = sqrt(1 +
+    sqrt(5)) / 2 and N = 2 / sqrt(5 + sqrt(5)). Like Tiles, the state is PPT
+    and entangled, of rank 4 > rank(rho_A) = rank(rho_B) = 3, with eigenvalues
+    1/4 on its support; a real array.
+    """
+    h = sqrt(1 + sqrt(5)) / 2
+    apexes = [2 / sqrt(5 + sqrt(5)) * np.array([cos(2 * pi * i / 5), sin(2 * pi * i / 5), h])
+              for i in range(5)]
+    proj = np.zeros((9, 9))
+    for i in range(5):
+        v = np.kron(apexes[i], apexes[2 * i % 5])
+        proj += np.outer(v, v)
+    return (np.eye(9) - proj) / 4
+
+
+def horodecki_2x4_state(b):
+    """P. Horodecki's PPT entangled state rho_b on C^2 (x) C^4, 0 < b < 1 (PLA 232, 333, 1997).
+
+    In the basis |a> (x) |j>, at index 4 a + j: b on the diagonal except
+    (1 + b) / 2 at |1 0> and |1 3>, b coupling |0 j> with |1 j+1> for j < 3,
+    sqrt(1 - b^2) / 2 coupling |1 0> with |1 3>, all over 7 b + 1. Rank 5 >
+    rank(rho_A) = 2 and rank(rho_B) = 4; a real array.
+    """
+    m = b * np.eye(8)
+    for j in range(3):
+        m[j, j + 5] = m[j + 5, j] = b
+    m[4, 4] = m[7, 7] = (1 + b) / 2
+    m[4, 7] = m[7, 4] = sqrt(1 - b * b) / 2
+    return m / (7 * b + 1)
 
 
 def random_density(d_a, d_b, d_e, seed):

@@ -8,6 +8,8 @@ separable; the expected verdicts come from the construction, not from the
 code under test.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -32,15 +34,19 @@ from conftest import (
     complement_matrix,
     gaussian_unit_vector,
     haar_state,
+    horodecki_2x4_state,
     loop_partial_trace,
     loop_reductions,
+    matrix_doc,
     npt_witness,
     numerical_rank,
     purification_factor,
+    pyramid_upb_state,
     random_choi,
     random_density,
     random_isometry,
     random_separable,
+    run_cli,
     tiles_upb_state,
 )
 
@@ -256,25 +262,53 @@ def test_rank_below_a_marginal_rank_means_npt_and_distillable(rho):
 # --- the main theorem where it has force: a PPT entangled reduction ---
 
 
+#: name -> (PPT entangled state, dims): outside the regime, rank(rho) > max(r_A, r_B).
+BOUND_ENTANGLED = {
+    "tiles": (tiles_upb_state(), (3, 3)),
+    "pyramid": (pyramid_upb_state(), (3, 3)),
+    **{f"horodecki-{b}": (horodecki_2x4_state(b), (2, 4)) for b in (0.2, 0.5, 0.9)},
+}
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_a_purified_tiles_state_has_a_two_way_distillable_complement(seed):
-    # The Tiles state, under a random local unitary, is PPT and entangled, of rank
-    # 4 > max(r_A, r_B) = 3: outside the regime, so AB stays undecided. By the paper's
-    # theorem the two reductions are not both PPT, so AE is NPT. Its E marginal has
-    # rho's spectrum, 1/4 on four levels: low_rank_bound_E = (1/4) * 4 * log2(4 / 3),
-    # as AE has rank r_B = 3.
+@pytest.mark.parametrize("name", list(BOUND_ENTANGLED))
+def test_a_purified_bound_entangled_state_has_a_two_way_distillable_complement(name, seed):
+    # Each state, under a random local unitary, is PPT and entangled, of rank
+    # r > max(r_A, r_B): outside the regime, so AB stays undecided. By the paper's
+    # theorem the two reductions are not both PPT, so AE is NPT. AE has rank r_B and
+    # its E marginal has rho's spectrum, so low_rank_bound_E = lambda_min(rho) r log2(r / r_B).
+    matrix, (d_a, d_b) = BOUND_ENTANGLED[name]
     rng = np.random.default_rng(seed)
-    u = np.kron(random_isometry(rng, 3, 3), random_isometry(rng, 3, 3))
-    rho = DensityMatrix((3, 3), u @ tiles_upb_state() @ u.conj().T)
+    u = np.kron(random_isometry(rng, d_a, d_a), random_isometry(rng, d_b, d_b))
+    rho = DensityMatrix((d_a, d_b), u @ matrix @ u.conj().T)
     report = classify(purify(rho))
     ab, ae = report.reduction_ab.separability, report.reduction_ae.separability
     assert ab.ppt.is_ppt and ab.ppt.marginal
+    assert abs(ab.ppt.witness - npt_witness(rho.matrix, (d_a, d_b))) <= 1e-12
     assert not ab.regime_applies and ab.verdict == VERDICT_PPT_UNDECIDED
-    comp = complement_matrix(rho.matrix, 3, 3)
+    comp = complement_matrix(rho.matrix, d_a, d_b)
     assert not ae.ppt.is_ppt and ae.verdict == VERDICT_DISTILLABLE
-    assert abs(ae.ppt.witness - npt_witness(comp, (3, len(comp) // 3))) <= 1e-12
-    assert abs(ae.low_rank_bound_b - np.log2(4 / 3)) <= 1e-12
+    assert abs(ae.ppt.witness - npt_witness(comp, (d_a, len(comp) // d_a))) <= 1e-12
+    lams = np.linalg.eigvalsh(rho.matrix)
+    support = lams[lams > 1e-10 * lams[-1]]
+    r, r_b = support.size, numerical_rank(loop_partial_trace(rho.matrix, (d_a, d_b), [1]))
+    assert abs(ae.low_rank_bound_b - support[0] * r * np.log2(r / r_b)) <= 1e-12
     assert set(report.rates.values()) == {"positive"}
     # the rank criterion: no reduction is PPT with rank(rho) < max(r_A, r_B)
     for record in (ab, ae):
         assert not (record.ppt.is_ppt and record.rank < max(record.rank_a, record.rank_b))
+
+
+def test_analyze_of_the_pyramid_state(tmp_path, capsys):
+    path = tmp_path / "pyramid.json"
+    path.write_text(json.dumps(matrix_doc(pyramid_upb_state(), (3, 3))))
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["separability_AB"]["verdict"] == VERDICT_PPT_UNDECIDED
+    assert not doc["separability_AB"]["regime_applies"]
+    ab, ae = (doc["report"]["reductions"][label] for label in ("AB", "AE"))
+    assert ab["ppt"]["is_ppt"] and ab["ppt"]["marginal"] and ab["rank"] == 4
+    assert not ae["ppt"]["is_ppt"] and ae["rank"] == 3
+    assert abs(ae["low_rank_bound_second"] - np.log2(4 / 3)) <= 1e-12  # (1/4) 4 log2(4/3)
+    assert set(doc["report"]["rates"].values()) == {"positive"}

@@ -17,10 +17,12 @@ directory, replaces the old text (which must occur exactly once) with the
 new one there, and runs the tier-1 command of ROADMAP.md with ``-x`` on the
 named tests in that copy; the checkout itself is never changed. A mutant is
 *killed* when a named test fails, and then that test is recorded as
-``killed_by``. A mutant that its named tests pass is *survived*: the test
-that should stand for the behaviour does not. An *equivalent* mutant, whose
-note gives the reason it cannot change a result, names no test; all of
-tier-1 runs on it and must pass.
+``killed_by``; a mutant that ``import lrdistill`` fails on is killed before
+any test runs, with ``killed_by`` set to ``import lrdistill``. Any other
+failure of pytest to run stops the audit. A mutant that its named tests pass
+is *survived*: the test that should stand for the behaviour does not. An
+*equivalent* mutant, whose note gives the reason it cannot change a result,
+names no test; all of tier-1 runs on it and must pass.
 
 Writes ``MUTANTS.json`` at the root of the checkout, with no timings, so a
 rerun on the same tree writes the same file, and exits 1 if any mutant
@@ -143,7 +145,7 @@ MUTANTS = [
      "purify(rho, rank_tol).reduction((0, 1))",
      "complement: returns the state itself instead of its complement",
      [f"{ACCEPTANCE}4_flagged_depolarizing_regression"]),
-    ("sampling.py", "writer.writerow(SAMPLE_COLUMNS)", "pass",
+    ("sampling.py", "rows = [SAMPLE_COLUMNS]", "rows = []",
      "EnsembleReport.to_csv: no header row",
      ["tests/test_sampling.py::test_experiment_csv_columns_are_the_json_fields"]),
     ("sampling.py", "return all(s == min(self.spec.d_b, self.spec.d_e)",
@@ -171,14 +173,23 @@ MUTANTS = [
      "witness search: Haar batches grow to 257 trials",
      ["tests/test_distill.py::"
       "test_a_quadratic_kernel_declines_the_bound_and_the_haar_loop_runs[L2-705]"]),
-    ("sampling.py", "if 16 * n > np.iinfo(np.intp).max:", "if n > np.iinfo(np.intp).max:",
-     "sample_pure: the size guard counts entries, not bytes, so numpy's ValueError exits 3",
+    ("states.py", "if 16 * entries > np.iinfo(np.intp).max:",
+     "if entries > np.iinfo(np.intp).max:",
+     "validated_size: the size guard counts entries, not bytes, so numpy's ValueError exits 3",
      ["tests/test_cli.py::test_sample_with_an_unallocatable_size_exits_2[bytes]"]),
     ("cli.py", "    except MemoryError as exc:  # numpy's message names the allocation's size, "
      "shape and dtype\n        print(f\"error: out of memory: {exc}\", file=sys.stderr)\n"
      "        return 2\n", "",
      "main: without its MemoryError clause, a failed allocation is an internal error (exit 3)",
      ["tests/test_cli.py::test_sample_with_an_unallocatable_size_exits_2[memory]"]),
+    # The report writer walks tuples as it walks lists; a sample's Schmidt ranks are a tuple.
+    ("cli.py", "if type(value) in (list, tuple) and value:", "if type(value) is list and value:",
+     "_indented: a tuple goes to json.dumps without an indent, so it is written on one line",
+     ["tests/test_json_writer.py::test_every_golden_payload_is_written_like_json_dumps"]),
+    # A mutant that stops the package from importing is killed before any test runs.
+    ("errors.py", "class InputError(LrdistillError):", "class InputError(LrdistillErrorX):",
+     "errors: InputError's base is an undefined name, so import lrdistill fails",
+     ["tests/test_cli.py::test_every_error_class_has_one_exit_code"]),
     # What a run loads: a search that needs no Haar trial builds no generator.
     ("distill.py", "    d_a = factor.shape[0]\n",
      "    d_a, rng = factor.shape[0], make_rng()\n    make_rng = lambda: rng\n",
@@ -201,7 +212,7 @@ TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-rf", "-p", "no:cacheprovi
 
 def run_mutant(file: str, old: str, new: str, tests: list[str]) -> tuple[bool, str | None]:
     """(killed, the first failing test) of ``tests``, or of tier-1 if none, on a temporary
-    copy with one mutation."""
+    copy with one mutation; a mutant that ``import lrdistill`` fails on is killed by that."""
     with tempfile.TemporaryDirectory(prefix="lrdistill-mutant-") as tmp:
         ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
         for name in ("src", "tests"):
@@ -218,8 +229,13 @@ def run_mutant(file: str, old: str, new: str, tests: list[str]) -> tuple[bool, s
         env = {**os.environ, "PYTHONPATH": os.path.join(tmp, "src"),
                "PYTHONDONTWRITEBYTECODE": "1"}
         proc = subprocess.run(TIER1 + tests, cwd=tmp, env=env, capture_output=True, text=True)
-    if proc.returncode not in (0, 1):
-        raise SystemExit(f"pytest could not run ({proc.returncode}):\n{proc.stdout}{proc.stderr}")
+        if proc.returncode not in (0, 1):  # pytest could not run, as when conftest's import fails
+            imported = subprocess.run([sys.executable, "-c", "import lrdistill"], cwd=tmp,
+                                      env=env, capture_output=True).returncode == 0
+            if not imported:
+                return True, "import lrdistill"
+            raise SystemExit(f"pytest could not run ({proc.returncode}):\n"
+                             f"{proc.stdout}{proc.stderr}")
     failed = re.search(r"^FAILED (\S+)", proc.stdout, re.MULTILINE)
     return proc.returncode == 1, failed.group(1) if failed else None
 
