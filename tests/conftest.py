@@ -206,6 +206,22 @@ def horodecki_2x4_state(b):
     return m / (7 * b + 1)
 
 
+def horodecki_3x3_state(a):
+    """P. Horodecki's PPT entangled state sigma_a on C^3 (x) C^3, 0 < a < 1 (PLA 232, 333, 1997).
+
+    In the basis |i> (x) |j>, at index 3 i + j: a on the diagonal except
+    (1 + a) / 2 at |2 0> and |2 2>, a coupling |0 0>, |1 1> and |2 2> with each
+    other, sqrt(1 - a^2) / 2 coupling |2 0> with |2 2>, all over 8 a + 1. Rank
+    7 > rank(rho_A) = rank(rho_B) = 3; a real array.
+    """
+    m = a * np.eye(9)
+    for i, j in ((0, 4), (0, 8), (4, 8)):
+        m[i, j] = m[j, i] = a
+    m[6, 6] = m[8, 8] = (1 + a) / 2
+    m[6, 8] = m[8, 6] = sqrt(1 - a * a) / 2
+    return m / (8 * a + 1)
+
+
 def random_density(d_a, d_b, d_e, seed):
     """Random induced-measure state built directly with numpy."""
     v = gaussian_unit_vector(np.random.default_rng(seed), d_a * d_b * d_e)

@@ -29,7 +29,8 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 if __name__ == "__main__":  # run as a script: conftest sits one directory up
     sys.path.insert(0, os.path.dirname(HERE))
 from conftest import (antisymmetric_choi, complement_matrix,  # noqa: E402
-                      flagged_depolarizing_choi, gaussian_unit_vector, matrix_doc, pairs)
+                      flagged_depolarizing_choi, gaussian_unit_vector, matrix_doc, pairs,
+                      tiles_upb_state)
 
 SEED = 20221
 FLOAT_TOL = 1e-12
@@ -61,6 +62,10 @@ def documents() -> dict:
     # the complementary channel's Choi state, on C^3 (x) C^k
     complement_3 = complement_matrix(flagged_depolarizing_choi(3, 0.5), 3, 6)
     k = len(complement_3) // 3
+    # Tiles' rho = (1 - P) / 4 has sqrt(rho) = (1 - P) / 2 = 2 rho, so the purification
+    # sum_ij sqrt(rho)_ij |i>|j> on (3, 3, 9) reduces to rho on AB in exact arithmetic,
+    # and no eigensolve picks a basis of rho's degenerate support
+    tiles_sqrt = 2 * tiles_upb_state()
     return {
         "haar_2_4_3.json": {"dims": [2, 4, 3], "vector": pairs(haar_243)},
         "haar_3_3_3.json": {"dims": [3, 3, 3], "vector": pairs(haar_333)},
@@ -75,6 +80,7 @@ def documents() -> dict:
         "flagged_complement_3.json": {
             "d_in": 3, "d_out": k, "choi": matrix_doc(complement_3, (3, k)),
         },
+        "tiles_purified.json": {"dims": [3, 3, 9], "vector": pairs(tiles_sqrt.ravel())},
     }
 
 
@@ -90,6 +96,7 @@ CASES = {
     "analyze_blocks_3_6_4": ["analyze", "blocks_3_6_4.json"],
     "analyze_flagged_complement_3": [
         "analyze", "flagged_complement_3.json", "--budget", "130"],
+    "analyze_tiles_purified": ["analyze", "tiles_purified.json"],
     "filter_A": ["filter", "ab_of_haar_2_4_3.json", "--side", "A"],
     "filter_B": ["filter", "ab_of_haar_2_4_3.json", "--side", "B"],
     "sample_4_8_6_20": ["sample", "4", "8", "6", "20", "--seed", "11"],

@@ -35,6 +35,7 @@ from conftest import (
     gaussian_unit_vector,
     haar_state,
     horodecki_2x4_state,
+    horodecki_3x3_state,
     loop_partial_trace,
     loop_reductions,
     matrix_doc,
@@ -267,6 +268,7 @@ BOUND_ENTANGLED = {
     "tiles": (tiles_upb_state(), (3, 3)),
     "pyramid": (pyramid_upb_state(), (3, 3)),
     **{f"horodecki-{b}": (horodecki_2x4_state(b), (2, 4)) for b in (0.2, 0.5, 0.9)},
+    **{f"horodecki-3x3-{a}": (horodecki_3x3_state(a), (3, 3)) for a in (0.2, 0.5, 0.9)},
 }
 
 

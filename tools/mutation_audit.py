@@ -12,7 +12,8 @@ audit still kills the mutant that stands for it.
 ``MUTANTS`` lists one-line mutants as (file under ``src/lrdistill``, old
 text, new text, note, tests), where ``tests`` names the test or tests that
 stand for the behaviour the mutant breaks. For each one the tool copies
-``src/``, ``tests/``, ``pyproject.toml`` and ``README.md`` to a temporary
+what tier-1 reads (``src/``, ``tests/``, ``tools/``, ``bench/``,
+``pyproject.toml``, ``README.md`` and ``BENCHMARK.json``) to a temporary
 directory, replaces the old text (which must occur exactly once) with the
 new one there, and runs the tier-1 command of ROADMAP.md with ``-x`` on the
 named tests in that copy; the checkout itself is never changed. A mutant is
@@ -215,9 +216,11 @@ def run_mutant(file: str, old: str, new: str, tests: list[str]) -> tuple[bool, s
     copy with one mutation; a mutant that ``import lrdistill`` fails on is killed by that."""
     with tempfile.TemporaryDirectory(prefix="lrdistill-mutant-") as tmp:
         ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
-        for name in ("src", "tests"):
+        # tests/test_surface.py reads README.md; tests/test_ab_bench.py runs tools/ab_bench.py,
+        # which reads BENCHMARK.json and bench/workloads.py
+        for name in ("src", "tests", "tools", "bench"):
             shutil.copytree(os.path.join(ROOT, name), os.path.join(tmp, name), ignore=ignore)
-        for name in ("pyproject.toml", "README.md"):  # README: tests/test_surface.py reads it
+        for name in ("pyproject.toml", "README.md", "BENCHMARK.json"):
             shutil.copy(os.path.join(ROOT, name), tmp)
         path = os.path.join(tmp, "src", "lrdistill", file)
         with open(path, encoding="utf-8") as fh:
