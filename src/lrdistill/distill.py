@@ -286,15 +286,13 @@ def find_one_way_witness(
     _require_bipartite(rho, "one-way witness search")
     budget = validated_count(budget, "budget")
     seed = validated_seed(seed, sequence=True)
-    psi = purify(rho, rank_tol)
-    r = psi.dims[2]  # the purifying register has dimension rank(rho)
+    psi = purify(rho, rank_tol)  # its purifying register has dimension rank(rho)
     r_b = solve_hermitian(partial_trace(rho, (1,)).matrix, rank_tol, vectors=False).rank
-    if r >= r_b:
-        raise RankNotLowError(
-            f"rank(state) = {r} >= {r_b} = rank(marginal B); witness search does not apply"
-        )
-    return _witness_search(psi.amplitudes.reshape(psi.dims), r, budget,
-                           lambda: np.random.default_rng(seed), rank_tol)
+    outcome = _witness_search(psi.amplitudes.reshape(psi.dims), psi.dims[2], r_b, budget,
+                              lambda: np.random.default_rng(seed), rank_tol)
+    if not outcome.performed:
+        raise RankNotLowError(outcome.note)
+    return outcome
 
 
 def _spawned_rng(seed: int, *spawn_key: int) -> Callable[[], np.random.Generator]:
@@ -305,14 +303,16 @@ def _spawned_rng(seed: int, *spawn_key: int) -> Callable[[], np.random.Generator
 def _witness_search(
     factor: np.ndarray,
     r: int,
+    r_second: int,
     budget: int,
     make_rng: Callable[[], np.random.Generator],
     rank_tol: float,
 ) -> WitnessSearchOutcome:
-    """``find_one_way_witness`` once its preconditions hold and r = rank(state) is known.
-
-    ``factor`` and ``make_rng`` are as ``_saturation_search`` takes them.
-    """
+    """``find_one_way_witness`` from r = rank(state) and r_second = rank(second marginal);
+    not performed when r >= r_second. ``factor`` and ``make_rng`` are ``_saturation_search``'s."""
+    if r >= r_second:
+        note = f"rank(state) = {r} >= {r_second} = rank(marginal): search does not apply"
+        return WitnessSearchOutcome(False, None, 0, note)
     phi, trials = _saturation_search(factor, gram_ranks(factor, rank_tol), r, budget, make_rng,
                                      rank_tol)
     note = None if phi is not None else "budget exhausted without certificate"
@@ -324,13 +324,17 @@ class ReductionAnalysis:
     """Distillability data for one reduction (AB or AE) of a tripartite state."""
 
     separability: SeparabilityRecord
-    hashing_rate: float
     witness: WitnessSearchOutcome
 
     @property
     def label(self) -> str:
         """The reduction's parties, "AB" or "AE": those of its rank-regime record."""
         return self.separability.parties
+
+    @property
+    def hashing_rate(self) -> float:
+        """S(second) - S(state), the coherent information with the second party as target."""
+        return self.separability.second.entropy() - self.separability.spectrum.entropy()
 
     @property
     def two_way_heuristic(self) -> bool:
@@ -454,16 +458,11 @@ def classify(
     # nonzero spectrum (Schmidt duality), so no two-party reduction is diagonalized.
     for k, label, factor in ((1, "AB", amps), (2, "AE", amps.swapaxes(1, 2))):
         second, third = marginals[k], marginals[3 - k]
-        r = third.rank
-        if r < second.rank:
-            witness = _witness_search(factor, r, witness_budget, _spawned_rng(seed, k - 1),
-                                      rank_tol)
-        else:
-            note = f"rank(state) = {r} >= {second.rank} = rank(marginal): search does not apply"
-            witness = WitnessSearchOutcome(False, None, 0, note)
-        record = _separability_record(psi.reduction((0, k)), r, marginals[0], second, ppt_tol,
-                                      label)
-        reductions.append(ReductionAnalysis(record, second.entropy() - third.entropy(), witness))
+        witness = _witness_search(factor, third.rank, second.rank, witness_budget,
+                                  _spawned_rng(seed, k - 1), rank_tol)
+        record = SeparabilityRecord(third, marginals[0], second,
+                                    is_ppt(psi.reduction((0, k)), ppt_tol), label)
+        reductions.append(ReductionAnalysis(record, witness))
     return DistillabilityReport(*reductions, {"rank_tol": rank_tol, "ppt_tol": ppt_tol,
                                               "witness_budget": witness_budget, "seed": seed})
 
@@ -477,20 +476,43 @@ class SeparabilityRecord:
     upgrades to a separability verdict. Outside that regime the tool reports
     the PPT witness but leaves separability undecided.
 
-    ``parties`` names the state's two parties, the first in the ``_a`` slots
-    and the second in the ``_b`` slots; the purifying party is the third of
-    A, B and E. The JSON names every rank and bound by these parties: for
-    ``parties = "AE"`` its ranks are AE, A, E, AB and B.
+    Every rank, bound and ``dims`` is read off the eigenvalue-only spectra it
+    was decided from: ``spectrum`` has the state's nonzero eigenvalues (its
+    own or its purifier's); ``first`` and ``second`` are its two ``parties``'
+    marginals, filling the ``_a`` and ``_b`` slots. The purifying party is
+    the third of A, B and E. The JSON names every rank and bound by these
+    parties: for ``parties = "AE"`` its ranks are AE, A, E, AB and B.
     """
 
-    dims: tuple[int, int]
-    rank: int
-    rank_a: int
-    rank_b: int
+    spectrum: HermitianSpectrum
+    first: HermitianSpectrum
+    second: HermitianSpectrum
     ppt: PptVerdict
-    low_rank_bound_a: float | None
-    low_rank_bound_b: float | None
     parties: str = "AB"
+
+    @property
+    def dims(self) -> tuple[int, int]:
+        return (self.first.eigenvalues.size, self.second.eigenvalues.size)
+
+    @property
+    def rank(self) -> int:
+        return self.spectrum.rank
+
+    @property
+    def rank_a(self) -> int:
+        return self.first.rank
+
+    @property
+    def rank_b(self) -> int:
+        return self.second.rank
+
+    @property
+    def low_rank_bound_a(self) -> float | None:
+        return _rate_bound(self.rank, self.rank_a, self.first.min_positive())
+
+    @property
+    def low_rank_bound_b(self) -> float | None:
+        return _rate_bound(self.rank, self.rank_b, self.second.min_positive())
 
     @property
     def rank_e(self) -> int:
@@ -544,23 +566,6 @@ def separability_verdict(
     E and AE ranks are rank(AB) and rank(B), so no purification is built.
     """
     _require_bipartite(rho, "separability verdict")
-    r = solve_hermitian(rho.matrix, rank_tol, vectors=False).rank
-    spec_a, spec_b = (solve_hermitian(partial_trace(rho, (k,)).matrix, rank_tol, vectors=False)
-                      for k in (0, 1))
-    return _separability_record(rho, r, spec_a, spec_b, ppt_tol, "AB")
-
-
-def _separability_record(
-    rho: DensityMatrix,
-    r: int,
-    first: HermitianSpectrum,
-    second: HermitianSpectrum,
-    ppt_tol: float,
-    parties: str,
-) -> SeparabilityRecord:
-    """``rho``'s record, from its rank ``r`` and the spectra of its two marginals."""
-    return SeparabilityRecord(
-        rho.dims, r, first.rank, second.rank, is_ppt(rho, ppt_tol),
-        *(_rate_bound(r, spec.rank, spec.min_positive()) for spec in (first, second)),
-        parties,
-    )
+    spectra = (solve_hermitian(state.matrix, rank_tol, vectors=False)
+               for state in (rho, partial_trace(rho, (0,)), partial_trace(rho, (1,))))
+    return SeparabilityRecord(*spectra, is_ppt(rho, ppt_tol))

@@ -7,6 +7,8 @@ import shutil
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TOOL = os.path.join(ROOT, "tools", "ab_bench.py")
 
@@ -24,6 +26,19 @@ def test_this_tree_against_itself_prints_the_same_bytes_and_solves():
     assert result["outputs_identical"] is True and result["runs"] == []
     calls = result["linalg_calls_per_op"]
     assert calls["base"] == calls["head"]
+
+
+def test_one_revision_against_itself_archives_each_side_apart():
+    try:
+        subprocess.run(["git", "rev-parse", "--verify", "HEAD"], cwd=ROOT, check=True,
+                       capture_output=True)
+    except (OSError, subprocess.CalledProcessError):
+        pytest.skip("not a git checkout with a commit")
+    done = check_only("HEAD", "HEAD")
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert result["outputs_identical"] is True
+    assert result["trees"]["base"]["sha"] == result["trees"]["head"]["sha"]
 
 
 def test_a_changed_report_names_the_op_whose_output_differs(tmp_path):

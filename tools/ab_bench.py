@@ -87,12 +87,13 @@ def _sha(checkout: str) -> str | None:
         return None
 
 
-def source_tree(spec: str, scratch: str) -> tuple[str, str | None]:
-    """(directory holding ``lrdistill/``, short SHA or None) for a checkout or a revision."""
+def source_tree(spec: str, scratch: str, label: str) -> tuple[str, str | None]:
+    """(directory holding ``lrdistill/``, short SHA or None) for a checkout or a revision;
+    a revision is archived into a directory named by ``label``, so both sides may name one."""
     if os.path.isdir(os.path.join(spec, "src", "lrdistill")):
         return os.path.join(spec, "src"), _sha(spec)
     sha = _git("rev-parse", "--short", spec)
-    target = os.path.join(scratch, sha)
+    target = os.path.join(scratch, f"{label}-archive")
     os.makedirs(target)
     archive = subprocess.run(["git", "archive", sha, "src"], cwd=ROOT, check=True,
                              capture_output=True).stdout
@@ -208,7 +209,7 @@ def main(argv: list[str] | None = None) -> int:
         better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
     runs = []
     with tempfile.TemporaryDirectory() as scratch:
-        trees = {label: source_tree(spec, scratch)
+        trees = {label: source_tree(spec, scratch, label)
                  for label, spec in (("base", args.base), ("head", args.head))}
         calls = check(trees, args.workload, args.seed, scratch)
         roots = {label: os.path.join(scratch, label) for label in trees}

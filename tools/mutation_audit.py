@@ -73,8 +73,8 @@ MUTANTS = [
     ("kernels.py", "HERMITICITY_TOL = 1e-10", "HERMITICITY_TOL = 1e-6",
      "hermitian_part: a Hermiticity check 1e4 times looser",
      ["tests/test_states.py::test_asymmetry_above_the_tolerance_is_rejected"]),
-    ("distill.py", "if r < second.rank:", "if r <= second.rank:",
-     "classify: the witness search also runs when rank(state) = rank(marginal)",
+    ("distill.py", "if r >= r_second:", "if r > r_second:",
+     "_witness_search: the search also runs when rank(state) = rank(marginal)",
      ["tests/test_distill.py::test_classify_werner_holevo_purification"]),
     ("kernels.py", "lam_p = lams[:-1, 0] - c * n_sq", "lam_p = lams[:-1, 0]",
      "ratio_bound: P's eigenvalues without their allowance for the eigensolve's rounding",
