@@ -19,12 +19,7 @@ from math import isfinite
 from . import __version__
 from .channels import channel_from_dict, flagged_depolarizing_channel, werner_holevo_channel
 from .distill import DEFAULT_WITNESS_BUDGET, classify, local_filter
-from .errors import (
-    InputError,
-    LrdistillError,
-    RankNotLowError,
-    StateFormatError,
-)
+from .errors import InputError, LrdistillError, StateFormatError
 from .kernels import DEFAULT_RANK_TOL, validated_tolerance
 from .sampling import EnsembleSpec, run_experiment
 from .states import (
@@ -239,12 +234,7 @@ def _cmd_filter(args) -> str:
     kind, state = _load_state(args.state_file)
     rho = state.reduction((0, 1)) if isinstance(state, TripartitePureState) else state
     outcome = local_filter(rho, args.side, args.rank_tol)
-    try:
-        bound = outcome.rate_bound()
-        bound_note = None
-    except RankNotLowError as exc:
-        bound = None
-        bound_note = str(exc)
+    bound, bound_note = outcome.low_rank_bound, outcome.low_rank_bound_note
     if args.fmt == "pretty":
         lines = [
             f"input: {kind} dims={list(rho.dims)}",

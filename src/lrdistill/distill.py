@@ -85,8 +85,14 @@ class FilterOutcome:
 
     ``filter_operator`` acts on the filtering subsystem only. ``p_succ``
     equals lambda_min * r_side up to rounding, and the filtered marginal on
-    the filtering side is ``support_projector / r_side``. ``hashing_rate`` is
-    ``filtered_hashing_rate`` on this side.
+    the filtering side is ``support_projector / r_side``.
+
+    Every rank, rate and bound is read off the spectra it was decided from:
+    ``marginal`` is the filtering side's marginal, and ``filtered_spectrum``
+    has the eigenvalues of the filtered state's purifying register, whose
+    dimension is rank(state). ``hashing_rate`` is ``filtered_hashing_rate``
+    on this side, and ``low_rank_bound`` is ``low_rank_rate_bound``'s value,
+    or None with ``low_rank_bound_note`` saying why it does not apply.
     """
 
     side: Side
@@ -94,10 +100,35 @@ class FilterOutcome:
     p_succ: float
     filtered_state: DensityMatrix
     support_projector: np.ndarray
-    rank: int
-    rank_side: int
-    lambda_min: float
-    hashing_rate: float
+    marginal: HermitianSpectrum
+    filtered_spectrum: HermitianSpectrum
+
+    @property
+    def rank(self) -> int:
+        return self.filtered_spectrum.eigenvalues.size
+
+    @property
+    def rank_side(self) -> int:
+        return self.marginal.rank
+
+    @property
+    def lambda_min(self) -> float:
+        return self.marginal.min_positive()
+
+    @property
+    def hashing_rate(self) -> float:
+        return self.p_succ * (log2(self.rank_side) - self.filtered_spectrum.entropy())
+
+    @property
+    def low_rank_bound(self) -> float | None:
+        return _rate_bound(self.rank, self.rank_side, self.lambda_min)
+
+    @property
+    def low_rank_bound_note(self) -> str | None:
+        if self.low_rank_bound is not None:
+            return None
+        return (f"rank(state) = {self.rank} >= {self.rank_side} = rank(marginal {self.side}); "
+                "bound does not apply")
 
     def to_json_dict(self) -> dict:
         return {
@@ -110,16 +141,6 @@ class FilterOutcome:
             "support_projector": complex_pairs(self.support_projector),
             "filtered_state": self.filtered_state.to_json_dict(),
         }
-
-    def rate_bound(self) -> float:
-        """``low_rank_rate_bound`` on this side, from the ranks and lambda_min found here."""
-        bound = _rate_bound(self.rank, self.rank_side, self.lambda_min)
-        if bound is None:
-            raise RankNotLowError(
-                f"rank(state) = {self.rank} >= {self.rank_side} = rank(marginal {self.side}); "
-                "bound does not apply"
-            )
-        return bound
 
 
 def local_filter(
@@ -146,17 +167,7 @@ def local_filter(
     # Haswell kernels a complex matmul left as the last numerical call slows the Python
     # float formatting that follows (the JSON writer) by about a third.
     e_spectrum = solve_hermitian(filtered.reduction((2,)).matrix, rank_tol, vectors=False)
-    return FilterOutcome(
-        side=side,
-        filter_operator=y,
-        p_succ=p_succ,
-        filtered_state=filtered_ab,
-        support_projector=projector,
-        rank=psi.dims[2],
-        rank_side=spectrum.rank,
-        lambda_min=lam_min,
-        hashing_rate=p_succ * (log2(spectrum.rank) - e_spectrum.entropy()),
-    )
+    return FilterOutcome(side, y, p_succ, filtered_ab, projector, spectrum, e_spectrum)
 
 
 def low_rank_rate_bound(
@@ -168,7 +179,10 @@ def low_rank_rate_bound(
     filter-then-hash protocol guarantees at least
     lambda_min * r_side * (log2 r_side - log2 r) ebits per copy.
     """
-    return local_filter(rho, side, rank_tol).rate_bound()
+    outcome = local_filter(rho, side, rank_tol)
+    if outcome.low_rank_bound is None:
+        raise RankNotLowError(outcome.low_rank_bound_note)
+    return outcome.low_rank_bound
 
 
 def filtered_hashing_rate(

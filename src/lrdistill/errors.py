@@ -1,5 +1,5 @@
 """Exception types. Each is an InputError (CLI exit 2) or a NumericsError (exit 3), except
-RankNotLowError, which ``filter`` reports as a note."""
+RankNotLowError, which only ``low_rank_rate_bound`` and ``find_one_way_witness`` raise."""
 
 
 class LrdistillError(Exception):

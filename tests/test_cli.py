@@ -166,7 +166,8 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
 
 def test_every_error_class_has_one_exit_code():
     # cli.main exits 2 on an InputError and 3 on a NumericsError; only the bases and
-    # RankNotLowError, which filter reports as a note, are in neither family
+    # RankNotLowError, which only low_rank_rate_bound and find_one_way_witness raise, are in
+    # neither family
     families = {"LrdistillError", "InputError", "NumericsError", "RankNotLowError"}
     for name, cls in vars(errors).items():
         if isinstance(cls, type) and issubclass(cls, Exception) and name not in families:

@@ -101,9 +101,20 @@ def test_rate_bound_tilted():
     assert low_rank_rate_bound(tilted_state(), "B") == pytest.approx(0.2, abs=1e-12)
 
 
-def test_rate_bound_full_rank_errors():
-    with pytest.raises(RankNotLowError):
-        low_rank_rate_bound(maximally_mixed((2, 2)), "B")
+@pytest.mark.parametrize("rho", [
+    pytest.param(maximally_mixed((2, 2)), id="maximally-mixed"),
+    # ranks 3 = 3 = 3: the r = r_side edge, where the bound is zero but does not apply
+    pytest.param(werner_holevo_channel().choi, id="wh-choi"),
+])
+def test_rate_bound_full_rank_errors(rho):
+    for side in ("A", "B"):
+        with pytest.raises(RankNotLowError):
+            low_rank_rate_bound(rho, side)
+        out = local_filter(rho, side)
+        assert out.low_rank_bound is None
+        assert out.low_rank_bound_note.endswith(f"rank(marginal {side}); bound does not apply")
+    record = separability_verdict(rho)
+    assert record.low_rank_bound_a is None and record.low_rank_bound_b is None
 
 
 # --- filtered hashing rate -------------------------------------------------------

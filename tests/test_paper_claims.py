@@ -144,6 +144,11 @@ def test_swapping_a_and_b_maps_side_a_results_onto_side_b(rho):
         for field in ("p_succ", "lambda_min", "hashing_rate"):
             assert abs(getattr(got, field) - getattr(want, field)) <= 1e-12, field
         assert abs(want.p_succ - want.lambda_min * want.rank_side) <= 1e-12
+        # the same bound from two solves: eigh of the purification's marginal, and eigvalsh
+        # of the partial trace
+        record_bound = getattr(separability_verdict(rho), f"low_rank_bound_{side.lower()}")
+        assert ((want.low_rank_bound is None and record_bound is None)
+                or abs(want.low_rank_bound - record_bound) <= 1e-12)
     got, want = separability_verdict(swapped), separability_verdict(rho)
     assert (got.rank, got.rank_a, got.rank_b) == (want.rank, want.rank_b, want.rank_a)
     assert (got.rank_e, got.ppt.is_ppt) == (want.rank_e, want.ppt.is_ppt)

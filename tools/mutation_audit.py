@@ -129,8 +129,8 @@ MUTANTS = [
      "lam_min * r_side * (log2(r) - log2(r_side))",
      "_rate_bound: the sign flipped, so the bound is negative",
      [f"{ACCEPTANCE}4_flagged_depolarizing_regression"]),
-    ("distill.py", "rank=psi.dims[2],", "rank=spectrum.rank,",
-     "local_filter: reports the marginal's rank as the filtered state's",
+    ("distill.py", "return self.filtered_spectrum.eigenvalues.size", "return self.marginal.rank",
+     "FilterOutcome.rank: reports the marginal's rank as the filtered state's",
      [f"{ACCEPTANCE}2_filter_inequality_chain"]),
     ("distill.py", "if not red.separability.ppt.is_ppt)", "if red.separability.ppt.is_ppt)",
      "classification: the PPT reductions are listed as the NPT ones",
@@ -164,6 +164,9 @@ MUTANTS = [
      "validated_count: a numpy integer is stored as given",
      [f"{TOLERANCES}::test_an_integral_numpy_setting_is_stored_as_int"]),
     # Cutoff and guard equality cases, and the batch cap, that a test pins at the edge.
+    ("distill.py", "if r < r_side else None", "if r <= r_side else None",
+     "_rate_bound: a zero bound at rank(state) = rank(marginal), where it does not apply",
+     ["tests/test_distill.py::test_rate_bound_full_rank_errors"]),
     ("distill.py", "red.hashing_rate > POSITIVE_RATE_TOL", "red.hashing_rate >= POSITIVE_RATE_TOL",
      "rates: a hashing rate equal to POSITIVE_RATE_TOL certifies both_one_way",
      [f"{TOLERANCES}::test_a_hashing_rate_equal_to_the_positive_rate_cutoff_is_not_positive"]),
