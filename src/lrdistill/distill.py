@@ -48,9 +48,8 @@ Side = Literal["A", "B"]
 
 DEFAULT_WITNESS_BUDGET = 50
 
-#: Haar trials of the witness search's first batch; each later batch doubles, up to _MAX_BATCH.
+#: Haar trials per batch of the witness search; the last batch holds what is left.
 _BATCH = 64
-_MAX_BATCH = 256
 
 #: A rate above this threshold counts as numerically positive evidence.
 POSITIVE_RATE_TOL = 1e-9
@@ -242,8 +241,8 @@ def _saturation_search(
 
     Tries the d_A computational basis vectors first (they catch structured
     states cheaply), then ``budget`` Haar-random vectors (a budget the caller
-    has validated) in batches of ``_BATCH`` trials, doubling up to
-    ``_MAX_BATCH``. Each batch forms its trials' K in one matrix product and
+    has validated) in batches of ``_BATCH`` trials, the last one holding
+    what is left. Each batch forms its trials' K in one matrix product and
     ranks them with one ``gram_ranks`` solve. ``basis_ranks`` is
     ``gram_ranks(factor, rank_tol)``, the basis vectors' ranks, which callers
     that also report them compute once. Trial order, random draws and the
@@ -254,8 +253,8 @@ def _saturation_search(
     right before the first Haar batch, so a search that needs no Haar trial
     never builds one (nor loads ``numpy.random``): one whose basis vector
     hits, one with budget 0, and one that ``ratio_bound`` certifies. When
-    the basis vectors miss, the budget exceeds ``_BATCH`` and target_rank =
-    m, the smaller side of F's slices, ``ratio_bound`` is checked before any
+    the basis vectors miss, the budget is positive and target_rank = m, the
+    smaller side of F's slices, ``ratio_bound`` is checked before any
     Haar draw. If it is <= rank_tol, it proves that no vector on A reaches
     rank m (as when K has a kernel linear in phi), so every trial would
     miss: the search returns the exhausted result, (None, d_A + budget).
@@ -264,13 +263,11 @@ def _saturation_search(
     hits = np.flatnonzero(basis_ranks == target_rank)
     if hits.size:
         return np.eye(d_a, dtype=np.complex128)[hits[0]], int(hits[0]) + 1
-    if budget > _BATCH and target_rank == min(factor.shape[1:]) and ratio_bound(factor) <= rank_tol:
+    if not budget or (target_rank == min(factor.shape[1:]) and ratio_bound(factor) <= rank_tol):
         return None, d_a + budget
-    flat = factor.reshape(d_a, -1)
-    rng = make_rng() if budget else None
-    done, size = 0, _BATCH
-    while done < budget:
-        n = min(size, budget - done)
+    flat, rng = factor.reshape(d_a, -1), make_rng()
+    for done in range(0, budget, _BATCH):
+        n = min(_BATCH, budget - done)
         # Per trial d_A real parts, then d_A imaginary parts: the same stream
         # as drawing each trial's two parts on its own.
         g = rng.standard_normal((n, 2, d_a))
@@ -280,7 +277,6 @@ def _saturation_search(
         if hits.size:
             phi = v[hits[0]]
             return phi / np.linalg.norm(phi), d_a + done + int(hits[0]) + 1
-        done, size = done + n, min(2 * size, _MAX_BATCH)
     return None, d_a + budget
 
 

@@ -96,6 +96,7 @@ CASES = {
     "analyze_blocks_3_6_4": ["analyze", "blocks_3_6_4.json"],
     "analyze_flagged_complement_3": [
         "analyze", "flagged_complement_3.json", "--budget", "130"],
+    "analyze_flagged_complement_3_default": ["analyze", "flagged_complement_3.json"],
     "analyze_tiles_purified": ["analyze", "tiles_purified.json"],
     "filter_A": ["filter", "ab_of_haar_2_4_3.json", "--side", "A"],
     "filter_B": ["filter", "ab_of_haar_2_4_3.json", "--side", "B"],

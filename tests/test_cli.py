@@ -438,15 +438,15 @@ def test_a_run_that_draws_nothing_never_loads_numpy_random(tmp_path):
     comp = write_state(tmp_path, "complement.json", matrix_doc(
         complement_matrix(flagged_depolarizing_choi(3, 0.5), 3, 6), (3, 10)))
     steps = [["analyze", pure], ["filter", pure, "--side", "A"], ["filter", pure, "--side", "B"],
-             ["analyze", comp, "--budget", "2000"], ["find_one_way_witness", mixed],
-             ["sample", "2", "3", "2", "1"]]
+             ["analyze", comp, "--budget", "2000"], ["analyze", comp],
+             ["find_one_way_witness", mixed], ["sample", "2", "3", "2", "1"]]
     done = subprocess.run([sys.executable, "-c", NUMPY_RANDOM_PROBE, json.dumps(steps)],
                           capture_output=True, text=True, check=True)
     probe = json.loads(done.stdout)
     if probe["numpy_loads_random"]:
         pytest.skip("import numpy alone loads numpy.random before numpy 2.0")
     assert probe["steps"] == [[False, 1], [False, None], [False, None],
-                              [False, 3 + 2000], [False, 1], [True, None]]
+                              [False, 3 + 2000], [False, 3 + 50], [False, 1], [True, None]]
 
 
 def test_states_are_validated_only_at_the_input_boundary(tmp_path, capsys, monkeypatch,

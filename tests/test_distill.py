@@ -231,9 +231,9 @@ def assert_search_matches_loop_oracle(factor, budget, seed):
     if phi is not None:
         assert np.array_equal(phi, want_phi)  # bit-identical
     # The generator is built once, at the first Haar batch: never after a basis hit or at
-    # budget 0. An exhaustion past _BATCH may be certified by ratio_bound before any draw.
+    # budget 0. An exhaustion may be certified by ratio_bound before any draw.
     drew = want_trials > d_a
-    if drew and want_phi is None and budget > distill._BATCH:
+    if drew and want_phi is None:
         assert len(built) <= 1
     else:
         assert len(built) == drew
@@ -314,17 +314,17 @@ def test_haar_witness_of_rank_one_slices_matches_loop_oracle(r, extra, state_see
 def test_near_cutoff_haar_trials_take_the_open_path(monkeypatch, seed):
     # the last column scaled by 3e-5: rho keeps rank 3, but many trials condition B to
     # lambda_min / lambda_max near rank_tol, which each batch's one eigvalsh decides;
-    # a budget of one batch checks no bound
+    # the bound declines first
     bounds, batches = spy_on_search(monkeypatch)
     target, _ = assert_witness_matches_loop_oracle(
         rank_one_slices_state(4, 4, 3, seed, last_column=3e-5), 60, seed)
-    assert target == 3 and bounds == []
+    assert target == 3 and len(bounds) == 1 and bounds[0] > DEFAULT_RANK_TOL
     assert batches[0] == 4 and len(batches) >= 2  # the basis batch, then the open Haar trials
 
 
-@pytest.mark.parametrize("haar_trial", [64, 65, 64 + 128, 64 + 128 + 1])
+@pytest.mark.parametrize("haar_trial", [64, 65, 3 * 64, 3 * 64 + 1])
 def test_hit_at_a_batch_boundary(monkeypatch, haar_trial):
-    # batches of 64, 128, 256, ... Haar trials: the rank function reports saturation
+    # batches of 64 Haar trials: the rank function reports saturation
     # only at Haar trial ``haar_trial``, the last or first trial of a batch
     d_a, target, seed = 3, 2, 8
     factor = structured_factor(d_a, 4, 2, "shared_column", seed)
@@ -343,7 +343,7 @@ def test_hit_at_a_batch_boundary(monkeypatch, haar_trial):
     assert trials == d_a + haar_trial
     want = loop_haar_draws(np.random.default_rng(seed), d_a, haar_trial)[-1]
     assert np.array_equal(phi, want)
-    want_sizes = {64: [64], 65: [64, 128], 192: [64, 128], 193: [64, 128, 256]}[haar_trial]
+    want_sizes = {64: [64], 65: [64, 64], 192: [64, 64, 64], 193: [64, 64, 64, 64]}[haar_trial]
     assert batch_sizes == [d_a] + want_sizes
 
 
@@ -414,9 +414,9 @@ def test_a_ratio_bound_equal_to_rank_tol_certifies(monkeypatch):
     assert bounds == [DEFAULT_RANK_TOL] and batches == [3]
 
 
-# Haar batches double from 64 trials up to 256, and the last one holds what is left
-@pytest.mark.parametrize("budget, haar_batches", [(200, [64, 128, 8]),
-                                                  (705, [64, 128, 256, 256, 1])],
+# Haar batches hold 64 trials each, and the last one holds what is left
+@pytest.mark.parametrize("budget, haar_batches", [(200, [64, 64, 64, 8]),
+                                                  (705, [64] * 11 + [1])],
                          ids=["200", "705"])
 @pytest.mark.parametrize("family", DECLINING_FACTORS)
 def test_a_quadratic_kernel_declines_the_bound_and_the_haar_loop_runs(monkeypatch, family,
@@ -449,10 +449,9 @@ def test_a_perturbed_complement_declines_the_bound_and_the_haar_loop_runs(monkey
     # bound (one svd, one eigvalsh) proves before any draw that all 2000 Haar
     # trials miss (34 eigvalsh with one per Haar batch, 2005 solves with one per trial)
     (2000, 2003, {"eigh": 1, "eigvalsh": 3, "svd": 1}),
-    # a budget of one batch: no bound, and the 50 Haar trials are one stacked eigvalsh
-    (50, 53, {"eigh": 1, "eigvalsh": 3}),
-    # the bound is checked only when the budget exceeds one batch of 64
-    (64, 67, {"eigh": 1, "eigvalsh": 3}),
+    # the bound is checked at every positive budget, one batch or less included
+    (50, 53, {"eigh": 1, "eigvalsh": 3, "svd": 1}),
+    (64, 67, {"eigh": 1, "eigvalsh": 3, "svd": 1}),
     (65, 68, {"eigh": 1, "eigvalsh": 3, "svd": 1}),
 ], ids=["exhausted", "short", "one-batch", "one-batch-and-one"])
 def test_search_eigensolver_count(solver_calls, budget, trials, counts):
@@ -470,7 +469,7 @@ def test_search_solver_failure_is_non_convergence(monkeypatch):
 
 
 def test_a_failing_ratio_bound_svd_is_non_convergence(monkeypatch):
-    # the d=3 complement: the first Haar batch misses, and the bound's svd fails
+    # the d=3 complement: the basis vectors miss, and the bound's svd fails
     j_ae = complement_channel(flagged_depolarizing_channel(3, 0.5)).choi
     fail_solver(monkeypatch, "svd")
     with pytest.raises(NonConvergenceError, match="^singular value solver did not converge"):
