@@ -16,7 +16,8 @@ import numpy as np
 
 from .distill import DEFAULT_WITNESS_BUDGET, _saturation_search, _spawned_rng
 from .errors import BadParameterError
-from .kernels import DEFAULT_RANK_TOL, gram_ranks, solve_hermitian, validated_tolerance
+from .kernels import (DEFAULT_RANK_TOL, HermitianSpectrum, gram_ranks, solve_hermitian,
+                      validated_tolerance)
 from .states import (DensityMatrix, TripartitePureState, partial_trace, validated_count,
                      validated_dimension, validated_seed, validated_size)
 
@@ -82,19 +83,35 @@ SAMPLE_COLUMNS = ("index", "rank_state", "expected_rank_state", "rank_state_ok",
                   "largest_discarded")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleRecord:
-    """What one sample drawn under ``spec`` measured; its expected ranks and checks are derived."""
+    """What one sample drawn under ``spec`` measured; its expected ranks and checks are derived.
+
+    ``spectrum`` is the eigenvalue-only spectrum of rho_AB the sample was decided from:
+    ``rank_state`` and the tolerance evidence around its cutoff are read off it.
+    """
 
     spec: EnsembleSpec = field(repr=False)
     index: int
-    rank_state: int
+    spectrum: HermitianSpectrum
     rank_marginal: int
     schmidt_ranks: tuple[int, ...]
     witness_found: bool
     witness_trials: int
-    smallest_retained: float
-    largest_discarded: float | None
+
+    @property
+    def rank_state(self) -> int:
+        return self.spectrum.rank
+
+    @property
+    def smallest_retained(self) -> float:
+        return self.spectrum.min_positive()
+
+    @property
+    def largest_discarded(self) -> float | None:
+        """The largest eigenvalue at or below the rank cutoff, or None when every one is kept."""
+        r, lams = self.spectrum.rank, self.spectrum.eigenvalues
+        return float(lams[r]) if r < lams.size else None
 
     @property
     def expected_rank_state(self) -> int:
@@ -188,16 +205,12 @@ def run_experiment(
         amps = psi.amplitudes.reshape(psi.dims)
         rho = partial_trace(psi.density_matrix(), (0, 1))
         spectrum = solve_hermitian(rho.matrix, spec.rank_tol, vectors=False)
-        rank_state, lams = spectrum.rank, spectrum.eigenvalues
-        largest_discarded = float(lams[rank_state]) if rank_state < lams.size else None
-        rank_marginal = solve_hermitian(partial_trace(rho, (1,)).matrix, spec.rank_tol,
+        rank_marginal = solve_hermitian(psi.reduction((1,)).matrix, spec.rank_tol,
                                         vectors=False).rank
         basis_ranks = gram_ranks(amps, spec.rank_tol)
-        phi, trials = _saturation_search(amps, basis_ranks, min(rank_state, rank_marginal),
+        phi, trials = _saturation_search(amps, basis_ranks, min(spectrum.rank, rank_marginal),
                                          witness_budget, _spawned_rng(spec.seed, k, 1),
                                          spec.rank_tol)
-        records.append(SampleRecord(
-            spec, k, rank_state, rank_marginal, tuple(int(r) for r in basis_ranks),
-            phi is not None, trials, spectrum.min_positive(), largest_discarded,
-        ))
+        records.append(SampleRecord(spec, k, spectrum, rank_marginal,
+                                    tuple(int(r) for r in basis_ranks), phi is not None, trials))
     return EnsembleReport(spec=spec, witness_budget=witness_budget, samples=tuple(records))

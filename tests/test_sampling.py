@@ -7,6 +7,7 @@ import pytest
 
 from lrdistill import (
     EnsembleSpec,
+    HermitianSpectrum,
     partial_trace,
     run_experiment,
     sample_pure,
@@ -150,8 +151,11 @@ def test_experiment_solver_calls(solver_calls):
 
 def test_experiment_csv_columns_are_the_json_fields():
     report = run_experiment(EnsembleSpec(d_a=2, d_b=4, d_e=3, n_samples=3, seed=2))
-    samples = (replace(report.samples[0], largest_discarded=None), *report.samples[1:])
-    report = replace(report, samples=samples)
+    # the first record keeps only its 3 retained eigenvalues, so it discards none
+    first = report.samples[0]
+    kept = HermitianSpectrum(first.spectrum.eigenvalues[:3], None, 3)
+    report = replace(report, samples=(replace(first, spectrum=kept), *report.samples[1:]))
+    assert report.samples[0].largest_discarded is None
     header, *rows = csv.reader(io.StringIO(report.to_csv()))
     assert len(rows) == 3
     for record, row in zip(report.samples, rows):
@@ -175,7 +179,8 @@ def test_a_record_derives_its_verdicts_from_its_ranks():
     assert (first.rank_state, first.rank_marginal, first.schmidt_ranks) == (3, 4, (3, 3))
     assert first.rank_state_ok and first.schmidt_ok and first.low_rank
     # rank(state) = rank(marginal) = 4 against the generic 3, and one column of Schmidt rank 2
-    changed = replace(first, rank_state=4, schmidt_ranks=(2, 3))
+    rank_4 = HermitianSpectrum(np.array([0.4, 0.3, 0.2, 0.1, 0.0, 0.0, 0.0, 0.0]), None, 4)
+    changed = replace(first, spectrum=rank_4, schmidt_ranks=(2, 3))
     assert not changed.rank_state_ok and changed.rank_marginal_ok
     assert not changed.low_rank and not changed.schmidt_ok
     doc = changed.to_json_dict()

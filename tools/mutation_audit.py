@@ -147,6 +147,9 @@ MUTANTS = [
      "purify(rho, rank_tol).reduction((0, 1))",
      "complement: returns the state itself instead of its complement",
      [f"{ACCEPTANCE}4_flagged_depolarizing_regression"]),
+    ("sampling.py", "float(lams[r])", "float(lams[r - 1])",
+     "SampleRecord.largest_discarded: reports the smallest retained eigenvalue",
+     ["tests/test_golden.py::test_cli_output_matches_golden"]),
     ("sampling.py", "rows = [SAMPLE_COLUMNS]", "rows = []",
      "EnsembleReport.to_csv: no header row",
      ["tests/test_sampling.py::test_experiment_csv_columns_are_the_json_fields"]),
@@ -168,6 +171,9 @@ MUTANTS = [
     ("distill.py", "if r < r_side else None", "if r <= r_side else None",
      "_rate_bound: a zero bound at rank(state) = rank(marginal), where it does not apply",
      ["tests/test_distill.py::test_rate_bound_full_rank_errors"]),
+    ("sampling.py", "if r < lams.size else None", "if r <= lams.size else None",
+     "SampleRecord.largest_discarded: a spectrum that keeps every eigenvalue indexes past its end",
+     ["tests/test_sampling.py::test_experiment_csv_columns_are_the_json_fields"]),
     ("distill.py", "red.hashing_rate > POSITIVE_RATE_TOL", "red.hashing_rate >= POSITIVE_RATE_TOL",
      "rates: a hashing rate equal to POSITIVE_RATE_TOL certifies both_one_way",
      [f"{TOLERANCES}::test_a_hashing_rate_equal_to_the_positive_rate_cutoff_is_not_positive"]),
