@@ -149,6 +149,26 @@ def test_experiment_solver_calls(solver_calls):
     assert solver_calls == {"eigvalsh": 4 * 10}
 
 
+@pytest.mark.parametrize("dims, seed", [
+    ((2, 4, 3), 2),
+    ((4, 8, 6), 0),
+    ((1, 2, 1), 3),
+], ids=["generic", "golden", "trivial-alice"])
+def test_a_record_matches_its_state_by_loop_oracle(dims, seed):
+    # redraw each sample and take rho_AB and rho_B = tr_A rho_AB by explicit index loops
+    report = run_experiment(EnsembleSpec(*dims, n_samples=4, seed=seed))
+    for k, record in enumerate(report.samples):
+        psi = sample_pure(*dims, np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
+        rho_ab, rho_b = loop_reductions(psi.amplitudes, dims, (0, 1), (1,))
+        lams = np.linalg.eigvalsh(rho_ab)[::-1]
+        assert np.max(np.abs(record.spectrum.eigenvalues - lams)) <= 1e-12
+        r = numerical_rank(rho_ab)
+        assert record.rank_state == r == min(dims[2], dims[0] * dims[1])
+        assert record.rank_marginal == numerical_rank(rho_b)
+        assert abs(record.smallest_retained - lams[r - 1]) <= 1e-12
+        assert abs(record.largest_discarded - lams[r]) <= 1e-12
+
+
 def test_experiment_csv_columns_are_the_json_fields():
     report = run_experiment(EnsembleSpec(d_a=2, d_b=4, d_e=3, n_samples=3, seed=2))
     # the first record keeps only its 3 retained eigenvalues, so it discards none
