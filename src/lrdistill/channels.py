@@ -104,7 +104,7 @@ def werner_holevo_channel() -> ChoiChannel:
     """
     d = 3
     swap = np.eye(d * d).reshape(d, d, d, d).swapaxes(0, 1).reshape(d * d, d * d)
-    choi = DensityMatrix((d, d), (np.eye(d * d) - swap) / (d * (d - 1)))
+    choi = DensityMatrix._trusted((d, d), (np.eye(d * d) - swap) / (d * (d - 1)))
     return ChoiChannel(choi)
 
 
@@ -133,4 +133,4 @@ def flagged_depolarizing_channel(d: int, q: float = 0.5) -> ChoiChannel:
     j4 = j.reshape(d, 2 * d, d, 2 * d)
     j4[:, :d, :, :d] = 0.5 * j_identity.reshape(d, d, d, d)
     j4[:, d:, :, d:] = 0.5 * j_depol.reshape(d, d, d, d)
-    return ChoiChannel(DensityMatrix((d, 2 * d), j))
+    return ChoiChannel(DensityMatrix._trusted((d, 2 * d), j))

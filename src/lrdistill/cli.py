@@ -199,8 +199,8 @@ def _cmd_analyze(args) -> str:
             f"input: {kind} dims={list(state.dims)}",
             f"classification: {report.classification}",
             f"npt reductions: {', '.join(report.npt_reductions) or 'none'}",
-            "ranks: "
-            + " ".join(f"{k}={v}" for k, v in report.to_json_dict()["ranks"].items()),
+            f"ranks: AB={separability.rank} A={separability.rank_a} B={separability.rank_b} "
+            f"E={separability.rank_e}",
             "rates: " + " ".join(f"{k}={v}" for k, v in report.rates.items()),
         ]
         for red in (report.reduction_ab, report.reduction_ae):

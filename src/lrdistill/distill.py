@@ -73,6 +73,11 @@ def _side_index(side: Side) -> int:
     return 0 if side == "A" else 1
 
 
+def _filter_operator(marginal: HermitianSpectrum) -> np.ndarray:
+    """Y = sqrt(lambda_min) * rho_side^{-1/2} on the marginal's support, zero on its kernel."""
+    return np.sqrt(marginal.min_positive()) * marginal.pinv_sqrt()
+
+
 def _rate_bound(r: int, r_side: int, lam_min: float) -> float | None:
     """lambda_min * r_side * (log2 r_side - log2 r) if r < r_side, else None."""
     return lam_min * r_side * (log2(r_side) - log2(r)) if r < r_side else None
@@ -82,25 +87,38 @@ def _rate_bound(r: int, r_side: int, lam_min: float) -> float | None:
 class FilterOutcome:
     """Success branch of the local filtering measurement on one side.
 
-    ``filter_operator`` acts on the filtering subsystem only. ``p_succ``
-    equals lambda_min * r_side up to rounding, and the filtered marginal on
-    the filtering side is ``support_projector / r_side``.
+    ``filtered`` is the normalized filtered purification, and
+    ``filtered_state`` its AB reduction. ``filter_operator`` acts on the
+    filtering subsystem only. ``p_succ`` equals lambda_min * r_side up to
+    rounding, and the filtered marginal on the filtering side is
+    ``support_projector / r_side``.
 
-    Every rank, rate and bound is read off the spectra it was decided from:
-    ``marginal`` is the filtering side's marginal, and ``filtered_spectrum``
-    has the eigenvalues of the filtered state's purifying register, whose
-    dimension is rank(state). ``hashing_rate`` is ``filtered_hashing_rate``
-    on this side, and ``low_rank_bound`` is ``low_rank_rate_bound``'s value,
-    or None with ``low_rank_bound_note`` saying why it does not apply.
+    Every other array, rank, rate and bound is read off the spectra it was
+    decided from: ``marginal`` is the filtering side's marginal, and
+    ``filtered_spectrum`` has the eigenvalues of the filtered state's
+    purifying register, whose dimension is rank(state). ``hashing_rate`` is
+    ``filtered_hashing_rate`` on this side, and ``low_rank_bound`` is
+    ``low_rank_rate_bound``'s value, or None with ``low_rank_bound_note``
+    saying why it does not apply.
     """
 
     side: Side
-    filter_operator: np.ndarray
     p_succ: float
-    filtered_state: DensityMatrix
-    support_projector: np.ndarray
+    filtered: TripartitePureState
     marginal: HermitianSpectrum
     filtered_spectrum: HermitianSpectrum
+
+    @property
+    def filter_operator(self) -> np.ndarray:
+        return _filter_operator(self.marginal)
+
+    @property
+    def support_projector(self) -> np.ndarray:
+        return self.marginal.support_projector()
+
+    @property
+    def filtered_state(self) -> DensityMatrix:
+        return self.filtered.reduction((0, 1))
 
     @property
     def rank(self) -> int:
@@ -155,18 +173,14 @@ def local_filter(
     idx = _side_index(side)
     psi = purify(rho, rank_tol)  # rho = F F^dagger, F of shape (d_A, d_B, r)
     spectrum = solve_hermitian(psi.reduction((idx,)).matrix, rank_tol)
-    lam_min = spectrum.min_positive()
-    y = np.sqrt(lam_min) * spectrum.pinv_sqrt()
+    y = _filter_operator(spectrum)
     # G = (Y (x) 1) F; the filtered state, AB of G / sqrt(p_succ), is positive by construction.
     g = np.moveaxis(np.tensordot(y, psi.amplitudes.reshape(psi.dims), (1, idx)), 0, idx)
     p_succ = float(np.vdot(g, g).real)
     filtered = TripartitePureState(psi.dims, g / np.sqrt(p_succ))
-    filtered_ab, projector = filtered.reduction((0, 1)), spectrum.support_projector()
-    # S(filtered state) from the r x r E-marginal, solved last on purpose: with OpenBLAS's
-    # Haswell kernels a complex matmul left as the last numerical call slows the Python
-    # float formatting that follows (the JSON writer) by about a third.
+    # S(filtered state) from the r x r E-marginal
     e_spectrum = solve_hermitian(filtered.reduction((2,)).matrix, rank_tol, vectors=False)
-    return FilterOutcome(side, y, p_succ, filtered_ab, projector, spectrum, e_spectrum)
+    return FilterOutcome(side, p_succ, filtered, spectrum, e_spectrum)
 
 
 def low_rank_rate_bound(
@@ -209,7 +223,7 @@ class WitnessSearchOutcome:
     performed: bool
     phi: np.ndarray | None
     trials_used: int
-    note: str | None = None
+    note: str | None
 
     @property
     def found(self) -> bool:

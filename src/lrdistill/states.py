@@ -91,8 +91,9 @@ class DensityMatrix:
     Construction validates the state invariants: Hermiticity within 1e-10,
     unit trace within 1e-10, and eigenvalues >= -1e-10. States derived inside
     the package from valid ones (reductions, the filtered state, complements)
-    are built with ``_trusted`` and not validated again. Either way ``matrix``
-    is exactly Hermitian, so internal solves need no check.
+    and the built-in named states, valid by construction, are built with
+    ``_trusted`` and not validated again. Either way ``matrix`` is exactly
+    Hermitian, so internal solves need no check.
     """
 
     dims: tuple[int, ...]
@@ -323,7 +324,7 @@ def bell_state() -> DensityMatrix:
     """(|00> + |11>)/sqrt(2) as a two-qubit density matrix."""
     v = np.zeros(4, dtype=np.complex128)
     v[0] = v[3] = 1.0 / sqrt(2.0)
-    return DensityMatrix((2, 2), np.outer(v, v.conj()))
+    return DensityMatrix._trusted((2, 2), np.outer(v, v.conj()))
 
 
 def ghz_state() -> TripartitePureState:
@@ -335,7 +336,7 @@ def ghz_state() -> TripartitePureState:
 
 def maximally_mixed(dims: Sequence[int]) -> DensityMatrix:
     dims = _validated_dims(dims)
-    return DensityMatrix(dims, np.eye(prod(dims), dtype=np.complex128) / prod(dims))
+    return DensityMatrix._trusted(dims, np.eye(prod(dims), dtype=np.complex128) / prod(dims))
 
 
 # --- JSON document handling -------------------------------------------------

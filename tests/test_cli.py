@@ -469,6 +469,12 @@ def test_states_are_validated_only_at_the_input_boundary(tmp_path, capsys, monke
         assert len(validations) == expected, args
 
 
+@pytest.mark.parametrize("name", sorted(cli._EXAMPLES))
+def test_the_built_in_examples_are_built_without_validation(name, validations):
+    cli._EXAMPLES[name](build_parser().parse_args(["example", name]))
+    assert len(validations) == 0
+
+
 def test_witness_solver_failure_exits_3(tmp_path, capsys, monkeypatch):
     # Bell on AB, |0> on E: the AB witness search runs
     path = write_state(tmp_path, "bellenv.json", bell_with_trivial_env().to_json_dict())

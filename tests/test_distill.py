@@ -1,3 +1,4 @@
+from dataclasses import fields
 from functools import partial
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from lrdistill import (
     DensityMatrix,
+    FilterOutcome,
     TripartitePureState,
     classify,
     coherent_information,
@@ -45,7 +47,8 @@ from lrdistill.states import bell_state, ghz_state, maximally_mixed
 
 from conftest import (DECLINING_FACTORS, bell_with_trivial_env, fail_solver,
                       flagged_complement_factor, gaussian, haar_state, loop_conditioned_rank,
-                      loop_reductions, numerical_rank, perturbed, tilted_state)
+                      loop_reductions, numerical_rank, perturbed, random_density,
+                      tilted_state)
 
 
 # --- local filter ------------------------------------------------------------
@@ -68,6 +71,23 @@ def test_filter_tilted_state_scalar_oracle():
     assert out.p_succ == pytest.approx(0.2, abs=1e-12)
     assert np.allclose(out.filter_operator, np.diag([1 / 3, 1.0]), atol=1e-12)
     assert np.allclose(out.filtered_state.matrix, bell_state().matrix, atol=1e-12)
+
+
+def test_the_filter_outcome_keeps_what_the_filter_produced():
+    assert [f.name for f in fields(FilterOutcome)] == [
+        "side", "p_succ", "filtered", "marginal", "filtered_spectrum"]
+
+
+@given(dims=st.tuples(*[st.integers(1, 4)] * 3), seed=st.integers(0, 2**32 - 1))
+def test_the_filtered_state_is_the_filter_operator_applied_to_the_state(dims, seed):
+    d_a, d_b, _ = dims
+    rho = random_density(*dims, seed)
+    for side in ("A", "B"):
+        out = local_filter(rho, side)
+        y = out.filter_operator
+        k = np.kron(y, np.eye(d_b)) if side == "A" else np.kron(np.eye(d_a), y)
+        want = k @ rho.matrix @ k.conj().T / out.p_succ
+        assert np.max(np.abs(out.filtered_state.matrix - want)) <= 1e-10
 
 
 @pytest.mark.parametrize("entry", [

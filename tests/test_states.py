@@ -462,7 +462,7 @@ def test_derived_states_are_read_only_and_unaliased(validations):
         complement(bell_state()),
         DensityMatrix._trusted((2,), source),
     ]
-    assert len(validations) == 2  # the two explicit bell_state() constructions only
+    assert len(validations) == 0  # bell_state() is built trusted too
     for rho in derived:
         assert rho.matrix.dtype == np.complex128
         assert not rho.matrix.flags.writeable

@@ -101,8 +101,9 @@ MUTANTS = [
      "witness search: the ratio bound is tried only at budgets above the default of 50",
      ["tests/test_distill.py::test_search_eigensolver_count",
       "tests/test_cli.py::test_a_run_that_draws_nothing_never_loads_numpy_random"]),
-    ("distill.py", "spectrum.support_projector()", "np.eye(y.shape[0], dtype=complex)",
-     "local_filter: the support projector is the identity even on a rank-deficient marginal",
+    ("distill.py", "self.marginal.support_projector()",
+     "np.eye(self.marginal.eigenvalues.size, dtype=complex)",
+     "FilterOutcome.support_projector: the identity even on a rank-deficient marginal",
      [f"{ACCEPTANCE}2_filter_inequality_chain"]),
     # Behaviours that the acceptance suite, a table or a closed-form test checks once.
     ("sampling.py", "np.random.SeedSequence(entropy=spec.seed, spawn_key=(k,))",
@@ -119,9 +120,9 @@ MUTANTS = [
      "np.tensordot(y, psi.amplitudes.reshape(psi.dims), (0, idx))",
      "local_filter: applies Y^T, which does not flatten a complex marginal",
      [f"{ACCEPTANCE}2_filter_inequality_chain"]),
-    ("distill.py", "lam_min = spectrum.min_positive()",
-     "lam_min = float(spectrum.eigenvalues[0])",
-     "local_filter: lambda_max in place of lambda_min, so p_succ exceeds 1",
+    ("distill.py", "np.sqrt(marginal.min_positive())",
+     "np.sqrt(float(marginal.eigenvalues[0]))",
+     "_filter_operator: lambda_max in place of lambda_min, so p_succ exceeds 1",
      [f"{ACCEPTANCE}2_filter_inequality_chain"]),
     ("distill.py", "lam_min * r_side * (log2(r_side) - log2(r))",
      "r_side * (log2(r_side) - log2(r))",
